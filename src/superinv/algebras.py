@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import HALF, ONE, Scalar, promote, sign_scalar
+from .scalars import HALF, ONE, Scalar, sign_scalar
+from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit
 
@@ -31,62 +32,19 @@ _CLASS_ORDER = {"L": 0, "C": 1, "U": 2}
 _LETTER = {"gl": "E", "osp": "F", "p": "G", "q": "H"}
 
 
-class LieElement:
+class LieElement(Sparse):
     """Sparse linear combination of canonical generators."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra",)
+    _context = ("algebra",)
 
     def __init__(self, algebra, coeffs=None):
         self.algebra = algebra
-        data = {}
-        if coeffs:
-            for idx, c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
-                c = promote(c)
-                if c:
-                    acc = data.get(idx)
-                    if acc is None:
-                        data[idx] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            data[idx] = acc
-                        else:
-                            del data[idx]
-        self.coeffs = data
-
-    def __add__(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("algebra mismatch")
-        data = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            acc = data.get(idx)
-            if acc is None:
-                data[idx] = c
-            else:
-                acc = acc + c
-                if acc:
-                    data[idx] = acc
-                else:
-                    del data[idx]
-        return LieElement(self.algebra, data)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        if not coeff:
-            return LieElement(self.algebra)
-        return LieElement(self.algebra, {i: c * coeff for i, c in self.coeffs.items()})
-
-    __rmul__ = scale
-
-    def is_zero(self):
-        return not self.coeffs
+        Sparse.__init__(self, coeffs)
 
     def parity(self):
         """Parity if homogeneous (0 for the zero element), else None."""
-        ps = {self.algebra.parity[i] for i in self.coeffs}
+        ps = {self.algebra.parity[i] for i in self.terms}
         if not ps:
             return 0
         return ps.pop() if len(ps) == 1 else None
@@ -94,23 +52,16 @@ class LieElement:
     def matrix(self) -> Tensor:
         """The realization iota(x) in End(V)."""
         out = Tensor(self.algebra.space, 1, {})
-        for idx, c in self.coeffs.items():
+        for idx, c in self.terms.items():
             out = out + self.algebra.embed[idx].scale(c)
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         names = self.algebra.gens
         return " + ".join(
-            "%r*%s" % (c, names[i]) for i, c in sorted(self.coeffs.items())
+            "%r*%s" % (c, names[i]) for i, c in sorted(self.terms.items())
         )
 
 
@@ -178,7 +129,7 @@ class Algebra:
     def _verify_split(self):
         for g in range(self.dim):
             acc = {}
-            for ((a, b),), coeff in self.embed[g].entries.items():
+            for ((a, b),), coeff in self.embed[g].terms.items():
                 hit = self.pi_table[(a, b)]
                 if hit is None:
                     continue
@@ -194,7 +145,7 @@ class Algebra:
 
     def _project_matrix(self, mat: Tensor) -> LieElement:
         coeffs = {}
-        for ((a, b),), coeff in mat.entries.items():
+        for ((a, b),), coeff in mat.terms.items():
             hit = self.pi_table[(a, b)]
             if hit is None:
                 continue
@@ -211,7 +162,7 @@ class Algebra:
             for y in range(self.dim):
                 sign = Scalar(-1) if px and self.parity[y] else ONE
                 b = compose(mx, mats[y]) - compose(mats[y], mx).scale(sign)
-                table[(x, y)] = self._project_matrix(b).coeffs
+                table[(x, y)] = self._project_matrix(b).terms
         self.bracket_table = table
 
     # -- Cartan data / Weyl vector -------------------------------------------
@@ -338,20 +289,11 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         raise ValueError("algebra mismatch")
     alg = x.algebra
     out = {}
-    for i, ci in x.coeffs.items():
-        for j, cj in y.coeffs.items():
+    for i, ci in x.terms.items():
+        for j, cj in y.terms.items():
             cij = ci * cj
             for g, c in alg.bracket_table[(i, j)].items():
-                acc = out.get(g)
-                v = cij * c
-                if acc is None:
-                    out[g] = v
-                else:
-                    acc = acc + v
-                    if acc:
-                        out[g] = acc
-                    else:
-                        del out[g]
+                add_into(out, g, cij * c)
     return LieElement(alg, out)
 
 
@@ -377,20 +319,12 @@ def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
     for _ in range(k - 1):
         diag_words = [w + (d,) for w in diag_words for d in space.indices]
     for slot in range(k):
-        for ((r, c),), v in mat.entries.items():
+        for ((r, c),), v in mat.terms.items():
             for w in diag_words:
                 key = tuple((d, d) for d in w[:slot]) + ((r, c),) + tuple(
                     (d, d) for d in w[slot:]
                 )
-                acc = entries.get(key)
-                if acc is None:
-                    entries[key] = v
-                else:
-                    acc = acc + v
-                    if acc:
-                        entries[key] = acc
-                    else:
-                        del entries[key]
+                add_into(entries, key, v)
     return Tensor(space, k, entries)
 
 

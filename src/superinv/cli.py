@@ -1,12 +1,13 @@
 """Batch command line interface.
 
-Every command reads its sizes from --family/--m/--n/--k, writes one JSON
-document to stdout (or --out), and streams progress for long sweeps to
-stderr.  Output is byte-deterministic for a fixed configuration: keys are
-sorted and all scalars are canonical exact rationals.
+Each command takes only the flags it reads (see COMMANDS), of which the
+sizes are --family/--m/--n/--k.  It writes one JSON document to stdout (or
+--out), and streams progress for long sweeps to stderr.  Output is
+byte-deterministic for a fixed configuration: keys are sorted and all
+scalars are canonical exact rationals.
 
 Exit codes: 0 success; 1 a verified property failed (a theorem check came
-back false); 2 usage error.
+back false); 2 usage error; 3 internal error.
 
 Permutations are accepted in cycle notation "(2 3)(4 5)" (cycles applied
 rightmost first) or one-line form "[1,3,2,5,4,6]" (1-based images).
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import brauer as br
@@ -47,6 +46,10 @@ from .tensoralg import eta, project_tensor
 
 FAMILY_CHOICES = ("gl", "osp", "q", "p")
 
+# coset_reps(k) enumerates (2k-1)!! representatives, so commands walking
+# them stop at this degree
+MAX_COSET_K = 4
+
 
 class UsageError(Exception):
     pass
@@ -61,18 +64,26 @@ def parse_permutation(text: str, size: int) -> Permutation:
             images = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError("bad one-line permutation: %s" % exc) from None
+        if any(type(p) is not int for p in images):
+            raise UsageError("one-line permutation entries must be integers: %r" % text)
         if len(images) != size:
             raise UsageError(
                 "one-line permutation has %d entries, expected %d"
                 % (len(images), size)
             )
-        return Permutation(images)
+        try:
+            return Permutation(images)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     cycles = re.findall(r"\(([^()]*)\)", text)
     if not cycles and text:
         raise UsageError("cannot parse permutation %r" % text)
     parsed = []
     for cyc in cycles:
-        points = [int(p) for p in re.split(r"[,\s]+", cyc.strip()) if p]
+        try:
+            points = [int(p) for p in re.split(r"[,\s]+", cyc.strip()) if p]
+        except ValueError:
+            raise UsageError("cycle points must be integers in %r" % text) from None
         if not points:
             continue
         if any(p < 1 or p > size for p in points):
@@ -89,7 +100,10 @@ def parse_shifts(text: str, k: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != k:
         raise UsageError("expected %d shift values, got %d" % (k, len(parts)))
-    return [Scalar(Fraction(p)) for p in parts]
+    try:
+        return [Scalar(Fraction(p)) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("shifts must be rationals such as 1 or -2/3: %r" % text) from None
 
 
 def type_label(type_vector) -> str:
@@ -146,29 +160,32 @@ def cmd_hc(args) -> tuple[dict, int]:
     if k < 1:
         raise UsageError("--k must be >= 1")
     u = str_gelfand(alg, k)
-    central = is_central(u)
-    image = harish_chandra_image(u)
+    image, verdicts, ok = _hc_verdicts(alg, u)
     doc = {
         "family": alg.family,
         "m": alg.m,
         "n": alg.n,
         "k": k,
         "element": "str_gelfand",
-        "central": central,
-        "poly": image.render(),
         "image": image.to_json(),
         "unshifted": zeta_project(u).to_json(),
+        **verdicts,
     }
-    ok = central
-    if alg.family == "gl":
-        verdict = is_supersymmetric(image, alg.m, alg.n)
-        doc["supersymmetric"] = verdict
-        ok = ok and verdict
-    else:
-        verdict = is_J_poly(image, alg.m // 2, alg.n)
-        doc["J"] = verdict
-        ok = ok and verdict
     return doc, 0 if ok else 1
+
+
+def _hc_verdicts(alg, u):
+    """(HC image, verdict fields, whether all hold) for a gl or osp element u.
+
+    u must be central, and its image supersymmetric for gl or in J for osp.
+    """
+    image = harish_chandra_image(u)
+    if alg.family == "gl":
+        name, holds = "supersymmetric", is_supersymmetric(image, alg.m, alg.n)
+    else:
+        name, holds = "J", is_J_poly(image, alg.m // 2, alg.n)
+    central = is_central(u)
+    return image, {"central": central, "poly": image.render(), name: holds}, central and holds
 
 
 def cmd_keylemma(args) -> tuple[dict, int]:
@@ -176,8 +193,8 @@ def cmd_keylemma(args) -> tuple[dict, int]:
     if k < 1:
         raise UsageError("--k must be >= 1")
     if args.per_type:
-        if k > 4:
-            raise UsageError("--per-type bound is k <= 4")
+        if k > MAX_COSET_K:
+            raise UsageError("--per-type bound is k <= %d" % MAX_COSET_K)
         sigmas = []
         seen = set()
         for sig in br.coset_reps(k):
@@ -194,7 +211,7 @@ def cmd_keylemma(args) -> tuple[dict, int]:
         w = br.key_lemma_witness(sig)
         return sig, w, br.witness_holds(sig, w)
 
-    rows = _parallel_map(work, sigmas, args.jobs, "keylemma")
+    rows = _map_with_progress(work, sigmas, "keylemma")
     witnesses = []
     all_ok = True
     for sig, w, ok in rows:
@@ -238,8 +255,8 @@ def cmd_pn_trivial(args) -> tuple[dict, int]:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     k = args.k
-    if not 1 <= k <= 4:
-        raise UsageError("--k must be in 1..4")
+    if not 1 <= k <= MAX_COSET_K:
+        raise UsageError("--k must be in 1..%d" % MAX_COSET_K)
     alg = build_algebra("p", 0, args.n)
     reps = br.coset_reps(k)
 
@@ -247,7 +264,7 @@ def cmd_pn_trivial(args) -> tuple[dict, int]:
         pt = project_tensor(alg, invariant_tensor(alg, sig))
         return eta(pt).is_zero(), eta_prime(pt).is_scalar()
 
-    rows = _parallel_map(work, reps, args.jobs, "pn-trivial")
+    rows = _map_with_progress(work, reps, "pn-trivial")
     all_zero = all(z for z, _ in rows)
     all_scalar = all(s for _, s in rows)
     doc = {
@@ -275,6 +292,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
     kmax = args.k
     if kmax < 1:
         raise UsageError("--k must be >= 1")
+    if alg.family == "p" and kmax > MAX_COSET_K:
+        raise UsageError("--k must be in 1..%d for p" % MAX_COSET_K)
     rows = []
     ok = True
     for k in range(1, kmax + 1):
@@ -282,27 +301,16 @@ def cmd_sweep(args) -> tuple[dict, int]:
         row = {"k": k}
         if alg.family in ("gl", "osp"):
             deg = k if alg.family == "gl" else 2 * k
-            u = str_gelfand(alg, deg)
             row["element"] = "str_gelfand(%d)" % deg
-            row["central"] = is_central(u)
-            image = harish_chandra_image(u)
-            row["poly"] = image.render()
-            if alg.family == "gl":
-                row["supersymmetric"] = is_supersymmetric(image, alg.m, alg.n)
-                ok = ok and row["central"] and row["supersymmetric"]
-            else:
-                row["J"] = is_J_poly(image, alg.m // 2, alg.n)
-                ok = ok and row["central"] and row["J"]
+            _, verdicts, holds = _hc_verdicts(alg, str_gelfand(alg, deg))
+            row.update(verdicts)
+            ok = ok and holds
         elif alg.family == "q":
             deg = 2 * k - 1
-            u = sergeev_Z(alg, deg)
             row["element"] = "sergeev_Z(%d)" % deg
-            row["central"] = is_central(u)
-            cyc = Permutation(tuple(range(2, deg + 1)) + (1,)) if deg > 1 else Permutation((1,))
-            row["matches_2^(k-1)_z_cycle"] = u == z_sigma(alg, cyc).scale(
-                Scalar(2 ** (deg - 1))
-            )
-            ok = ok and row["central"] and row["matches_2^(k-1)_z_cycle"]
+            verdicts = _sergeev_verdicts(alg, sergeev_Z(alg, deg), deg)
+            row.update(verdicts)
+            ok = ok and all(verdicts.values())
         else:
             reps = br.coset_reps(k)
             zero = all(
@@ -335,13 +343,19 @@ def cmd_sergeev(args) -> tuple[dict, int]:
     doc = {"family": "q", "n": args.n, "k": k, "Z": z.to_json()}
     ok = True
     if k % 2 == 1:
-        doc["central"] = is_central(z)
-        cyc = Permutation(tuple(range(2, k + 1)) + (1,)) if k > 1 else Permutation((1,))
-        doc["matches_2^(k-1)_z_cycle"] = z == z_sigma(alg, cyc).scale(
-            Scalar(2 ** (k - 1))
-        )
-        ok = doc["central"] and doc["matches_2^(k-1)_z_cycle"]
+        verdicts = _sergeev_verdicts(alg, z, k)
+        doc.update(verdicts)
+        ok = all(verdicts.values())
     return doc, 0 if ok else 1
+
+
+def _sergeev_verdicts(alg, z, k) -> dict:
+    """Centrality of Z_k, and the identity Z_k = 2^(k-1) z_sigma of the k-cycle."""
+    cycle = Permutation(tuple(range(2, k + 1)) + (1,))
+    return {
+        "central": is_central(z),
+        "matches_2^(k-1)_z_cycle": z == z_sigma(alg, cycle).scale(Scalar(2 ** (k - 1))),
+    }
 
 
 def cmd_molev(args) -> tuple[dict, int]:
@@ -371,41 +385,74 @@ def cmd_molev(args) -> tuple[dict, int]:
     return doc, 0 if central else 1
 
 
-def _parallel_map(fn, items, jobs, label):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(fn, items))
-    else:
-        out = []
-        for i, item in enumerate(items):
-            if len(items) > 100 and i % 100 == 0:
-                print("%s: %d/%d" % (label, i, len(items)), file=sys.stderr)
-            out.append(fn(item))
+def _map_with_progress(fn, items, label):
+    out = []
+    for i, item in enumerate(items):
+        if len(items) > 100 and i % 100 == 0:
+            print("%s: %d/%d" % (label, i, len(items)), file=sys.stderr)
+        out.append(fn(item))
     return out
 
 
+_SIZES = ("--family", "--m", "--n", "--k")
+
+# subcommand -> (handler, help, the flags it reads besides --out)
 COMMANDS = {
-    "invariant": cmd_invariant,
-    "hc": cmd_hc,
-    "keylemma": cmd_keylemma,
-    "brauer": cmd_brauer,
-    "pn-trivial": cmd_pn_trivial,
-    "relations": cmd_relations,
-    "sweep": cmd_sweep,
-    "sergeev": cmd_sergeev,
-    "molev": cmd_molev,
+    "invariant": (
+        cmd_invariant,
+        "the invariant tensor theta and central element z of a permutation",
+        _SIZES + ("--perm",),
+    ),
+    "hc": (
+        cmd_hc,
+        "Harish-Chandra image of Str X^k with predicate verdicts (gl, osp)",
+        _SIZES,
+    ),
+    "keylemma": (
+        cmd_keylemma,
+        "sign witnesses for every permutation of S_2k",
+        ("--k", "--per-type"),
+    ),
+    "brauer": (cmd_brauer, "diagram type counts, totals and double-coset sizes", ("--k",)),
+    "pn-trivial": (
+        cmd_pn_trivial,
+        "verify every degree-k invariant of S(p_n) vanishes",
+        ("--n", "--k"),
+    ),
+    "relations": (
+        cmd_relations,
+        "centralizer algebra relations as operator identities",
+        _SIZES,
+    ),
+    "sweep": (cmd_sweep, "centrality + Harish-Chandra grid over degrees 1..k", _SIZES),
+    "sergeev": (
+        cmd_sergeev,
+        "the recursive q(n) trace element Z_k and its identities",
+        ("--n", "--k"),
+    ),
+    "molev": (
+        cmd_molev,
+        "shifted-trace central element built from an invariant tensor",
+        _SIZES + ("--perm", "--u"),
+    ),
 }
 
-HELP = {
-    "invariant": "the invariant tensor theta and central element z of a permutation",
-    "hc": "Harish-Chandra image of Str X^k with predicate verdicts (gl, osp)",
-    "keylemma": "sign witnesses for every permutation of S_2k",
-    "brauer": "diagram type counts, totals and double-coset sizes",
-    "pn-trivial": "verify every degree-k invariant of S(p_n) vanishes",
-    "relations": "centralizer algebra relations as operator identities",
-    "sergeev": "the recursive q(n) trace element Z_k and its identities",
-    "molev": "shifted-trace central element built from an invariant tensor",
-    "sweep": "centrality + Harish-Chandra grid over degrees 1..k",
+FLAGS = {
+    "--family": dict(choices=FAMILY_CHOICES),
+    "--m": dict(type=int, default=0),
+    "--n": dict(type=int, default=0),
+    "--k": dict(type=int, default=1),
+    "--perm": dict(
+        default="()",
+        help='cycle notation "(2 3)(4 5)", rightmost cycle applied first, '
+        'or one-line "[1,3,2]"',
+    ),
+    "--u": dict(default="", help="comma-separated rational shifts"),
+    "--per-type": dict(
+        action="store_true",
+        help="one witness per diagram type instead of all of S_2k",
+    ),
+    "--out": dict(default=None, help="write the JSON document here"),
 }
 
 
@@ -416,49 +463,24 @@ def build_parser() -> argparse.ArgumentParser:
         "gl(m|n), osp(m|2n), q(n), p(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=HELP[name], description=HELP[name])
-        p.add_argument("--family", choices=FAMILY_CHOICES)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument(
-            "--perm",
-            default="()",
-            help='cycle notation "(2 3)(4 5)", rightmost cycle applied first, '
-            'or one-line "[1,3,2]"',
-        )
-        p.add_argument("--u", default="", help="comma-separated rational shifts")
-        p.add_argument("--out", default=None, help="write the JSON document here")
-        p.add_argument(
-            "--max-degree",
-            type=int,
-            default=None,
-            help="override the symmetrization degree cap",
-        )
-        p.add_argument("--jobs", type=int, default=1)
-        if name == "keylemma":
-            p.add_argument(
-                "--per-type",
-                action="store_true",
-                help="one witness per diagram type instead of all of S_2k",
-            )
+    for name, (_, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_degree is not None:
-        os.environ["SUPERINV_MAX_DEGREE"] = str(args.max_degree)
     try:
-        doc, code = COMMANDS[args.command](args)
+        doc, code = COMMANDS[args.command][0](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 1
+        print("internal error: %r" % exc, file=sys.stderr)
+        return 3
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

@@ -22,31 +22,14 @@ from fractions import Fraction
 from .algebras import Algebra, LieElement
 from .scalars import HALF, ONE, Scalar, promote
 from .signs import gamma_exponent, symmetric_group
-from .tensoralg import SymElement, TensorAlgebraElement, check_degree
+from .sparse import Sparse, add_into
+from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, check_degree
 
 
-class PBWElement:
+class PBWElement(_WordMap):
     """Element of U(g) as a sparse map from normal monomials to Scalars."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: Algebra, terms=None):
-        self.algebra = algebra
-        data = {}
-        if terms:
-            for word, coeff in terms.items() if hasattr(terms, "items") else terms:
-                coeff = promote(coeff)
-                if coeff:
-                    acc = data.get(word)
-                    if acc is None:
-                        data[word] = coeff
-                    else:
-                        acc = acc + coeff
-                        if acc:
-                            data[word] = acc
-                        else:
-                            del data[word]
-        self.terms = data
+    __slots__ = ()
 
     @classmethod
     def unit(cls, algebra, coeff=ONE):
@@ -64,52 +47,15 @@ class PBWElement:
 
     @classmethod
     def from_lie(cls, x: LieElement):
-        return cls(x.algebra, {(g,): c for g, c in x.coeffs.items()})
+        return cls(x.algebra, {(g,): c for g, c in x.terms.items()})
 
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("algebra mismatch")
-
+    # defined here, not inherited, so that it stays an attribute of this class
+    # that perfbench/tracer.py can wrap to count U(g) accumulation
     def __add__(self, other):
-        self._check(other)
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = data.get(word)
-            if acc is None:
-                data[word] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[word] = acc
-                else:
-                    del data[word]
-        return PBWElement(self.algebra, data)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        if not coeff:
-            return PBWElement(self.algebra)
-        return PBWElement(
-            self.algebra, {w: c * coeff for w, c in self.terms.items()}
-        )
-
-    __rmul__ = scale
+        return Sparse.__add__(self, other)
 
     def __mul__(self, other):
         return u_multiply(self, other)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
@@ -120,34 +66,11 @@ class PBWElement:
     def scalar_part(self) -> Scalar:
         return self.terms.get((), Scalar(0))
 
-    def word_parity(self, word) -> int:
-        par = self.algebra.parity
-        return sum(par[g] for g in word) & 1
-
     def parity_components(self):
         even, odd = {}, {}
         for word, coeff in self.terms.items():
             (even if self.word_parity(word) == 0 else odd)[word] = coeff
         return PBWElement(self.algebra, even), PBWElement(self.algebra, odd)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        gens = self.algebra.gens
-        bits = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            mono = ".".join(gens[g] for g in word) if word else "1"
-            bits.append("%r %s" % (self.terms[word], mono))
-        return " + ".join(bits)
-
-    def to_json(self):
-        gens = self.algebra.gens
-        out = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            out.append(
-                {"gens": [gens[g] for g in word], "coeff": self.terms[word].to_json()}
-            )
-        return {"terms": out}
 
 
 def pbw_normalize(alg: Algebra, word, coeff=ONE, strategy="leftmost") -> PBWElement:
@@ -170,15 +93,7 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE, strategy="leftmost") -> PBWElem
                 hit = i
                 break
         if hit < 0:
-            acc = out.get(w)
-            if acc is None:
-                out[w] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
+            add_into(out, w, c)
             continue
         i = hit
         a, b = w[i], w[i + 1]
@@ -263,28 +178,15 @@ def is_central(u: PBWElement) -> bool:
 # -- Cartan polynomials and the Harish-Chandra projection -------------------
 
 
-class CartanPolynomial:
+class CartanPolynomial(Sparse):
     """Polynomial in the Cartan variables (h_1..h_m; h'_1..h'_n)."""
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names",)
+    _context = ("names",)
 
     def __init__(self, names, terms=None):
         self.names = tuple(names)
-        data = {}
-        if terms:
-            for exp, coeff in terms.items() if hasattr(terms, "items") else terms:
-                coeff = promote(coeff)
-                if coeff:
-                    acc = data.get(exp)
-                    if acc is None:
-                        data[exp] = coeff
-                    else:
-                        acc = acc + coeff
-                        if acc:
-                            data[exp] = acc
-                        else:
-                            del data[exp]
-        self.terms = data
+        Sparse.__init__(self, terms)
 
     @property
     def nvars(self):
@@ -301,65 +203,13 @@ class CartanPolynomial:
         exp = tuple(1 if i == v else 0 for i in range(len(names)))
         return cls(names, {exp: ONE})
 
-    def _check(self, other):
-        if self.names != other.names:
-            raise ValueError("variable mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = data.get(exp)
-            if acc is None:
-                data[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[exp] = acc
-                else:
-                    del data[exp]
-        return CartanPolynomial(self.names, data)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        if not coeff:
-            return CartanPolynomial(self.names)
-        return CartanPolynomial(
-            self.names, {e: c * coeff for e, c in self.terms.items()}
-        )
-
-    __rmul__ = scale
-
     def __mul__(self, other):
         self._check(other)
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                acc = out.get(exp)
-                if acc is None:
-                    out[exp] = v
-                else:
-                    acc = acc + v
-                    if acc:
-                        out[exp] = acc
-                    else:
-                        del out[exp]
+                add_into(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return CartanPolynomial(self.names, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CartanPolynomial)
-            and self.names == other.names
-            and self.terms == other.terms
-        )
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -407,16 +257,7 @@ class CartanPolynomial:
             if sign_j < 0 and exp[j] % 2:
                 coeff = -coeff
             reduced = tuple(e for pos, e in enumerate(exp) if pos not in (i, j))
-            key = (reduced, t_deg)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+            add_into(out, (reduced, t_deg), coeff)
         return out
 
     def __repr__(self):

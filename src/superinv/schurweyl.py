@@ -24,12 +24,12 @@ from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
 from .scalars import ONE, Scalar, promote, sign_scalar
 from .signs import Permutation, p_exponent
+from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
     Tensor,
     VectorTensor,
-    basis_vector,
     compose,
     identity_tensor,
     permute_indices,
@@ -51,37 +51,12 @@ def omega_iso(space: SuperSpace, k: int, fn) -> Tensor:
     for word in itertools.product(space.indices, repeat=k):
         image = fn(word)
         ipar = tuple(par[i] for i in word)
-        for jword, coeff in image.entries.items():
+        for jword, coeff in image.terms.items():
             jpar = tuple(par[j] for j in jword)
             mixed = tuple((a + b) & 1 for a, b in zip(ipar, jpar))
             exp = p_exponent(mixed, ipar)
-            key = tuple(zip(jword, word))
-            v = coeff if not exp else -coeff
-            acc = entries.get(key)
-            if acc is None:
-                entries[key] = v
-            else:
-                acc = acc + v
-                if acc:
-                    entries[key] = acc
-                else:
-                    del entries[key]
+            add_into(entries, tuple(zip(jword, word)), coeff if not exp else -coeff)
     return Tensor(space, k, entries)
-
-
-def operator_of(t: Tensor):
-    """The inverse view: the Tensor as a callable on index words."""
-
-    def fn(word):
-        return apply_to_word(t, word)
-
-    return fn
-
-
-def apply_to_word(t: Tensor, word) -> VectorTensor:
-    from .tensors import apply
-
-    return apply(t, basis_vector(t.space, word))
 
 
 def perm_operator(space: SuperSpace, sigma: Permutation, k: int | None = None) -> Tensor:
@@ -121,7 +96,7 @@ def c_power(alg: Algebra, k: int) -> VectorTensor:
         entries = {
             key + pkey: c * pc
             for key, c in entries.items()
-            for pkey, pc in pair.entries.items()
+            for pkey, pc in pair.terms.items()
         }
     return VectorTensor(space, 2 * k, entries)
 
@@ -140,7 +115,7 @@ def contraction_operator(alg: Algebra, i: int, k: int) -> Tensor:
         coeff = Scalar(space.form(v1, v2))
         out = {}
         if coeff:
-            for (a, b), pc in pair.entries.items():
+            for (a, b), pc in pair.terms.items():
                 out[word[: i - 1] + (a, b) + word[i + 1 :]] = coeff * pc
         return VectorTensor(space, k, out)
 
@@ -203,7 +178,7 @@ def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
     k = vec.k // 2
     par = space._parity
     entries = {}
-    for word, coeff in vec.entries.items():
+    for word, coeff in vec.terms.items():
         key = tuple(
             (word[2 * s], space.prime(word[2 * s + 1])) for s in range(k)
         )
@@ -219,15 +194,7 @@ def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
             )
             exp ^= p_exponent((1,) * k, pair_par)
             c = coeff if not exp else -coeff
-        acc = entries.get(key)
-        if acc is None:
-            entries[key] = c
-        else:
-            acc = acc + c
-            if acc:
-                entries[key] = acc
-            else:
-                del entries[key]
+        add_into(entries, key, c)
     return Tensor(space, k, entries)
 
 
@@ -272,7 +239,7 @@ def psi_eta_pi(alg: Algebra, t: Tensor) -> PBWElement:
 # -- U(g)-valued tensors ------------------------------------------------------
 
 
-class UValuedTensor:
+class UValuedTensor(Sparse):
     """Sparse element of End(V)^(x k) tensor U(g).
 
     Keys are as in Tensor; values are PBWElements.  The stored invariant is
@@ -281,70 +248,33 @@ class UValuedTensor:
     generated from them; products rely on it for the Koszul signs.
     """
 
-    __slots__ = ("algebra", "k", "entries")
+    __slots__ = ("algebra", "k")
+    _context = ("algebra", "k")
+    _coerce = staticmethod(lambda val: val)
 
     def __init__(self, algebra: Algebra, k: int, entries=None):
         self.algebra = algebra
         self.k = k
-        data = {}
-        if entries:
-            for key, val in entries.items() if hasattr(entries, "items") else entries:
-                if not val.is_zero():
-                    acc = data.get(key)
-                    if acc is None:
-                        data[key] = val
-                    else:
-                        acc = acc + val
-                        if acc.is_zero():
-                            del data[key]
-                        else:
-                            data[key] = acc
-        self.entries = data
-
-    def _check(self, other):
-        if self.algebra is not other.algebra or self.k != other.k:
-            raise ValueError("degree/algebra mismatch")
+        Sparse.__init__(self, entries)
 
     def key_parity(self, key) -> int:
         par = self.algebra.space._parity
         return sum(par[r] + par[c] for r, c in key) & 1
 
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.entries)
-        for key, val in other.entries.items():
-            acc = data.get(key)
-            if acc is None:
-                data[key] = val
-            else:
-                acc = acc + val
-                if acc.is_zero():
-                    del data[key]
-                else:
-                    data[key] = acc
-        return UValuedTensor(self.algebra, self.k, data)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
     def scale(self, coeff):
         coeff = promote(coeff)
         return UValuedTensor(
-            self.algebra,
-            self.k,
-            {key: val.scale(coeff) for key, val in self.entries.items()},
+            self.algebra, self.k, {key: val.scale(coeff) for key, val in self.terms.items()}
         )
-
-    __rmul__ = scale
 
     def __mul__(self, other: "UValuedTensor") -> "UValuedTensor":
         self._check(other)
         par = self.algebra.space._parity
         out = {}
-        for ka, va in self.entries.items():
+        for ka, va in self.terms.items():
             pa = self.key_parity(ka)
             apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
-            for kb, vb in other.entries.items():
+            for kb, vb in other.terms.items():
                 key = []
                 for (ra, ca), (rb, cb) in zip(ka, kb):
                     if ca != rb:
@@ -362,43 +292,20 @@ class UValuedTensor:
                     if apar[s] and run:
                         exp ^= 1
                 val = u_multiply(va, vb)
-                if exp:
-                    val = val.scale(Scalar(-1))
-                if val.is_zero():
-                    continue
-                key = tuple(key)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = val
-                else:
-                    acc = acc + val
-                    if acc.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = acc
-        return UValuedTensor(self.algebra, self.k, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UValuedTensor)
-            and self.algebra is other.algebra
-            and self.k == other.k
-            and self.entries == other.entries
-        )
-
-    def is_zero(self):
-        return not self.entries
+                if val:
+                    add_into(out, tuple(key), -val if exp else val)
+        return self._like(out)
 
     def partial_supertrace(self, pos: int) -> "UValuedTensor":
         if not 1 <= pos <= self.k:
             raise ValueError("position out of range")
         par = self.algebra.space._parity
         out = UValuedTensor(self.algebra, self.k - 1)
-        for key, val in self.entries.items():
+        for key, val in self.terms.items():
             r, c = key[pos - 1]
             if r != c:
                 continue
-            v = val if par[r] == 0 else val.scale(Scalar(-1))
+            v = val if par[r] == 0 else -val
             out = out + UValuedTensor(
                 self.algebra, self.k - 1, {key[: pos - 1] + key[pos:]: v}
             )
@@ -408,7 +315,7 @@ class UValuedTensor:
         t = self
         while t.k > 0:
             t = t.partial_supertrace(t.k)
-        return t.entries.get((), PBWElement(self.algebra))
+        return t.terms.get((), PBWElement(self.algebra))
 
 
 def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
@@ -418,10 +325,10 @@ def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
     matches its key's, and scalars are even.
     """
     out = UValuedTensor(alg, t.k)
-    for key, coeff in t.entries.items():
+    for key, coeff in t.terms.items():
         if out.key_parity(key):
             raise ValueError("scalar-valued embedding requires even key words")
-        out.entries[key] = PBWElement.unit(alg, coeff)
+        out.terms[key] = PBWElement.unit(alg, coeff)
     return out
 
 
@@ -488,7 +395,7 @@ def slot_embed(x: UValuedTensor, slot: int, k: int) -> UValuedTensor:
     for _ in range(k - 1):
         diag_words = [w + (d,) for w in diag_words for d in space.indices]
     entries = {}
-    for ((r, c),), val in x.entries.items():
+    for ((r, c),), val in x.terms.items():
         for w in diag_words:
             key = (
                 tuple((d, d) for d in w[: slot - 1])
@@ -764,6 +671,6 @@ def _measure_multiple(a: Tensor, b: Tensor):
     """The scalar c with a == c*b, or None."""
     if b.is_zero():
         return None
-    key, coeff = next(iter(b.entries.items()))
-    c = a.entries.get(key, Scalar(0)) / coeff
+    key, coeff = next(iter(b.terms.items()))
+    c = a.terms.get(key, Scalar(0)) / coeff
     return c if (a - b.scale(c)).is_zero() else None

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .algebras import Algebra, LieElement
 from .scalars import ONE, Scalar, promote
 from .signs import gamma_exponent, symmetric_group
+from .sparse import Sparse, add_into
 from .tensors import Tensor
 
 
@@ -41,73 +42,15 @@ def check_degree(k: int):
         )
 
 
-class _WordMap:
-    """Sparse word -> Scalar map with shared linear structure."""
+class _WordMap(Sparse):
+    """Sparse word -> Scalar map over the generators of one algebra."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+    _context = ("algebra",)
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        data = {}
-        if terms:
-            for word, coeff in terms.items() if hasattr(terms, "items") else terms:
-                coeff = promote(coeff)
-                if coeff:
-                    acc = data.get(word)
-                    if acc is None:
-                        data[word] = coeff
-                    else:
-                        acc = acc + coeff
-                        if acc:
-                            data[word] = acc
-                        else:
-                            del data[word]
-        self.terms = data
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("algebra mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = data.get(word)
-            if acc is None:
-                data[word] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[word] = acc
-                else:
-                    del data[word]
-        out = object.__new__(type(self))
-        out.algebra, out.terms = self.algebra, data
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        out = object.__new__(type(self))
-        out.algebra = self.algebra
-        out.terms = (
-            {w: c * coeff for w, c in self.terms.items()} if coeff else {}
-        )
-        return out
-
-    __rmul__ = scale
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
+        Sparse.__init__(self, terms)
 
     def word_parity(self, word) -> int:
         par = self.algebra.parity
@@ -144,17 +87,7 @@ class TensorAlgebraElement(_WordMap):
         out = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                word = wa + wb
-                v = ca * cb
-                acc = out.get(word)
-                if acc is None:
-                    out[word] = v
-                else:
-                    acc = acc + v
-                    if acc:
-                        out[word] = acc
-                    else:
-                        del out[word]
+                add_into(out, wa + wb, ca * cb)
         return TensorAlgebraElement(self.algebra, out)
 
 
@@ -171,16 +104,7 @@ class SymElement(_WordMap):
                 if res is None:
                     continue
                 word, exp = res
-                v = ca * cb if not exp else -(ca * cb)
-                acc = out.get(word)
-                if acc is None:
-                    out[word] = v
-                else:
-                    acc = acc + v
-                    if acc:
-                        out[word] = acc
-                    else:
-                        del out[word]
+                add_into(out, word, ca * cb if not exp else -(ca * cb))
         return SymElement(self.algebra, out)
 
 
@@ -224,16 +148,7 @@ def eta(t: TensorAlgebraElement) -> SymElement:
         if res is None:
             continue
         w, exp = res
-        v = coeff if not exp else -coeff
-        acc = out.get(w)
-        if acc is None:
-            out[w] = v
-        else:
-            acc = acc + v
-            if acc:
-                out[w] = acc
-            else:
-                del out[w]
+        add_into(out, w, coeff if not exp else -coeff)
     return SymElement(alg, out)
 
 
@@ -253,16 +168,7 @@ def omega_k(s: SymElement, k: int) -> TensorAlgebraElement:
         for sigma in perms:
             exp = gamma_exponent(parities, sigma)
             new_word = tuple(word[sigma(t) - 1] for t in range(1, k + 1))
-            v = base if not exp else -base
-            acc = out.get(new_word)
-            if acc is None:
-                out[new_word] = v
-            else:
-                acc = acc + v
-                if acc:
-                    out[new_word] = acc
-                else:
-                    del out[new_word]
+            add_into(out, new_word, base if not exp else -base)
     return TensorAlgebraElement(alg, out)
 
 
@@ -274,7 +180,7 @@ def adjoint_act(x: LieElement, t):
     par = alg.parity
     table = alg.bracket_table
     out = type(t)(alg)
-    for g, cg in x.coeffs.items():
+    for g, cg in x.terms.items():
         pg = par[g]
         terms = {}
         for word, coeff in t.terms.items():
@@ -287,15 +193,7 @@ def adjoint_act(x: LieElement, t):
                     v = coeff * ch * cg
                     if sign < 0:
                         v = -v
-                    acc = terms.get(new_word)
-                    if acc is None:
-                        terms[new_word] = v
-                    else:
-                        acc = acc + v
-                        if acc:
-                            terms[new_word] = acc
-                        else:
-                            del terms[new_word]
+                    add_into(terms, new_word, v)
                 prefix_parity ^= par[xi]
         if isinstance(t, SymElement):
             piece = SymElement(alg)
@@ -322,7 +220,7 @@ def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:
         raise ValueError("space mismatch")
     table = alg.pi_table
     out = {}
-    for key, coeff in tensor.entries.items():
+    for key, coeff in tensor.terms.items():
         word = []
         c = coeff
         dead = False
@@ -336,14 +234,5 @@ def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:
             c = c * factor
         if dead or not c:
             continue
-        word = tuple(word)
-        acc = out.get(word)
-        if acc is None:
-            out[word] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[word] = acc
-            else:
-                del out[word]
+        add_into(out, tuple(word), c)
     return TensorAlgebraElement(alg, out)

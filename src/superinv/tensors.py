@@ -25,100 +25,39 @@ The symmetric group acts by signed place permutation:
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, promote
+from operator import attrgetter
+
+from .scalars import ONE, Scalar
 from .signs import Permutation, gamma_exponent
+from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 
 
-class _Sparse:
-    """Shared sparse-linear-combination behaviour for both tensor kinds."""
+class _Tensor(Sparse):
+    """Sparse tensors of degree k over a super space."""
 
-    __slots__ = ("space", "k", "entries")
+    __slots__ = ("space", "k")
+    _context = ("space", "k")
 
     def __init__(self, space: SuperSpace, k: int, entries=None):
         self.space = space
         self.k = k
-        data = {}
-        if entries:
-            for key, coeff in entries.items() if hasattr(entries, "items") else entries:
-                coeff = promote(coeff)
-                if coeff:
-                    acc = data.get(key)
-                    if acc is None:
-                        data[key] = coeff
-                    else:
-                        acc = acc + coeff
-                        if acc:
-                            data[key] = acc
-                        else:
-                            del data[key]
-        self.entries = data
+        Sparse.__init__(self, entries)
 
-    def _check_compatible(self, other):
-        if self.space != other.space or self.k != other.k:
-            raise ValueError("degree/space mismatch")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        data = dict(self.entries)
-        for key, coeff in other.entries.items():
-            acc = data.get(key)
-            if acc is None:
-                data[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    data[key] = acc
-                else:
-                    del data[key]
-        out = object.__new__(type(self))
-        out.space, out.k, out.entries = self.space, self.k, data
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(Scalar(-1))
-
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        out = object.__new__(type(self))
-        out.space, out.k = self.space, self.k
-        if not coeff:
-            out.entries = {}
-        else:
-            out.entries = {key: c * coeff for key, c in self.entries.items()}
-        return out
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.space == other.space
-            and self.k == other.k
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.k, frozenset(self.entries.items())))
+    # the tensor-side name of ``terms``
+    entries = property(attrgetter("terms"))
 
     def coefficient(self, key) -> Scalar:
-        return self.entries.get(key, Scalar(0))
+        return self.terms.get(key, Scalar(0))
 
     def __repr__(self):
-        if not self.entries:
+        if not self.terms:
             return "%s<0>" % type(self).__name__
-        parts = ["%r:%r" % (k, c) for k, c in sorted(self.entries.items())]
+        parts = ["%r:%r" % (k, c) for k, c in sorted(self.terms.items())]
         return "%s<%s>" % (type(self).__name__, ", ".join(parts))
 
 
-class Tensor(_Sparse):
+class Tensor(_Tensor):
     """Sparse element of End(V)^(x k)."""
 
     def key_parity(self, key) -> int:
@@ -127,7 +66,7 @@ class Tensor(_Sparse):
 
     def parity(self):
         """Total parity if homogeneous, else None."""
-        parities = {self.key_parity(key) for key in self.entries}
+        parities = {self.key_parity(key) for key in self.terms}
         if not parities:
             return 0
         if len(parities) == 1:
@@ -137,20 +76,20 @@ class Tensor(_Sparse):
     def parity_components(self):
         """Split into (even part, odd part)."""
         even, odd = {}, {}
-        for key, coeff in self.entries.items():
+        for key, coeff in self.terms.items():
             (even if self.key_parity(key) == 0 else odd)[key] = coeff
         return Tensor(self.space, self.k, even), Tensor(self.space, self.k, odd)
 
     def to_json(self):
         entries = []
-        for key in sorted(self.entries):
+        for key in sorted(self.terms):
             entries.append(
-                {"key": [[r, c] for r, c in key], "coeff": self.entries[key].to_json()}
+                {"key": [[r, c] for r, c in key], "coeff": self.terms[key].to_json()}
             )
         return {"k": self.k, "space": self.space.to_json(), "entries": entries}
 
 
-class VectorTensor(_Sparse):
+class VectorTensor(_Tensor):
     """Sparse element of V^(x k)."""
 
     def key_parity(self, key) -> int:
@@ -158,8 +97,8 @@ class VectorTensor(_Sparse):
 
     def to_json(self):
         entries = []
-        for key in sorted(self.entries):
-            entries.append({"key": list(key), "coeff": self.entries[key].to_json()})
+        for key in sorted(self.terms):
+            entries.append({"key": list(key), "coeff": self.terms[key].to_json()})
         return {"k": self.k, "space": self.space.to_json(), "entries": entries}
 
 
@@ -189,12 +128,12 @@ def basis_vector(space: SuperSpace, word) -> VectorTensor:
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
     """The product of a and b in the superalgebra End(V)^(x k)."""
-    a._check_compatible(b)
+    a._check(b)
     par = a.space._parity
     out = {}
-    for ka, va in a.entries.items():
+    for ka, va in a.terms.items():
         apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
-        for kb, vb in b.entries.items():
+        for kb, vb in b.terms.items():
             key = []
             for (ra, ca), (rb, cb) in zip(ka, kb):
                 if ca != rb:
@@ -212,21 +151,8 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
                     run ^= (par[rb] + par[cb]) & 1
                 if apar[s] and run:
                     exp ^= 1
-            coeff = va * vb if not exp else -(va * vb)
-            key = tuple(key)
-            acc = out.get(key)
-            if acc is None:
-                if coeff:
-                    out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    result = object.__new__(Tensor)
-    result.space, result.k, result.entries = a.space, a.k, out
-    return result
+            add_into(out, tuple(key), va * vb if not exp else -(va * vb))
+    return a._like(out)
 
 
 def apply(a: Tensor, v: VectorTensor) -> VectorTensor:
@@ -235,9 +161,9 @@ def apply(a: Tensor, v: VectorTensor) -> VectorTensor:
         raise ValueError("degree/space mismatch")
     par = a.space._parity
     out = {}
-    for ka, va in a.entries.items():
+    for ka, va in a.terms.items():
         apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
-        for kv, vv in v.entries.items():
+        for kv, vv in v.terms.items():
             ok = True
             for (r, c), i in zip(ka, kv):
                 if c != i:
@@ -252,21 +178,8 @@ def apply(a: Tensor, v: VectorTensor) -> VectorTensor:
                     run ^= par[kv[s - 1]]
                 if apar[s] and run:
                     exp ^= 1
-            coeff = va * vv if not exp else -(va * vv)
-            key = tuple(r for r, _ in ka)
-            acc = out.get(key)
-            if acc is None:
-                if coeff:
-                    out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    result = object.__new__(VectorTensor)
-    result.space, result.k, result.entries = v.space, v.k, out
-    return result
+            add_into(out, tuple(r for r, _ in ka), va * vv if not exp else -(va * vv))
+    return v._like(out)
 
 
 def supertrace(a: Tensor) -> Scalar:
@@ -275,7 +188,7 @@ def supertrace(a: Tensor) -> Scalar:
         raise ValueError("supertrace requires k = 1")
     total = Scalar(0)
     par = a.space._parity
-    for ((r, c),), coeff in a.entries.items():
+    for ((r, c),), coeff in a.terms.items():
         if r == c:
             total = total + (coeff if par[r] == 0 else -coeff)
     return total
@@ -287,21 +200,10 @@ def partial_supertrace(a: Tensor, pos: int) -> Tensor:
         raise ValueError("position out of range")
     par = a.space._parity
     out = {}
-    for key, coeff in a.entries.items():
+    for key, coeff in a.terms.items():
         r, c = key[pos - 1]
-        if r != c:
-            continue
-        coeff = coeff if par[r] == 0 else -coeff
-        new_key = key[: pos - 1] + key[pos:]
-        acc = out.get(new_key)
-        if acc is None:
-            out[new_key] = coeff
-        else:
-            acc = acc + coeff
-            if acc:
-                out[new_key] = acc
-            else:
-                del out[new_key]
+        if r == c:
+            add_into(out, key[: pos - 1] + key[pos:], coeff if par[r] == 0 else -coeff)
     return Tensor(a.space, a.k - 1, out)
 
 
@@ -317,7 +219,7 @@ def supertranspose(a: Tensor) -> Tensor:
     """Slotwise e_ij -> (-1)^{(|i|+|j|)|i|} e_ji; a super anti-automorphism."""
     par = a.space._parity
     out = {}
-    for key, coeff in a.entries.items():
+    for key, coeff in a.terms.items():
         exp = 0
         new_key = []
         for r, c in key:
@@ -339,20 +241,11 @@ def permute_word(sigma: Permutation, w):
     else:
         parities = w.space._parity
         slot_parity = lambda slot: (parities[slot[0]] + parities[slot[1]]) & 1
-    for key, coeff in w.entries.items():
+    for key, coeff in w.terms.items():
         word_par = tuple(slot_parity(slot) for slot in key)
         exp = gamma_exponent(word_par, inv)
         new_key = tuple(key[inv(t) - 1] for t in range(1, w.k + 1))
-        coeff = coeff if not exp else -coeff
-        acc = out.get(new_key)
-        if acc is None:
-            out[new_key] = coeff
-        else:
-            acc = acc + coeff
-            if acc:
-                out[new_key] = acc
-            else:
-                del out[new_key]
+        add_into(out, new_key, coeff if not exp else -coeff)
     return type(w)(w.space, w.k, out)
 
 
@@ -363,17 +256,3 @@ def permute_indices(space: SuperSpace, sigma: Permutation, word):
     exp = gamma_exponent(par, inv)
     new_word = tuple(word[inv(t) - 1] for t in range(1, len(word) + 1))
     return new_word, exp
-
-
-def dense_matrix(a: Tensor):
-    """Map each basis word of V^(x k) through a; the independent oracle view.
-
-    Returns a dict basis-word -> VectorTensor so operator identities can be
-    checked column by column without going through ``compose``.
-    """
-    import itertools
-
-    cols = {}
-    for word in itertools.product(a.space.indices, repeat=a.k):
-        cols[word] = apply(a, basis_vector(a.space, word))
-    return cols

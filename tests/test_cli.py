@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superinv import brauer
 from superinv.cli import main, parse_permutation, parse_shifts, type_label
 from superinv.signs import Permutation
 
@@ -194,7 +195,45 @@ def test_out_file(tmp_path, capsys):
     assert doc["total"] == 3
 
 
-def test_jobs_flag_gives_identical_output(capsys):
-    _, out1, _ = run_cli(capsys, "keylemma", "--k", "2")
-    _, out2, _ = run_cli(capsys, "keylemma", "--k", "2", "--jobs", "4")
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--perm", "[1,1]"),
+        ("--perm", "(a b)"),
+        ("--perm", '[1,"x"]'),
+        ("--u", "1/0,1"),
+        ("--u", "x,1"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, flag, value):
+    base = ["molev", "--family", "gl", "--m", "1", "--n", "1", "--k", "2"]
+    extra = ["--perm", "(1 2)"] if flag == "--u" else []
+    code, out, err = run_cli(capsys, *base, *extra, flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def crash(k):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(brauer, "count_by_type", crash)
+    code, out, err = run_cli(capsys, "brauer", "--k", "2")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "forced" in err
+
+
+def test_sweep_p_degree_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "p", "--n", "1", "--k", "5")
+    assert code == 2 and out == ""
+    assert "--k must be in 1..4" in err
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ["brauer", "--k", "2", "--perm", "(1 2)"],
+        ["keylemma", "--k", "2", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 2

@@ -83,10 +83,13 @@ def test_omega_iso_identity_and_inverse():
     assert omega_iso(sp, 1, fn) == e12
 
 
+def operator_of(t: Tensor):
+    """The operator view of t: a callable taking an index word to its image."""
+    return lambda word: apply(t, basis_vector(t.space, word))
+
+
 def test_omega_iso_roundtrip():
     # omega_iso inverts the operator view given by apply on basis words
-    from superinv.schurweyl import operator_of
-
     rng = random.Random(8)
     sp = build_algebra("q", 0, 1).space
     for _ in range(10):
