@@ -25,7 +25,7 @@ from fractions import Fraction
 from .scalars import HALF, ONE, Scalar, sign_scalar
 from .sparse import Sparse, add_into
 from .spaces import SuperSpace
-from .tensors import Tensor, compose, matrix_unit
+from .tensors import Tensor, compose, matrix_unit, slot_embed
 
 _CLASS_ORDER = {"L": 0, "C": 1, "U": 2}
 
@@ -128,15 +128,7 @@ class Algebra:
 
     def _verify_split(self):
         for g in range(self.dim):
-            acc = {}
-            for ((a, b),), coeff in self.embed[g].terms.items():
-                hit = self.pi_table[(a, b)]
-                if hit is None:
-                    continue
-                idx, c = hit
-                acc[idx] = acc.get(idx, Scalar(0)) + coeff * c
-            acc = {i: c for i, c in acc.items() if c}
-            if acc != {g: ONE}:
+            if self._project_matrix(self.embed[g]).terms != {g: ONE}:
                 raise AssertionError(
                     "split projection failed on generator %s" % self.gens[g]
                 )
@@ -312,20 +304,11 @@ def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
     """The action of x on V^(x k): sum over slots of 1 x..x iota(x) x..x 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    space = alg.space
     mat = x.matrix()
-    entries = {}
-    diag_words = [()]
-    for _ in range(k - 1):
-        diag_words = [w + (d,) for w in diag_words for d in space.indices]
-    for slot in range(k):
-        for ((r, c),), v in mat.terms.items():
-            for w in diag_words:
-                key = tuple((d, d) for d in w[:slot]) + ((r, c),) + tuple(
-                    (d, d) for d in w[slot:]
-                )
-                add_into(entries, key, v)
-    return Tensor(space, k, entries)
+    out = slot_embed(mat, 1, k)
+    for slot in range(2, k + 1):
+        out = out + slot_embed(mat, slot, k)
+    return out
 
 
 def rho(alg: Algebra):

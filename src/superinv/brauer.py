@@ -23,6 +23,10 @@ from typing import Iterator, NamedTuple, Optional
 
 from .signs import Permutation, symmetric_group
 
+# count_by_type walks all (2k-1)!! diagrams, partition_A0_A1 all 2^k k! of H
+MAX_COUNT_K = 8
+MAX_PARTITION_K = 4
+
 
 class BrauerDiagram(NamedTuple):
     k: int
@@ -35,12 +39,6 @@ class BrauerDiagram(NamedTuple):
 class ClosureAnalysis(NamedTuple):
     circles: tuple  # ordered dot tuples, one per circle
     type_vector: tuple  # sorted circle lengths, e.g. (1, 2) for type 1^1 2^1
-
-    def type_counts(self) -> dict:
-        out = {}
-        for length in self.type_vector:
-            out[length] = out.get(length, 0) + 1
-        return out
 
 
 class KeyLemmaWitness(NamedTuple):
@@ -161,15 +159,7 @@ def all_matchings(points) -> Iterator[tuple]:
 
 def type_count_formula(k: int, type_vector) -> int:
     """2^k k! / prod (2i)^{lambda_i} lambda_i! for the type multiset."""
-    counts = {}
-    for length in type_vector:
-        counts[length] = counts.get(length, 0) + 1
-    denom = 1
-    for length, mult in counts.items():
-        denom *= (2 * length) ** mult * math.factorial(mult)
-    num = 2**k * math.factorial(k)
-    assert num % denom == 0
-    return num // denom
+    return 2**k * math.factorial(k) // intersection_order_formula(type_vector)
 
 
 def double_factorial(n: int) -> int:
@@ -180,10 +170,10 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def count_by_type(k: int, bound: int = 8) -> dict:
+def count_by_type(k: int) -> dict:
     """Enumerate all (k,k)-diagrams and bucket them by closure type."""
-    if k > bound:
-        raise ValueError("k exceeds the configured bound %d" % bound)
+    if k > MAX_COUNT_K:
+        raise ValueError("k exceeds the bound %d" % MAX_COUNT_K)
     counts = {}
     total = 0
     for pairs in all_matchings(range(1, 2 * k + 1)):
@@ -276,13 +266,13 @@ def witness_holds(sigma: Permutation, w: KeyLemmaWitness) -> bool:
     return lhs == rhs and w.sign_product() == -1
 
 
-def partition_A0_A1(sigma: Permutation, bound: int = 4):
+def partition_A0_A1(sigma: Permutation):
     """Split H intersect sigma H sigma^{-1} by the witness sign character."""
     if sigma.size % 2:
         raise ValueError("need a permutation of an even number of points")
     k = sigma.size // 2
-    if k > bound:
-        raise ValueError("k exceeds the configured bound %d" % bound)
+    if k > MAX_PARTITION_K:
+        raise ValueError("k exceeds the bound %d" % MAX_PARTITION_K)
     inv = sigma.inverse()
     a0, a1 = [], []
     for a in h_elements(k):

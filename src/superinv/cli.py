@@ -39,7 +39,6 @@ from .schurweyl import (
     molev_element,
     sergeev_Z,
     str_gelfand,
-    tensor_is_invariant,
     z_sigma,
 )
 from .tensoralg import eta, project_tensor
@@ -75,9 +74,9 @@ def parse_permutation(text: str, size: int) -> Permutation:
             return Permutation(images)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    cycles = re.findall(r"\(([^()]*)\)", text)
-    if not cycles and text:
+    if not re.fullmatch(r"(\s*\([^()]*\))+\s*", text):
         raise UsageError("cannot parse permutation %r" % text)
+    cycles = re.findall(r"\(([^()]*)\)", text)
     parsed = []
     for cyc in cycles:
         try:
@@ -228,8 +227,8 @@ def cmd_keylemma(args) -> tuple[dict, int]:
 
 def cmd_brauer(args) -> tuple[dict, int]:
     k = args.k
-    if not 1 <= k <= 8:
-        raise UsageError("--k must be in 1..8")
+    if not 1 <= k <= br.MAX_COUNT_K:
+        raise UsageError("--k must be in 1..%d" % br.MAX_COUNT_K)
     res = br.count_by_type(k)
     doc = {}
     ok = True
@@ -368,8 +367,6 @@ def cmd_molev(args) -> tuple[dict, int]:
     sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
     s = invariant_tensor(alg, sigma)
     shifts = parse_shifts(args.u, s.k)
-    if not tensor_is_invariant(alg, s):
-        raise UsageError("input tensor is not invariant")
     elem = molev_element(alg, s, shifts)
     central = is_central(elem)
     doc = {

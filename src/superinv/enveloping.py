@@ -17,13 +17,11 @@ the test suite checks leftmost-first against rightmost-first.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .algebras import Algebra, LieElement
 from .scalars import HALF, ONE, Scalar, promote
-from .signs import gamma_exponent, symmetric_group
 from .sparse import Sparse, add_into
-from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, check_degree
+from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
 
 
 class PBWElement(_WordMap):
@@ -130,23 +128,8 @@ def eta_prime(t: TensorAlgebraElement) -> PBWElement:
 
 
 def psi_map(s: SymElement) -> PBWElement:
-    """Supersymmetrization S(g) -> U(g); a module isomorphism."""
-    alg = s.algebra
-    par = alg.parity
-    out = PBWElement(alg)
-    for word, coeff in s.terms.items():
-        k = len(word)
-        if k == 0:
-            out = out + PBWElement.unit(alg, coeff)
-            continue
-        check_degree(k)
-        parities = tuple(par[g] for g in word)
-        base = coeff * Scalar(Fraction(1, math.factorial(k)))
-        for sigma in symmetric_group(k):
-            exp = gamma_exponent(parities, sigma)
-            new_word = tuple(word[sigma(t) - 1] for t in range(1, k + 1))
-            out = out + pbw_normalize(alg, new_word, base if not exp else -base)
-    return out
+    """Supersymmetrization S(g) -> U(g), eta' o symmetrize; a module isomorphism."""
+    return eta_prime(symmetrize(s))
 
 
 def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:

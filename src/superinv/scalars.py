@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+_NUMBERS = (int, Fraction)
 
 
 class Scalar:
@@ -32,13 +33,19 @@ class Scalar:
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other):
-        other = promote(other)
+        if type(other) is not Scalar:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
+            other = Scalar(other)
         return Scalar._make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = promote(other)
+        if type(other) is not Scalar:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
+            other = Scalar(other)
         return Scalar._make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -48,7 +55,11 @@ class Scalar:
         return Scalar._make(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = promote(other)
+        # a non-number (a tensor, a U(g) element) scales itself by __rmul__
+        if type(other) is not Scalar:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
+            other = Scalar(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return Scalar._make(a * c, _FR_ZERO)
@@ -73,7 +84,7 @@ class Scalar:
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             return self.im == 0 and self.re == other
         if isinstance(other, Scalar):
             return self.re == other.re and self.im == other.im
@@ -123,7 +134,7 @@ def promote(x) -> Scalar:
     """Coerce an int or Fraction into a Scalar; Scalars pass through."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _NUMBERS):
         return Scalar(x)
     raise TypeError("cannot promote %r to Scalar" % (x,))
 

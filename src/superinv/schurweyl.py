@@ -24,16 +24,18 @@ from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
 from .scalars import ONE, Scalar, promote, sign_scalar
 from .signs import Permutation, p_exponent
-from .sparse import Sparse, add_into
+from .sparse import add_into
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
     Tensor,
     VectorTensor,
+    basis_vector,
     compose,
+    full_supertrace,
     identity_tensor,
-    permute_indices,
     permute_word,
+    slot_embed,
 )
 
 
@@ -65,12 +67,7 @@ def perm_operator(space: SuperSpace, sigma: Permutation, k: int | None = None) -
         k = sigma.size
     if sigma.size != k:
         raise ValueError("permutation size must equal the degree")
-
-    def fn(word):
-        new_word, exp = permute_indices(space, sigma, word)
-        return VectorTensor(space, k, {new_word: ONE if not exp else Scalar(-1)})
-
-    return omega_iso(space, k, fn)
+    return omega_iso(space, k, lambda word: permute_word(sigma, basis_vector(space, word)))
 
 
 def pairing_vector(space: SuperSpace) -> VectorTensor:
@@ -207,20 +204,30 @@ def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
 
 def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
     """True iff t supercommutes with the action of every generator."""
-    even, odd = t.parity_components()
-    for g in range(alg.dim):
-        action = phi_k(alg, alg.unit(g), t.k)
-        for comp, tpar in ((even, 0), (odd, 1)):
-            if comp.is_zero():
-                continue
+    return not _noncommuting_generators(alg, t, _actions(alg, t.k))
+
+
+def _actions(alg: Algebra, k: int) -> list:
+    """phi_k of every generator, in generator order."""
+    return [phi_k(alg, alg.unit(g), k) for g in range(alg.dim)]
+
+
+def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
+    """The generators whose action does not supercommute with t.
+
+    Each parity component of t is checked on its own, so t may be
+    inhomogeneous.
+    """
+    parts = [(comp, p) for p, comp in enumerate(t.parity_components()) if comp]
+    failures = []
+    for g, action in enumerate(actions):
+        for comp, p in parts:
             lhs = compose(action, comp)
             rhs = compose(comp, action)
-            if alg.parity[g] and tpar:
-                if not (lhs + rhs).is_zero():
-                    return False
-            elif not (lhs - rhs).is_zero():
-                return False
-    return True
+            if (lhs + rhs if alg.parity[g] and p else lhs - rhs):
+                failures.append(g)
+                break
+    return failures
 
 
 # -- elements of U(g) --------------------------------------------------------
@@ -239,83 +246,30 @@ def psi_eta_pi(alg: Algebra, t: Tensor) -> PBWElement:
 # -- U(g)-valued tensors ------------------------------------------------------
 
 
-class UValuedTensor(Sparse):
-    """Sparse element of End(V)^(x k) tensor U(g).
+class UValuedTensor(Tensor):
+    """Sparse element of End(V)^(x k) tensor U(g): a Tensor with PBW values.
 
-    Keys are as in Tensor; values are PBWElements.  The stored invariant is
-    that every value is parity-homogeneous with parity equal to its key's
-    word parity, which holds for the generator matrices and everything
-    generated from them; products rely on it for the Koszul signs.
+    The stored invariant is that every value is parity-homogeneous with
+    parity equal to its key's word parity, which holds for the generator
+    matrices and everything generated from them; products rely on it for
+    the Koszul signs.
     """
 
-    __slots__ = ("algebra", "k")
-    _context = ("algebra", "k")
+    __slots__ = ("algebra",)
+    _context = ("algebra", "space", "k")
     _coerce = staticmethod(lambda val: val)
+    _odd_values = True
 
     def __init__(self, algebra: Algebra, k: int, entries=None):
         self.algebra = algebra
-        self.k = k
-        Sparse.__init__(self, entries)
+        Tensor.__init__(self, algebra.space, k, entries)
 
-    def key_parity(self, key) -> int:
-        par = self.algebra.space._parity
-        return sum(par[r] + par[c] for r, c in key) & 1
+    def coefficient(self, key) -> PBWElement:
+        return self.terms.get(key, PBWElement(self.algebra))
 
-    def scale(self, coeff):
-        coeff = promote(coeff)
-        return UValuedTensor(
-            self.algebra, self.k, {key: val.scale(coeff) for key, val in self.terms.items()}
-        )
-
+    # defined here, not inherited, so that perfbench/tracer.py can wrap it
     def __mul__(self, other: "UValuedTensor") -> "UValuedTensor":
-        self._check(other)
-        par = self.algebra.space._parity
-        out = {}
-        for ka, va in self.terms.items():
-            pa = self.key_parity(ka)
-            apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
-            for kb, vb in other.terms.items():
-                key = []
-                for (ra, ca), (rb, cb) in zip(ka, kb):
-                    if ca != rb:
-                        key = None
-                        break
-                    key.append((ra, cb))
-                if key is None:
-                    continue
-                exp = pa & self.key_parity(kb)  # value of a crosses word of b
-                run = 0
-                for s in range(self.k):
-                    if s > 0:
-                        rb, cb = kb[s - 1]
-                        run ^= (par[rb] + par[cb]) & 1
-                    if apar[s] and run:
-                        exp ^= 1
-                val = u_multiply(va, vb)
-                if val:
-                    add_into(out, tuple(key), -val if exp else val)
-        return self._like(out)
-
-    def partial_supertrace(self, pos: int) -> "UValuedTensor":
-        if not 1 <= pos <= self.k:
-            raise ValueError("position out of range")
-        par = self.algebra.space._parity
-        out = UValuedTensor(self.algebra, self.k - 1)
-        for key, val in self.terms.items():
-            r, c = key[pos - 1]
-            if r != c:
-                continue
-            v = val if par[r] == 0 else -val
-            out = out + UValuedTensor(
-                self.algebra, self.k - 1, {key[: pos - 1] + key[pos:]: v}
-            )
-        return out
-
-    def full_supertrace(self) -> PBWElement:
-        t = self
-        while t.k > 0:
-            t = t.partial_supertrace(t.k)
-        return t.terms.get((), PBWElement(self.algebra))
+        return compose(self, other)
 
 
 def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
@@ -386,26 +340,6 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
     return UValuedTensor(alg, 1, entries)
 
 
-def slot_embed(x: UValuedTensor, slot: int, k: int) -> UValuedTensor:
-    """Place a degree-1 U-valued matrix in the given slot of degree k."""
-    if x.k != 1:
-        raise ValueError("slot embedding needs a degree-1 input")
-    space = x.algebra.space
-    diag_words = [()]
-    for _ in range(k - 1):
-        diag_words = [w + (d,) for w in diag_words for d in space.indices]
-    entries = {}
-    for ((r, c),), val in x.terms.items():
-        for w in diag_words:
-            key = (
-                tuple((d, d) for d in w[: slot - 1])
-                + ((r, c),)
-                + tuple((d, d) for d in w[slot - 1 :])
-            )
-            entries[key] = val
-    return UValuedTensor(x.algebra, k, entries)
-
-
 def str_gelfand(alg: Algebra, k: int) -> PBWElement:
     """Str of the k-th matrix power of the generator matrix."""
     if k < 1:
@@ -414,7 +348,7 @@ def str_gelfand(alg: Algebra, k: int) -> PBWElement:
     acc = x
     for _ in range(k - 1):
         acc = acc * x
-    return acc.full_supertrace()
+    return full_supertrace(acc)
 
 
 def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
@@ -431,7 +365,7 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
         term = slot_embed(x, a, k) + identity_uvalued(alg, k).scale(shifts[a - 1])
         acc = term if acc is None else acc * term
     prod = scalar_tensor(alg, s) if acc is None else acc * scalar_tensor(alg, s)
-    return prod.full_supertrace()
+    return full_supertrace(prod)
 
 
 # -- the q(n) trace family -----------------------------------------------------
@@ -522,16 +456,12 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
             )
 
     ops = dict(("s%d" % i, s[i]) for i in s)
-    op_parity = {name: 0 for name in ops}
     delta = None
 
     if fam in ("osp", "p"):
         e = {i: contraction_operator(alg, i, k) for i in range(1, k)}
         for i, op in e.items():
             ops["e%d" % i] = op
-            # both contractions are even maps: an odd pairing vector
-            # composed with an odd functional
-            op_parity["e%d" % i] = 0
         if fam == "osp":
             e1sq = compose(e[1], e[1])
             delta = _measure_multiple(e1sq, e[1])
@@ -608,7 +538,6 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
         c = {i: clifford_operator(alg, i, k) for i in range(1, k + 1)}
         for i, op in c.items():
             ops["c%d" % i] = op
-            op_parity["c%d" % i] = 1
         for i in range(1, k + 1):
             rel("c%d^2 = 1" % i, compose(c[i], c[i]), ident)
         for i in range(1, k + 1):
@@ -627,19 +556,12 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
                     compose(c[tr(j)], s[i]),
                 )
 
-    commute_failures = []
-    for name, op in sorted(ops.items()):
-        opar = op_parity[name]
-        for g in range(alg.dim):
-            action = phi_k(alg, alg.unit(g), k)
-            lhs = compose(action, op)
-            rhs = compose(op, action)
-            if opar and alg.parity[g]:
-                ok = (lhs + rhs).is_zero()
-            else:
-                ok = (lhs - rhs).is_zero()
-            if not ok:
-                commute_failures.append([name, alg.gens[g]])
+    actions = _actions(alg, k)
+    commute_failures = [
+        [name, alg.gens[g]]
+        for name, op in sorted(ops.items())
+        for g in _noncommuting_generators(alg, op, actions)
+    ]
 
     report = {
         "family": fam,

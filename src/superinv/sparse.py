@@ -87,8 +87,10 @@ class Sparse:
         return self.scale(Scalar(-1))
 
     def scale(self, coeff):
+        # coeff on the left: a coefficient that is itself an element (a U(g)
+        # value) takes the Scalar through its own __rmul__
         coeff = promote(coeff)
-        return self._like({k: c * coeff for k, c in self.terms.items()} if coeff else {})
+        return self._like({k: coeff * c for k, c in self.terms.items()} if coeff else {})
 
     def __rmul__(self, coeff):
         return self.scale(coeff)

@@ -7,9 +7,9 @@ sorted into the global generator order, with one factor (-1) absorbed per
 odd-odd transposition performed during sorting, and any monomial
 containing an odd generator twice is zero.
 
-Operations that expand over S_k (omega_k, and psi in the enveloping
-module) refuse to run past a configurable degree cap; the default is 8
-and the environment variable SUPERINV_MAX_DEGREE overrides it.
+Operations that expand over S_k (symmetrize, hence omega_k and psi in the
+enveloping module) refuse to run past a configurable degree cap; the
+default is 8 and the environment variable SUPERINV_MAX_DEGREE overrides it.
 """
 
 from __future__ import annotations
@@ -152,24 +152,30 @@ def eta(t: TensorAlgebraElement) -> SymElement:
     return SymElement(alg, out)
 
 
+def symmetrize(s: SymElement) -> TensorAlgebraElement:
+    """Each degree-d word w -> (1/d!) sum over S_d of gamma(w, sigma) sigma.w."""
+    par = s.algebra.parity
+    groups = {}  # degree -> all of S_k
+    out = {}
+    for word, coeff in s.terms.items():
+        k = len(word)
+        if k not in groups:
+            check_degree(k)
+            groups[k] = list(symmetric_group(k))
+        parities = tuple(par[g] for g in word)
+        base = coeff * Scalar(Fraction(1, math.factorial(k)))
+        for sigma in groups[k]:
+            exp = gamma_exponent(parities, sigma)
+            new_word = tuple(word[sigma(t) - 1] for t in range(1, k + 1))
+            add_into(out, new_word, base if not exp else -base)
+    return TensorAlgebraElement(s.algebra, out)
+
+
 def omega_k(s: SymElement, k: int) -> TensorAlgebraElement:
     """The symmetrizing section S^k(g) -> g^(x k); eta o omega_k = id."""
     if any(len(w) != k for w in s.terms):
         raise ValueError("omega_k needs a homogeneous element of degree %d" % k)
-    check_degree(k)
-    alg = s.algebra
-    par = alg.parity
-    inv_fact = Scalar(Fraction(1, math.factorial(k)))
-    out = {}
-    perms = list(symmetric_group(k))
-    for word, coeff in s.terms.items():
-        parities = tuple(par[g] for g in word)
-        base = coeff * inv_fact
-        for sigma in perms:
-            exp = gamma_exponent(parities, sigma)
-            new_word = tuple(word[sigma(t) - 1] for t in range(1, k + 1))
-            add_into(out, new_word, base if not exp else -base)
-    return TensorAlgebraElement(alg, out)
+    return symmetrize(s)
 
 
 def adjoint_act(x: LieElement, t):

@@ -5,7 +5,8 @@ A ``Tensor`` is a sparse element of End(V)^(x k); its keys are k-tuples of
 product word e_{r1 c1} x ... x e_{rk ck} of matrix units.  A
 ``VectorTensor`` is a sparse element of V^(x k) keyed by k-tuples of
 indices.  Zero coefficients are never stored, and k = 0 is legal (the key
-is the empty tuple and the element is a scalar).
+is the empty tuple and the element is a scalar).  The same operations serve
+schurweyl.UValuedTensor, a Tensor whose coefficients are U(g) elements.
 
 The product of tensor factors follows the superalgebra rule
 
@@ -38,11 +39,20 @@ class _Tensor(Sparse):
 
     __slots__ = ("space", "k")
     _context = ("space", "k")
+    # True when coefficients are superalgebra elements, each of its key's
+    # parity, whose products may vanish (U(g) values)
+    _odd_values = False
 
     def __init__(self, space: SuperSpace, k: int, entries=None):
         self.space = space
         self.k = k
         Sparse.__init__(self, entries)
+
+    def _of_degree(self, k: int, terms: dict):
+        """An element like self but of degree k, holding terms as given."""
+        out = self._like(terms)
+        out.k = k
+        return out
 
     # the tensor-side name of ``terms``
     entries = property(attrgetter("terms"))
@@ -127,12 +137,20 @@ def basis_vector(space: SuperSpace, word) -> VectorTensor:
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
-    """The product of a and b in the superalgebra End(V)^(x k)."""
+    """The product of a and b in the superalgebra End(V)^(x k).
+
+    With odd values (U(g)-valued tensors), a's value also crosses b's word.
+    """
     a._check(b)
     par = a.space._parity
+    odd_values = a._odd_values
     out = {}
     for ka, va in a.terms.items():
-        apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
+        apar = [(par[r] + par[c]) & 1 for r, c in ka]
+        if odd_values:
+            # the value, as odd as its key, stands left of all k slots
+            apar.append(sum(apar) & 1)
+        steps = range(len(apar))
         for kb, vb in b.terms.items():
             key = []
             for (ra, ca), (rb, cb) in zip(ka, kb):
@@ -145,13 +163,16 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
             # sign: each b_t crosses a_s for t < s
             exp = 0
             run = 0
-            for s in range(a.k):
+            for s in steps:
                 if s > 0:
                     rb, cb = kb[s - 1]
                     run ^= (par[rb] + par[cb]) & 1
                 if apar[s] and run:
                     exp ^= 1
-            add_into(out, tuple(key), va * vb if not exp else -(va * vb))
+            val = va * vb
+            if odd_values and not val:
+                continue
+            add_into(out, tuple(key), -val if exp else val)
     return a._like(out)
 
 
@@ -186,12 +207,7 @@ def supertrace(a: Tensor) -> Scalar:
     """Str on End(V): e_ij -> (-1)^{|i|} delta_ij, extended linearly."""
     if a.k != 1:
         raise ValueError("supertrace requires k = 1")
-    total = Scalar(0)
-    par = a.space._parity
-    for ((r, c),), coeff in a.terms.items():
-        if r == c:
-            total = total + (coeff if par[r] == 0 else -coeff)
-    return total
+    return full_supertrace(a)
 
 
 def partial_supertrace(a: Tensor, pos: int) -> Tensor:
@@ -204,10 +220,10 @@ def partial_supertrace(a: Tensor, pos: int) -> Tensor:
         r, c = key[pos - 1]
         if r == c:
             add_into(out, key[: pos - 1] + key[pos:], coeff if par[r] == 0 else -coeff)
-    return Tensor(a.space, a.k - 1, out)
+    return a._of_degree(a.k - 1, out)
 
 
-def full_supertrace(a: Tensor) -> Scalar:
+def full_supertrace(a: Tensor):
     """Str_{1..k}: iterate the partial supertrace over every position."""
     t = a
     while t.k > 0:
@@ -249,10 +265,13 @@ def permute_word(sigma: Permutation, w):
     return type(w)(w.space, w.k, out)
 
 
-def permute_indices(space: SuperSpace, sigma: Permutation, word):
-    """sigma . e_word as (new_word, sign exponent); the kernel of permute_word."""
-    inv = sigma.inverse()
-    par = tuple(space._parity[i] for i in word)
-    exp = gamma_exponent(par, inv)
-    new_word = tuple(word[inv(t) - 1] for t in range(1, len(word) + 1))
-    return new_word, exp
+def slot_embed(x: Tensor, slot: int, k: int) -> Tensor:
+    """1 x..x x x..x 1: a degree-1 x in the given slot (1-based) of degree k."""
+    if x.k != 1:
+        raise ValueError("slot embedding needs a degree-1 input")
+    diag = [()]
+    for _ in range(k - 1):
+        diag = [w + ((d, d),) for w in diag for d in x.space.indices]
+    return x._of_degree(
+        k, {w[: slot - 1] + key + w[slot - 1 :]: v for key, v in x.terms.items() for w in diag}
+    )

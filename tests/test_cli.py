@@ -201,6 +201,9 @@ def test_out_file(tmp_path, capsys):
         ("--perm", "[1,1]"),
         ("--perm", "(a b)"),
         ("--perm", '[1,"x"]'),
+        ("--perm", "(1 2) junk"),
+        ("--perm", "x(1 2)"),
+        ("--perm", "(1 2)("),
         ("--u", "1/0,1"),
         ("--u", "x,1"),
     ],

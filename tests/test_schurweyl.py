@@ -39,7 +39,9 @@ from superinv.tensors import (
     apply,
     basis_vector,
     compose,
+    full_supertrace,
     identity_tensor,
+    partial_supertrace,
     permute_word,
     supertranspose,
 )
@@ -495,7 +497,7 @@ def test_traced_pipeline_identity():
             for a in range(1, k + 1):
                 term = slot_embed(x, a, k)
                 acc = term if acc is None else acc * term
-            rhs = (acc * scalar_tensor(GL11, s)).full_supertrace()
+            rhs = full_supertrace(acc * scalar_tensor(GL11, s))
             assert lhs == rhs
 
 
@@ -525,10 +527,10 @@ def test_molev_centrality_and_errors():
 def test_uvalued_tensor_traces():
     x = generator_matrix(GL11)
     # Str of the generator matrix is the degree-one Gelfand element
-    assert x.full_supertrace() == str_gelfand(GL11, 1)
+    assert full_supertrace(x) == str_gelfand(GL11, 1)
     two = slot_embed(x, 1, 2)
     # the partial trace over the identity slot multiplies by Str(1) = m - n = 0
-    assert two.partial_supertrace(2).is_zero()
+    assert partial_supertrace(two, 2).is_zero()
 
 
 def test_relation_reports():

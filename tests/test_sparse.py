@@ -37,7 +37,7 @@ def test_sparse_core(cls):
     x = cls(*ctx, {key: value})
     assert x.terms == {key: value} and x and not x.is_zero()
     assert (x - x).is_zero() and x - x == empty and not (x - x)
-    assert x + x == x.scale(Scalar(2)) == 2 * x
+    assert x + x == x.scale(Scalar(2)) == 2 * x == Scalar(2) * x
     assert -x + x == empty and x.scale(Scalar(0)) == empty
 
     # an entry whose accumulated value cancels is dropped; for UValuedTensor
