@@ -148,13 +148,16 @@ class Algebra:
     def _build_bracket_table(self):
         table = {}
         mats = self.embed
+        # both orders of a pair share its two products; the table is only
+        # ever indexed, so its own insertion order does not matter
         for x in range(self.dim):
             mx = mats[x]
             px = self.parity[x]
-            for y in range(self.dim):
+            for y in range(x, self.dim):
                 sign = Scalar(-1) if px and self.parity[y] else ONE
-                b = compose(mx, mats[y]) - compose(mats[y], mx).scale(sign)
-                table[(x, y)] = self._project_matrix(b).terms
+                xy, yx = compose(mx, mats[y]), compose(mats[y], mx)
+                table[(x, y)] = self._project_matrix(xy - yx.scale(sign)).terms
+                table[(y, x)] = self._project_matrix(yx - xy.scale(sign)).terms
         self.bracket_table = table
 
     # -- Cartan data / Weyl vector -------------------------------------------

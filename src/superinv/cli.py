@@ -49,6 +49,10 @@ FAMILY_CHOICES = ("gl", "osp", "q", "p")
 # them stop at this degree
 MAX_COSET_K = 4
 
+# relations checks operators on the dim(V)^k basis words of V^(x k); its
+# time grows faster than the word count, so it stops at 7^4 words
+MAX_RELATION_WORDS = 2401
+
 
 class UsageError(Exception):
     pass
@@ -281,6 +285,9 @@ def cmd_relations(args) -> tuple[dict, int]:
     alg = _build(args)
     if args.k < 2:
         raise UsageError("--k must be >= 2")
+    # dim >= 2 gives dim^k > k, so a power capped at the bound decides alike
+    if alg.space.dim ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
+        raise UsageError("relations needs dim(V)^k <= %d" % MAX_RELATION_WORDS)
     report = check_duality_relations(alg, args.k)
     ok = report["all_relations_hold"] and report["supercommutes_with_action"]
     return report, 0 if ok else 1

@@ -140,39 +140,44 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     """The product of a and b in the superalgebra End(V)^(x k).
 
     With odd values (U(g)-valued tensors), a's value also crosses b's word.
+    b is indexed by row word, so a key of a meets only the keys of b whose
+    rows match its columns, in b's order.
     """
     a._check(b)
     par = a.space._parity
     odd_values = a._odd_values
+    # sign: each b_t crosses a_s for t < s, so an entry of b holds the mask
+    # of positions s whose preceding slots of b are odd in total
+    index = {}
+    for kb, vb in b.terms.items():
+        run = mask = 0
+        for s, (r, c) in enumerate(kb):
+            mask |= run << s
+            run ^= (par[r] + par[c]) & 1
+        if odd_values:
+            # a's value, as odd as its key, stands left of all k slots
+            mask |= run << len(kb)
+        index.setdefault(tuple(r for r, _ in kb), []).append(
+            (tuple(c for _, c in kb), vb, mask)
+        )
     out = {}
     for ka, va in a.terms.items():
-        apar = [(par[r] + par[c]) & 1 for r, c in ka]
+        bucket = index.get(tuple(c for _, c in ka))
+        if bucket is None:
+            continue
+        amask = 0
+        for s, (r, c) in enumerate(ka):
+            amask |= ((par[r] + par[c]) & 1) << s
         if odd_values:
-            # the value, as odd as its key, stands left of all k slots
-            apar.append(sum(apar) & 1)
-        steps = range(len(apar))
-        for kb, vb in b.terms.items():
-            key = []
-            for (ra, ca), (rb, cb) in zip(ka, kb):
-                if ca != rb:
-                    key = None
-                    break
-                key.append((ra, cb))
-            if key is None:
-                continue
-            # sign: each b_t crosses a_s for t < s
-            exp = 0
-            run = 0
-            for s in steps:
-                if s > 0:
-                    rb, cb = kb[s - 1]
-                    run ^= (par[rb] + par[cb]) & 1
-                if apar[s] and run:
-                    exp ^= 1
+            amask |= (amask.bit_count() & 1) << len(ka)
+        rows = tuple(r for r, _ in ka)
+        for cols, vb, bmask in bucket:
             val = va * vb
             if odd_values and not val:
                 continue
-            add_into(out, tuple(key), -val if exp else val)
+            if (amask & bmask).bit_count() & 1:
+                val = -val
+            add_into(out, tuple(zip(rows, cols)), val)
     return a._like(out)
 
 

@@ -240,3 +240,18 @@ def test_q_block_bijection():
         n = space.n
         opp = (bi + n if bi <= n else bi - n, bj + n if bj <= n else bj - n)
         assert blocks == {(bi, bj), opp}
+
+
+@pytest.mark.parametrize(
+    "family, m, n", [("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+)
+def test_bracket_table_is_projected_supercommutator(family, m, n):
+    # every entry, in its own order, as [x, y] = pi(xy - (-1)^{|x||y|} yx)
+    alg = build_algebra(family, m, n)
+    e = alg.embed
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            sign = MINUS_ONE if alg.parity[x] and alg.parity[y] else ONE
+            br = compose(e[x], e[y]) - compose(e[y], e[x]).scale(sign)
+            want = alg._project_matrix(br).terms
+            assert list(alg.bracket_table[(x, y)].items()) == list(want.items())

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superinv import brauer
-from superinv.cli import main, parse_permutation, parse_shifts, type_label
+from superinv.cli import MAX_RELATION_WORDS, main, parse_permutation, parse_shifts, type_label
 from superinv.signs import Permutation
 
 
@@ -230,6 +230,13 @@ def test_sweep_p_degree_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "sweep", "--family", "p", "--n", "1", "--k", "5")
     assert code == 2 and out == ""
     assert "--k must be in 1..4" in err
+
+
+def test_relations_word_bound_exits_2(capsys):
+    # 4^6 = 4096 basis words of V^(x 6) for q(2)
+    code, out, err = run_cli(capsys, "relations", "--family", "q", "--n", "2", "--k", "6")
+    assert code == 2 and out == ""
+    assert "dim(V)^k <= %d" % MAX_RELATION_WORDS in err
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):

@@ -2,10 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from superinv.algebras import build_algebra
 from superinv.scalars import MINUS_ONE, ONE, Scalar
+from superinv.schurweyl import generator_matrix
 from superinv.signs import Permutation, symmetric_group
 from superinv.spaces import SuperSpace
+from superinv.sparse import add_into
 from superinv.tensors import (
     Tensor,
     apply,
@@ -15,6 +20,7 @@ from superinv.tensors import (
     matrix_unit,
     partial_supertrace,
     permute_word,
+    slot_embed,
     supertrace,
     supertranspose,
 )
@@ -208,3 +214,102 @@ def test_json_shapes():
     assert data["entries"][0]["key"] == [[1, 2], [2, 1]]
     v = basis_vector(GL11, (1, 2))
     assert v.to_json()["entries"][0]["key"] == [1, 2]
+
+
+# -- the indexed compose against the pair loop it replaced --------------------
+
+
+def _compose_reference(a: Tensor, b: Tensor) -> Tensor:
+    """The product of a and b in the superalgebra End(V)^(x k).
+
+    The pair loop `compose` replaced: every key pair of a x b is tested.
+
+    With odd values (U(g)-valued tensors), a's value also crosses b's word.
+    """
+    a._check(b)
+    par = a.space._parity
+    odd_values = a._odd_values
+    out = {}
+    for ka, va in a.terms.items():
+        apar = [(par[r] + par[c]) & 1 for r, c in ka]
+        if odd_values:
+            # the value, as odd as its key, stands left of all k slots
+            apar.append(sum(apar) & 1)
+        steps = range(len(apar))
+        for kb, vb in b.terms.items():
+            key = []
+            for (ra, ca), (rb, cb) in zip(ka, kb):
+                if ca != rb:
+                    key = None
+                    break
+                key.append((ra, cb))
+            if key is None:
+                continue
+            # sign: each b_t crosses a_s for t < s
+            exp = 0
+            run = 0
+            for s in steps:
+                if s > 0:
+                    rb, cb = kb[s - 1]
+                    run ^= (par[rb] + par[cb]) & 1
+                if apar[s] and run:
+                    exp ^= 1
+            val = va * vb
+            if odd_values and not val:
+                continue
+            add_into(out, tuple(key), -val if exp else val)
+    return a._like(out)
+
+
+# gl(1|1), gl(2|1), osp(3|2), q(2), p(2)
+COMPOSE_SPACES = [
+    SuperSpace("gl", 1, 1),
+    SuperSpace("gl", 2, 1),
+    SuperSpace("osp", 3, 1),
+    SuperSpace("q", 0, 2),
+    SuperSpace("p", 0, 2),
+]
+# signed pairs, so that terms cancel and a cancelled key may come back later
+COMPOSE_COEFFS = [Scalar(c) for c in (1, -1, 2, -2)] + [Scalar(1, 1), Scalar(-1, -1)]
+
+
+@st.composite
+def tensor_pairs(draw):
+    space = draw(st.sampled_from(COMPOSE_SPACES))
+    k = draw(st.integers(0, 3))
+    # a few indices only, so that keys of a and b meet
+    alphabet = draw(st.lists(st.sampled_from(space.indices), min_size=1, max_size=3))
+    slot = st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet))
+    term = st.tuples(st.tuples(*[slot] * k), st.sampled_from(COMPOSE_COEFFS))
+    a, b = (Tensor(space, k, draw(st.lists(term, max_size=12))) for _ in range(2))
+    return a, b
+
+
+def _gl21_unit_sum(*keys):
+    sp = COMPOSE_SPACES[1]
+    return Tensor(sp, 1, [(((r, c),), Scalar(v)) for r, c, v in keys])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tensor_pairs())
+# e11 e11 gives e11, e11 e12 adds e12, e12 e21 cancels e11 and e13 e31 brings
+# it back after e12: the order is [e12, e11]
+@example((_gl21_unit_sum((1, 1, 1), (1, 2, 1), (1, 3, 1)),
+          _gl21_unit_sum((1, 1, 1), (1, 2, 1), (2, 1, -1), (3, 1, 1))))
+def test_compose_matches_reference_in_order(pair):
+    a, b = pair
+    assert list(compose(a, b).terms.items()) == list(_compose_reference(a, b).terms.items())
+
+
+def test_uvalued_compose_matches_reference_in_order():
+    # odd PBW values: the value of a crosses b's word
+    x = generator_matrix(build_algebra("q", 0, 2))
+    pairs = [(x, x), (slot_embed(x, 1, 2), slot_embed(x, 2, 2)),
+             (slot_embed(x, 2, 2), slot_embed(x, 1, 2))]
+    for a, b in pairs:
+        got, want = compose(a, b), _compose_reference(a, b)
+        assert got.terms and got._odd_values
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [v.to_json() for v in got.terms.values()] == [
+            v.to_json() for v in want.terms.values()
+        ]
