@@ -136,14 +136,10 @@ class Algebra:
     # -- bracket table -------------------------------------------------------
 
     def _project_matrix(self, mat: Tensor) -> LieElement:
-        coeffs = {}
-        for ((a, b),), coeff in mat.terms.items():
-            hit = self.pi_table[(a, b)]
-            if hit is None:
-                continue
-            idx, c = hit
-            coeffs[idx] = coeffs.get(idx, Scalar(0)) + coeff * c
-        return LieElement(self, coeffs)
+        # a generator index has at most two preimages in pi_table, so a key
+        # that cancels never comes back and the order is first appearance
+        hits = ((self.pi_table[pair], coeff) for (pair,), coeff in mat.terms.items())
+        return LieElement(self, ((hit[0], coeff * hit[1]) for hit, coeff in hits if hit))
 
     def _build_bracket_table(self):
         table = {}

@@ -7,7 +7,8 @@ byte-deterministic for a fixed configuration: keys are sorted and all
 scalars are canonical exact rationals.
 
 Exit codes: 0 success; 1 a verified property failed (a theorem check came
-back false); 2 usage error; 3 internal error.
+back false); 2 usage error; 3 internal error.  A reader that closes stdout
+early ends the run quietly with the command's own code.
 
 Permutations are accepted in cycle notation "(2 3)(4 5)" (cycles applied
 rightmost first) or one-line form "[1,3,2,5,4,6]" (1-based images).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -490,7 +492,13 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: point fd 1 at devnull so that the
+            # interpreter's exit flush does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

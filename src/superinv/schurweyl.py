@@ -417,144 +417,94 @@ def sergeev_Z(alg: Algebra, k: int) -> PBWElement:
 # -- the duality relation report ------------------------------------------------
 
 
-def _op_equal(a: Tensor, b: Tensor) -> bool:
-    return (a - b).is_zero()
+def _relation_names(family: str, k: int) -> list:
+    """The defining relations of the centralizer algebra on V^(x k), as text.
+
+    Each name is an identity whose sides ``_read_side`` reads, except
+    ``e1^2 = delta e1``, whose parameter is measured.
+    """
+    def each(subs, *templates):
+        return [t.format(**sub) for sub in subs for t in templates]
+
+    ones = [dict(i=i, h=i + 1) for i in range(1, k)]
+    adjacent = ones[:-1]
+    far = [dict(i=i, j=j) for i in range(1, k) for j in range(i + 2, k)]
+    names = each(ones, "s{i}^2 = 1") + each(adjacent, "s{i} s{h} s{i} = s{h} s{i} s{h}")
+    names += each(far, "s{i} s{j} = s{j} s{i}")
+    if family == "osp":
+        names.append("e1^2 = delta e1")
+        names += each(ones, "e{i} s{i} = e{i}", "s{i} e{i} = e{i}")
+        names += each(adjacent, "e{i} e{h} e{i} = e{i}", "e{h} e{i} e{h} = e{h}",
+                      "s{i} e{h} e{i} = s{h} e{i}", "s{h} e{i} e{h} = s{i} e{h}")
+    elif family == "p":
+        names += each(ones, "e{i}^2 = 0", "e{i} s{i} = e{i}", "s{i} e{i} = -e{i}")
+        # slot bookkeeping forces the right-hand side back onto the same
+        # contraction slot: e_i e_{i+1} e_i lands in e_i's image
+        names += each(adjacent, "e{i} e{h} e{i} = -e{i}", "e{h} e{i} e{h} = -e{h}",
+                      "e{i} e{h} s{i} = -e{i} s{h}", "s{h} e{i} e{h} = -s{i} e{h}")
+    if family in ("osp", "p"):
+        names += each(far, "s{i} e{j} = e{j} s{i}", "e{i} e{j} = e{j} e{i}")
+    elif family == "q":
+        slots = range(1, k + 1)
+        names += each([dict(i=i) for i in slots], "c{i}^2 = 1")
+        pairs = [dict(i=i, j=j) for i in slots for j in slots if i < j]
+        names += each(pairs, "c{i} c{j} = -c{j} c{i}")
+        # s_i carries a Clifford generator across the two slots it swaps
+        swaps = [dict(i=i, j=j, t={i: i + 1, i + 1: i}.get(j, j))
+                 for i in slots[:-1] for j in slots]
+        names += each(swaps, "s{i} c{j} = c{t} s{i}")
+    return names
+
+
+def _generator_operators(alg: Algebra, k: int) -> dict:
+    """The centralizer generators on V^(x k) by name: sI, plus eI (osp, p) or cI (q)."""
+    space = alg.space
+    ops = {
+        "s%d" % i: perm_operator(space, Permutation.transposition(k, i, i + 1))
+        for i in range(1, k)
+    }
+    if alg.family in ("osp", "p"):
+        ops.update(("e%d" % i, contraction_operator(alg, i, k)) for i in range(1, k))
+    elif alg.family == "q":
+        ops.update(("c%d" % i, clifford_operator(alg, i, k)) for i in range(1, k + 1))
+    return ops
+
+
+def _read_side(side: str, ops: dict, ident: Tensor) -> Tensor:
+    """The operator one side of a relation name states: an optional '-', then '1', '0'
+    or generator names multiplied right-nested, with ``x^2`` read as ``x x``."""
+    named = dict(ops, **{"1": ident, "0": Tensor(ident.space, ident.k)})
+    factors = []
+    for word in side.lstrip("-").split():
+        name, _, power = word.partition("^")
+        factors += [named[name]] * int(power or 1)
+    out = factors.pop()
+    while factors:
+        out = compose(factors.pop(), out)
+    return -out if side.startswith("-") else out
 
 
 def check_duality_relations(alg: Algebra, k: int) -> dict:
     """Verify the defining relations of the centralizer algebra on V^(x k),
     and supercommutation of every generator operator with the action.
+
+    Each relation is checked as the operator identity its name states.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    space = alg.space
     fam = alg.family
-    s = {
-        i: perm_operator(space, Permutation.transposition(k, i, i + 1))
-        for i in range(1, k)
-    }
-    ident = identity_tensor(space, k)
-    results = []
-
-    def rel(name, lhs, rhs):
-        results.append({"name": name, "holds": _op_equal(lhs, rhs)})
-
-    for i in range(1, k):
-        rel("s%d^2 = 1" % i, compose(s[i], s[i]), ident)
-    for i in range(1, k - 1):
-        rel(
-            "s%d s%d s%d = s%d s%d s%d" % (i, i + 1, i, i + 1, i, i + 1),
-            compose(s[i], compose(s[i + 1], s[i])),
-            compose(s[i + 1], compose(s[i], s[i + 1])),
-        )
-    for i in range(1, k):
-        for j in range(i + 2, k):
-            rel(
-                "s%d s%d = s%d s%d" % (i, j, j, i),
-                compose(s[i], s[j]),
-                compose(s[j], s[i]),
-            )
-
-    ops = dict(("s%d" % i, s[i]) for i in s)
+    ops = _generator_operators(alg, k)
+    ident = identity_tensor(alg.space, k)
     delta = None
-
-    if fam in ("osp", "p"):
-        e = {i: contraction_operator(alg, i, k) for i in range(1, k)}
-        for i, op in e.items():
-            ops["e%d" % i] = op
-        if fam == "osp":
-            e1sq = compose(e[1], e[1])
-            delta = _measure_multiple(e1sq, e[1])
-            results.append(
-                {"name": "e1^2 = delta e1", "holds": delta is not None}
-            )
-            for i in range(1, k):
-                rel("e%d s%d = e%d" % (i, i, i), compose(e[i], s[i]), e[i])
-                rel("s%d e%d = e%d" % (i, i, i), compose(s[i], e[i]), e[i])
-            for i in range(1, k - 1):
-                rel(
-                    "e%d e%d e%d = e%d" % (i, i + 1, i, i),
-                    compose(e[i], compose(e[i + 1], e[i])),
-                    e[i],
-                )
-                rel(
-                    "e%d e%d e%d = e%d" % (i + 1, i, i + 1, i + 1),
-                    compose(e[i + 1], compose(e[i], e[i + 1])),
-                    e[i + 1],
-                )
-                rel(
-                    "s%d e%d e%d = s%d e%d" % (i, i + 1, i, i + 1, i),
-                    compose(s[i], compose(e[i + 1], e[i])),
-                    compose(s[i + 1], e[i]),
-                )
-                rel(
-                    "s%d e%d e%d = s%d e%d" % (i + 1, i, i + 1, i, i + 1),
-                    compose(s[i + 1], compose(e[i], e[i + 1])),
-                    compose(s[i], e[i + 1]),
-                )
+    results = []
+    for name in _relation_names(fam, k):
+        if name == "e1^2 = delta e1":
+            delta = _measure_multiple(_read_side("e1^2", ops, ident), ops["e1"])
+            holds = delta is not None
         else:
-            zero = Tensor(space, k, {})
-            for i in range(1, k):
-                rel("e%d^2 = 0" % i, compose(e[i], e[i]), zero)
-                rel("e%d s%d = e%d" % (i, i, i), compose(e[i], s[i]), e[i])
-                rel("s%d e%d = -e%d" % (i, i, i), compose(s[i], e[i]), -e[i])
-            for i in range(1, k - 1):
-                # slot bookkeeping forces the right-hand side back onto the
-                # same contraction slot: e_i e_{i+1} e_i lands in e_i's image
-                rel(
-                    "e%d e%d e%d = -e%d" % (i, i + 1, i, i),
-                    compose(e[i], compose(e[i + 1], e[i])),
-                    -e[i],
-                )
-                rel(
-                    "e%d e%d e%d = -e%d" % (i + 1, i, i + 1, i + 1),
-                    compose(e[i + 1], compose(e[i], e[i + 1])),
-                    -e[i + 1],
-                )
-                rel(
-                    "e%d e%d s%d = -e%d s%d" % (i, i + 1, i, i, i + 1),
-                    compose(e[i], compose(e[i + 1], s[i])),
-                    -compose(e[i], s[i + 1]),
-                )
-                rel(
-                    "s%d e%d e%d = -s%d e%d" % (i + 1, i, i + 1, i, i + 1),
-                    compose(s[i + 1], compose(e[i], e[i + 1])),
-                    -compose(s[i], e[i + 1]),
-                )
-        for i in range(1, k):
-            for j in range(i + 2, k):
-                rel(
-                    "s%d e%d = e%d s%d" % (i, j, j, i),
-                    compose(s[i], ops["e%d" % j]),
-                    compose(ops["e%d" % j], s[i]),
-                )
-                rel(
-                    "e%d e%d = e%d e%d" % (i, j, j, i),
-                    compose(ops["e%d" % i], ops["e%d" % j]),
-                    compose(ops["e%d" % j], ops["e%d" % i]),
-                )
-
-    if fam == "q":
-        c = {i: clifford_operator(alg, i, k) for i in range(1, k + 1)}
-        for i, op in c.items():
-            ops["c%d" % i] = op
-        for i in range(1, k + 1):
-            rel("c%d^2 = 1" % i, compose(c[i], c[i]), ident)
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                rel(
-                    "c%d c%d = -c%d c%d" % (i, j, j, i),
-                    compose(c[i], c[j]),
-                    -compose(c[j], c[i]),
-                )
-        for i in range(1, k):
-            for j in range(1, k + 1):
-                tr = Permutation.transposition(k, i, i + 1)
-                rel(
-                    "s%d c%d = c%d s%d" % (i, j, tr(j), i),
-                    compose(s[i], c[j]),
-                    compose(c[tr(j)], s[i]),
-                )
+            lhs, rhs = name.split(" = ")
+            holds = (_read_side(lhs, ops, ident) - _read_side(rhs, ops, ident)).is_zero()
+        results.append({"name": name, "holds": holds})
 
     actions = _actions(alg, k)
     commute_failures = [
@@ -574,13 +524,10 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
         "supercommute_failures": commute_failures,
     }
     if fam == "osp":
-        measured = None if delta is None else str(delta)
-        report["delta_measured"] = measured
+        report["delta_measured"] = None if delta is None else str(delta)
         report["delta_table_m_minus_2n"] = alg.m - 2 * alg.n
         report["delta_text_2m_plus_1_minus_2n"] = 2 * alg.m + 1 - 2 * alg.n
-        report["delta_matches_m_minus_2n"] = (
-            delta == Scalar(alg.m - 2 * alg.n) if delta is not None else False
-        )
+        report["delta_matches_m_minus_2n"] = delta is not None and delta == alg.m - 2 * alg.n
         report["parameter_discrepancy_note"] = (
             "the centralizer parameter measured from e1^2 equals m-2n in the "
             "realized size m; the literal expression 2m+1-2n only agrees "

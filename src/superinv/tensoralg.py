@@ -8,14 +8,12 @@ odd-odd transposition performed during sorting, and any monomial
 containing an odd generator twice is zero.
 
 Operations that expand over S_k (symmetrize, hence omega_k and psi in the
-enveloping module) refuse to run past a configurable degree cap; the
-default is 8 and the environment variable SUPERINV_MAX_DEGREE overrides it.
+enveloping module) refuse to run past the degree cap MAX_DEGREE.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .algebras import Algebra, LieElement
@@ -25,21 +23,16 @@ from .sparse import Sparse, add_into
 from .tensors import Tensor
 
 
+MAX_DEGREE = 8
+
+
 class DegreeCapExceeded(ValueError):
     pass
 
 
-def degree_cap() -> int:
-    return int(os.environ.get("SUPERINV_MAX_DEGREE", "8"))
-
-
 def check_degree(k: int):
-    cap = degree_cap()
-    if k > cap:
-        raise DegreeCapExceeded(
-            "degree %d exceeds the configured cap %d "
-            "(set SUPERINV_MAX_DEGREE to raise it)" % (k, cap)
-        )
+    if k > MAX_DEGREE:
+        raise DegreeCapExceeded("degree %d exceeds the cap %d" % (k, MAX_DEGREE))
 
 
 class _WordMap(Sparse):

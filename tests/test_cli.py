@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +251,22 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, *argv)
         assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # keylemma --k 3 prints ~300 kB, more than a pipe holds, so the write
+    # meets the closed pipe
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superinv.cli", "keylemma", "--k", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert marker not in err

@@ -9,6 +9,8 @@ from superinv.enveloping import PBWElement, eta_prime, is_central
 from superinv.scalars import I as IMAG
 from superinv.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from superinv.schurweyl import (
+    _generator_operators,
+    _read_side,
     c_power,
     check_duality_relations,
     clifford_operator,
@@ -547,3 +549,38 @@ def test_relation_reports():
     assert rep["all_relations_hold"] and rep["supercommutes_with_action"]
     names = {r["name"] for r in rep["relations"]}
     assert "e1 e2 e1 = -e1" in names and "s1 e1 = -e1" in names
+
+
+@pytest.mark.parametrize(
+    "family,m,n,count",
+    [("gl", 1, 1, 6), ("osp", 1, 1, 23), ("p", 0, 1, 25), ("q", 0, 1, 28)],
+)
+def test_relation_report_at_k4(family, m, n, count):
+    rep = check_duality_relations(build_algebra(family, m, n), 4)
+    assert len(rep["relations"]) == count
+    assert all(r["holds"] for r in rep["relations"]) and rep["supercommutes_with_action"]
+    names = {r["name"] for r in rep["relations"]}
+    far = {"s1 s3 = s3 s1"}
+    if family in ("osp", "p"):
+        far |= {"s1 e3 = e3 s1", "e1 e3 = e3 e1"}
+    assert far <= names
+
+
+def test_relation_reader_reads_false_identities_as_false():
+    ops = _generator_operators(GL11, 3)
+    ident = identity_tensor(GL11.space, 3)
+    assert not (_read_side("s1 s2", ops, ident) - _read_side("s2 s1", ops, ident)).is_zero()
+    assert (_read_side("s1^2", ops, ident) - _read_side("1", ops, ident)).is_zero()
+    assert _read_side("0", ops, ident).is_zero()
+
+
+def test_relation_reader_matches_hand_built_products():
+    p1 = build_algebra("p", 0, 1)
+    ops = _generator_operators(p1, 3)
+    ident = identity_tensor(p1.space, 3)
+    e1s2 = compose(ops["e1"], ops["s2"])
+    assert not e1s2.is_zero() and _read_side("-e1 s2", ops, ident) == -e1s2
+    q1 = build_algebra("q", 0, 1)
+    ops = _generator_operators(q1, 2)
+    c1 = clifford_operator(q1, 1, 2)
+    assert _read_side("c1^2", ops, identity_tensor(q1.space, 2)) == compose(c1, c1)

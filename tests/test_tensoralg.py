@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from superinv import tensoralg
 from superinv.algebras import build_algebra, bracket
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import theta_glq
@@ -170,7 +171,7 @@ def test_degree_cap(monkeypatch):
     s = sym_monomial(GL11, (E11,) * 9)
     with pytest.raises(DegreeCapExceeded):
         omega_k(s, 9)
-    monkeypatch.setenv("SUPERINV_MAX_DEGREE", "10")
+    monkeypatch.setattr(tensoralg, "MAX_DEGREE", 10)
     assert not omega_k(s, 9).is_zero()
 
 
