@@ -15,14 +15,15 @@ makes the Cartan projection a plain monomial filter.  Brackets between
 generators are tabulated once at build time from the matrix realization,
 re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
 H/2), which is verified to satisfy pi_tilde(iota(x)) = x on every
-generator.
+generator.  The realization is the only per-family statement: pi_tilde,
+the parities and the Cartan variables are all read off its matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import HALF, ONE, Scalar, sign_scalar
+from .scalars import ONE, Scalar, sign_scalar
 from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
@@ -81,14 +82,9 @@ class Algebra:
         )
         self.gen_pairs = tuple(ij for ij, _, _ in gens)
         self.gen_index = {name: i for i, name in enumerate(self.gens)}
-        self._pair_index = {ij: i for i, (ij, _, _) in enumerate(gens)}
         self.embed = tuple(mat for _, mat, _ in gens)
         self.tri_class = tuple(cls for _, _, cls in gens)
-        par = self.space._parity
-        if family == "q":
-            self.parity = tuple(par[j] for (_, j) in self.gen_pairs)
-        else:
-            self.parity = tuple((par[i] + par[j]) & 1 for (i, j) in self.gen_pairs)
+        self.parity = tuple(mat.parity() for mat in self.embed)
         self.dim = len(self.gens)
         self._build_pi_table()
         self._verify_split()
@@ -98,33 +94,15 @@ class Algebra:
     # -- split projection --------------------------------------------------
 
     def _build_pi_table(self):
-        space = self.space
-        table = {}
-        par = space._parity
-        for a in space.indices:
-            for b in space.indices:
-                if self.family == "gl":
-                    table[(a, b)] = (self._pair_index[(a, b)], ONE)
-                    continue
-                if self.family == "q":
-                    key = (a, b) if a > 0 else (-a, -b)
-                    table[(a, b)] = (self._pair_index[key], HALF)
-                    continue
-                # osp / p: e_ab -> F_ab/2 resp. G_ab/2, expressed canonically
-                idx = self._pair_index.get((a, b))
-                if idx is not None:
-                    table[(a, b)] = (idx, HALF)
-                    continue
-                partner = (space.prime(b), space.prime(a))
-                idx = self._pair_index.get(partner)
-                if idx is None:
-                    table[(a, b)] = None  # the defining combination vanishes
-                    continue
-                c = -sign_scalar(par[b] * ((par[a] + par[b]) & 1))
-                if self.family == "osp":
-                    c = c * Scalar(space.epsilon(a) * space.epsilon(b))
-                table[(a, b)] = (idx, c * HALF)
-        self.pi_table = table
+        # e_ab lies in at most one generator g = sum of its units; sending it
+        # to g / (number of units of g * coefficient of e_ab) inverts iota on g
+        where = {}
+        for g, mat in enumerate(self.embed):
+            scale = Scalar(len(mat.terms))
+            for (pair,), coeff in mat.terms.items():
+                where[pair] = (g, (scale * coeff).inv())
+        indices = self.space.indices
+        self.pi_table = {(a, b): where.get((a, b)) for a in indices for b in indices}
 
     def _verify_split(self):
         for g in range(self.dim):
@@ -159,23 +137,18 @@ class Algebra:
     # -- Cartan data / Weyl vector -------------------------------------------
 
     def _build_cartan_data(self):
-        family = self.family
-        if family == "gl":
-            h_pairs = [(i, i) for i in range(1, self.m + 1)]
-            hp_pairs = [(self.m + j, self.m + j) for j in range(1, self.n + 1)]
-        elif family == "osp":
-            mh = self.m // 2
-            h_pairs = [(self.n + i, self.n + i) for i in range(1, mh + 1)]
-            hp_pairs = [(j, j) for j in range(1, self.n + 1)]
-        else:
-            self.cartan_vars = None
-            self.var_names = None
-            self.rho_coords = None
+        if self.family in ("p", "q"):
+            self.cartan_vars = self.var_names = self.rho_coords = None
             return
-        self.cartan_vars = tuple(self._pair_index[p] for p in h_pairs + hp_pairs)
+        # the diagonal generators, even indices first, each in increasing i
+        par = self.space._parity
+        diag = [(i, g) for g, (i, j) in enumerate(self.gen_pairs) if i == j]
+        even = [g for i, g in diag if not par[i]]
+        odd = [g for i, g in diag if par[i]]
+        self.cartan_vars = tuple(even + odd)
         self.var_names = tuple(
-            ["h%d" % (i + 1) for i in range(len(h_pairs))]
-            + ["h'%d" % (j + 1) for j in range(len(hp_pairs))]
+            ["h%d" % (c + 1) for c in range(len(even))]
+            + ["h'%d" % (c + 1) for c in range(len(odd))]
         )
         nvars = len(self.cartan_vars)
         rho = [Fraction(0)] * nvars
@@ -223,6 +196,11 @@ class Algebra:
         )
 
 
+def _tri(i: int, j: int) -> str:
+    """Triangular class of the position (i, j): Cartan, upper or lower."""
+    return "C" if i == j else "U" if i < j else "L"
+
+
 def _enumerate_generators(space: SuperSpace):
     """List (name pair, embedding matrix, triangular class) per family."""
     family = space.family
@@ -231,17 +209,14 @@ def _enumerate_generators(space: SuperSpace):
     if family == "gl":
         for i in space.indices:
             for j in space.indices:
-                cls = "C" if i == j else ("U" if i < j else "L")
-                out.append(((i, j), matrix_unit(space, i, j), cls))
+                out.append(((i, j), matrix_unit(space, i, j), _tri(i, j)))
         return out
     if family == "q":
         n = space.n
         for i in range(1, n + 1):
             for j in space.indices:
                 mat = matrix_unit(space, i, j) + matrix_unit(space, -i, -j)
-                b = abs(j)
-                cls = "C" if i == b else ("U" if i < b else "L")
-                out.append(((i, j), mat, cls))
+                out.append(((i, j), mat, _tri(i, abs(j))))
         return out
     # osp and p share the canonical-pair scheme
     for i in space.indices:
@@ -255,16 +230,11 @@ def _enumerate_generators(space: SuperSpace):
             mat = matrix_unit(space, i, j) - matrix_unit(space, *partner).scale(sign)
             if mat.is_zero():
                 continue
-            if family == "p":
-                n = space.n
-                if i <= n and j <= n:
-                    cls = "C" if i == j else ("U" if i < j else "L")
-                elif i <= n < j:
-                    cls = "U"
-                else:
-                    cls = "L"
+            # p(n): the odd block above the diagonal is upper, below it lower
+            if family == "p" and not (i <= space.n and j <= space.n):
+                cls = "U" if i <= space.n < j else "L"
             else:
-                cls = "C" if i == j else ("U" if i < j else "L")
+                cls = _tri(i, j)
             out.append(((i, j), mat, cls))
     return out
 

@@ -287,8 +287,9 @@ def cmd_relations(args) -> tuple[dict, int]:
     alg = _build(args)
     if args.k < 2:
         raise UsageError("--k must be >= 2")
-    # dim >= 2 gives dim^k > k, so a power capped at the bound decides alike
-    if alg.space.dim ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
+    # a one-dimensional V still costs time growing with k, so it counts as
+    # dim 2 (k <= 11); base >= 2 gives base^k > k, so capping k decides alike
+    if max(alg.space.dim, 2) ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
         raise UsageError("relations needs dim(V)^k <= %d" % MAX_RELATION_WORDS)
     report = check_duality_relations(alg, args.k)
     ok = report["all_relations_hold"] and report["supercommutes_with_action"]

@@ -61,9 +61,6 @@ class PBWElement(_WordMap):
     def is_scalar(self):
         return all(not w for w in self.terms)
 
-    def scalar_part(self) -> Scalar:
-        return self.terms.get((), Scalar(0))
-
     def parity_components(self):
         even, odd = {}, {}
         for word, coeff in self.terms.items():

@@ -91,7 +91,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of the int or Fraction it equals
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

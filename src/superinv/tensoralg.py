@@ -49,9 +49,6 @@ class _WordMap(Sparse):
         par = self.algebra.parity
         return sum(par[g] for g in word) & 1
 
-    def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
     def __repr__(self):
         if not self.terms:
             return "0"

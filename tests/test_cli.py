@@ -241,6 +241,12 @@ def test_relations_word_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "relations", "--family", "q", "--n", "2", "--k", "6")
     assert code == 2 and out == ""
     assert "dim(V)^k <= %d" % MAX_RELATION_WORDS in err
+    # gl(1|0) has dim(V) = 1 and is bounded as if dim(V) were 2: 2^12 = 4096
+    code, out, err = run_cli(
+        capsys, "relations", "--family", "gl", "--m", "1", "--n", "0", "--k", "12"
+    )
+    assert code == 2 and out == ""
+    assert "dim(V)^k <= %d" % MAX_RELATION_WORDS in err
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):

@@ -55,6 +55,8 @@ def test_canonical_form_and_hash():
     assert a.re == Fraction(1, 2) and a.im == Fraction(-3, 2)
     assert hash(Scalar(1)) == hash(Scalar(Fraction(2, 2)))
     assert Scalar(1) == 1 and Scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(Scalar(2)) == hash(2)
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
 def test_promote():
