@@ -43,7 +43,7 @@ from .schurweyl import (
     str_gelfand,
     z_sigma,
 )
-from .tensoralg import eta, project_tensor
+from .tensoralg import MAX_DEGREE, eta, project_tensor
 
 FAMILY_CHOICES = ("gl", "osp", "q", "p")
 
@@ -289,8 +289,12 @@ def cmd_relations(args) -> tuple[dict, int]:
         raise UsageError("--k must be >= 2")
     # a one-dimensional V still costs time growing with k, so it counts as
     # dim 2 (k <= 11); base >= 2 gives base^k > k, so capping k decides alike
-    if max(alg.space.dim, 2) ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
-        raise UsageError("relations needs dim(V)^k <= %d" % MAX_RELATION_WORDS)
+    base = max(alg.space.dim, 2)
+    if base ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
+        raise UsageError(
+            "relations needs max(dim V, 2)^k <= %d, got %d^%d (dim V = %d, k = %d)"
+            % (MAX_RELATION_WORDS, base, args.k, alg.space.dim, args.k)
+        )
     report = check_duality_relations(alg, args.k)
     ok = report["all_relations_hold"] and report["supercommutes_with_action"]
     return report, 0 if ok else 1
@@ -372,8 +376,9 @@ def cmd_molev(args) -> tuple[dict, int]:
     if alg.family not in ("gl", "osp"):
         raise UsageError("molev elements are built for gl and osp")
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1")
+    # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
+    if not 1 <= k <= MAX_DEGREE:
+        raise UsageError("--k must be in 1..%d" % MAX_DEGREE)
     sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
     s = invariant_tensor(alg, sigma)
     shifts = parse_shifts(args.u, s.k)

@@ -98,8 +98,7 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE, strategy="leftmost") -> PBWElem
             for g, cv in table[(a, a)].items():
                 stack.append((head + (g,) + tail, c * cv * HALF))
         else:
-            sign = Scalar(-1) if (par[a] and par[b]) else ONE
-            stack.append((head + (b, a) + tail, c * sign))
+            stack.append((head + (b, a) + tail, -c if (par[a] and par[b]) else c))
             for g, cv in table[(a, b)].items():
                 stack.append((head + (g,) + tail, c * cv))
     return PBWElement(alg, out)

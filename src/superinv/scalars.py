@@ -1,79 +1,92 @@
 """Exact scalar arithmetic: Gaussian rationals a + b*sqrt(-1).
 
-Every coefficient in this package is a Scalar.  Components are
-arbitrary-precision ``fractions.Fraction`` values, so k! denominators and
-long products of structure constants never overflow and nothing is ever
-rounded.  There is no floating point anywhere.
+Every coefficient in this package is a Scalar.  It stores Python ints
+``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``,
+so k! denominators never overflow and there is no floating point anywhere.
+``+``, ``-`` and ``*`` are int arithmetic with one gcd when d is not 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 _NUMBERS = (int, Fraction)
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d for ints with d > 0, reduced unless d == 1."""
+    if d != 1 and (g := gcd(a, b, d)) != 1:
+        a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    s.a, s.b, s.d = a, b, d
+    return s
+
+
+def _operand(x):
+    """An int or Fraction (subclasses such as bool included) as a Scalar, else None."""
+    return Scalar(x) if isinstance(x, _NUMBERS) else None
 
 
 class Scalar:
-    """A Gaussian rational ``re + im*sqrt(-1)`` in canonical form."""
+    """A Gaussian rational ``(a + b*sqrt(-1))/d``; ``re`` and ``im`` are its Fraction parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q = re.denominator, im.denominator
+            d = p // gcd(p, q) * q
+            self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // q), d
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "Scalar":
-        s = object.__new__(cls)
-        s.re = re
-        s.im = im
-        return s
-
-    # -- ring structure --------------------------------------------------
+    re = property(lambda self: Fraction(self.a, self.d), doc="The real part, a Fraction.")
+    im = property(lambda self: Fraction(self.b, self.d), doc="The imaginary part, a Fraction.")
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, _NUMBERS):
-                return NotImplemented
-            other = Scalar(other)
-        return Scalar._make(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, _NUMBERS):
-                return NotImplemented
-            other = Scalar(other)
-        return Scalar._make(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a - other.a, self.b - other.b, d)
+        return _make(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return promote(other) - self
 
     def __neg__(self):
-        return Scalar._make(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         # a non-number (a tensor, a U(g) element) scales itself by __rmul__
-        if type(other) is not Scalar:
-            if not isinstance(other, _NUMBERS):
-                return NotImplemented
-            other = Scalar(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return Scalar._make(a * c, _FR_ZERO)
-        return Scalar._make(a * c - b * d, a * d + b * c)
+        if type(other) is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return _make(a * c, 0, self.d * other.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        a, b = self.re, self.im
-        if not a and not b:
+        if not self:
             raise ZeroDivisionError("inverse of zero Scalar")
-        n = a * a + b * b
-        return Scalar._make(a / n, -b / n)
+        return _make(self.d * self.a, -self.d * self.b, self.a**2 + self.b**2)
 
     def __truediv__(self, other):
         return self * promote(other).inv()
@@ -81,48 +94,35 @@ class Scalar:
     def __rtruediv__(self, other):
         return promote(other) * self.inv()
 
-    # -- comparisons / hashing -------------------------------------------
-
     def __eq__(self, other):
-        if isinstance(other, _NUMBERS):
-            return self.im == 0 and self.re == other
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        if type(other) is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         # equal to the hash of the int or Fraction it equals
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self.b else hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def is_zero(self) -> bool:
         return not self
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return "%s*i" % self.im
-        return "(%s%s%s*i)" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
-
-    # -- serialization ----------------------------------------------------
+        re, im = self.re, self.im
+        if not re or not im:
+            return "%s*i" % im if im else str(re)
+        return "(%s%s%s*i)" % (re, "+" if im > 0 else "-", abs(im))
 
     def to_json(self):
-        return {
-            "re": [str(self.re.numerator), str(self.re.denominator)],
-            "im": [str(self.im.numerator), str(self.im.denominator)],
-        }
+        parts = (("re", self.re), ("im", self.im))
+        return {name: [str(x.numerator), str(x.denominator)] for name, x in parts}
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
-        re = Fraction(int(data["re"][0]), int(data["re"][1]))
-        im = Fraction(int(data["im"][0]), int(data["im"][1]))
-        return cls._make(re, im)
+        return cls(*(Fraction(int(data[k][0]), int(data[k][1])) for k in ("re", "im")))
 
-
-_FR_ZERO = Fraction(0)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

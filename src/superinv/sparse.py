@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .scalars import Scalar, promote
+from .scalars import MINUS_ONE, promote
 
 
 def add_into(data: dict, key, coeff):
@@ -84,7 +84,7 @@ class Sparse:
         return self._like(data)
 
     def __neg__(self):
-        return self.scale(Scalar(-1))
+        return self.scale(MINUS_ONE)
 
     def scale(self, coeff):
         # coeff on the left: a coefficient that is itself an element (a U(g)

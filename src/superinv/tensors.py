@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 from .signs import Permutation, gamma_exponent
 from .sparse import Sparse, add_into
 from .spaces import SuperSpace
@@ -58,7 +58,7 @@ class _Tensor(Sparse):
     entries = property(attrgetter("terms"))
 
     def coefficient(self, key) -> Scalar:
-        return self.terms.get(key, Scalar(0))
+        return self.terms.get(key, ZERO)
 
     def __repr__(self):
         if not self.terms:

@@ -9,6 +9,7 @@ import pytest
 from superinv import brauer
 from superinv.cli import MAX_RELATION_WORDS, main, parse_permutation, parse_shifts, type_label
 from superinv.signs import Permutation
+from superinv.tensoralg import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -240,13 +241,25 @@ def test_relations_word_bound_exits_2(capsys):
     # 4^6 = 4096 basis words of V^(x 6) for q(2)
     code, out, err = run_cli(capsys, "relations", "--family", "q", "--n", "2", "--k", "6")
     assert code == 2 and out == ""
-    assert "dim(V)^k <= %d" % MAX_RELATION_WORDS in err
-    # gl(1|0) has dim(V) = 1 and is bounded as if dim(V) were 2: 2^12 = 4096
+    assert "max(dim V, 2)^k <= %d, got 4^6 (dim V = 4, k = 6)" % MAX_RELATION_WORDS in err
+
+
+def test_relations_word_bound_message_names_the_applied_bound(capsys):
+    # gl(1|0) has dim(V) = 1, so dim(V)^k = 1; it is bounded as if dim(V)
+    # were 2 (2^12 = 4096), and the message says so
     code, out, err = run_cli(
         capsys, "relations", "--family", "gl", "--m", "1", "--n", "0", "--k", "12"
     )
     assert code == 2 and out == ""
-    assert "dim(V)^k <= %d" % MAX_RELATION_WORDS in err
+    assert "max(dim V, 2)^k <= %d, got 2^12 (dim V = 1, k = 12)" % MAX_RELATION_WORDS in err
+
+
+def test_molev_degree_bound_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "molev", "--family", "gl", "--m", "1", "--n", "1", "--k", str(MAX_DEGREE + 1)
+    )
+    assert code == 2 and out == ""
+    assert "--k must be in 1..%d" % MAX_DEGREE in err
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
