@@ -1,10 +1,12 @@
 """Batch command line interface.
 
 Each command takes only the flags it reads (see COMMANDS), of which the
-sizes are --family/--m/--n/--k.  It writes one JSON document to stdout (or
---out), and streams progress for long sweeps to stderr.  Output is
-byte-deterministic for a fixed configuration: keys are sorted and all
-scalars are canonical exact rationals.
+sizes are --family/--m/--n/--k; ``admit`` checks them against the command's
+row of COMMANDS, which holds every family, degree and size bound, before it
+runs.  It writes one JSON document to stdout (or --out), and streams
+progress for long sweeps to stderr.  Output is byte-deterministic for a
+fixed configuration: keys are sorted and all scalars are canonical exact
+rationals.
 
 Exit codes: 0 success; 1 a verified property failed (a theorem check came
 back false); 2 usage error; 3 internal error.  A reader that closes stdout
@@ -22,6 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from . import brauer as br
 from .algebras import build_algebra
@@ -43,17 +46,13 @@ from .schurweyl import (
     str_gelfand,
     z_sigma,
 )
+from .spaces import SuperSpace
 from .tensoralg import MAX_DEGREE, eta, project_tensor
 
 FAMILY_CHOICES = ("gl", "osp", "q", "p")
 
-# coset_reps(k) enumerates (2k-1)!! representatives, so commands walking
-# them stop at this degree
-MAX_COSET_K = 4
-
-# relations checks operators on the dim(V)^k basis words of V^(x k); its
-# time grows faster than the word count, so it stops at 7^4 words
-MAX_RELATION_WORDS = 2401
+# building an algebra tabulates dim(g)^2 ~ dim(V)^4 brackets
+MAX_DIM = 16
 
 
 class UsageError(Exception):
@@ -118,27 +117,12 @@ def type_label(type_vector) -> str:
     return " ".join("%d^%d" % (l, counts[l]) for l in sorted(counts))
 
 
-def _build(args):
-    family = args.family
-    if family is None:
-        raise UsageError("--family is required")
-    if family not in FAMILY_CHOICES:
-        raise UsageError("unknown family %r" % family)
-    try:
-        return build_algebra(family, args.m, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _perm_degree(alg, k):
     return 2 * k if alg.family in ("osp", "p") else k
 
 
-def cmd_invariant(args) -> tuple[dict, int]:
-    alg = _build(args)
+def cmd_invariant(args, alg) -> tuple[dict, int]:
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1")
     sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
     theta = invariant_tensor(alg, sigma)
     z = z_sigma(alg, sigma)
@@ -157,13 +141,8 @@ def cmd_invariant(args) -> tuple[dict, int]:
     return doc, 0 if central else 1
 
 
-def cmd_hc(args) -> tuple[dict, int]:
-    alg = _build(args)
-    if alg.family not in ("gl", "osp"):
-        raise UsageError("HC unsupported for %s" % alg.family)
+def cmd_hc(args, alg) -> tuple[dict, int]:
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1")
     u = str_gelfand(alg, k)
     image, verdicts, ok = _hc_verdicts(alg, u)
     doc = {
@@ -193,23 +172,15 @@ def _hc_verdicts(alg, u):
     return image, {"central": central, "poly": image.render(), name: holds}, central and holds
 
 
-def cmd_keylemma(args) -> tuple[dict, int]:
+def cmd_keylemma(args, alg) -> tuple[dict, int]:
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1")
     if args.per_type:
-        if k > MAX_COSET_K:
-            raise UsageError("--per-type bound is k <= %d" % MAX_COSET_K)
-        sigmas = []
-        seen = set()
+        # the first representative of each type
+        first = {}
         for sig in br.coset_reps(k):
-            t = br.perm_type(sig)
-            if t not in seen:
-                seen.add(t)
-                sigmas.append(sig)
+            first.setdefault(br.perm_type(sig), sig)
+        sigmas = list(first.values())
     else:
-        if k > 3:
-            raise UsageError("exhaustive bound is k <= 3; use --per-type for k = 4")
         sigmas = list(symmetric_group(2 * k))
 
     def work(sig):
@@ -231,10 +202,8 @@ def cmd_keylemma(args) -> tuple[dict, int]:
     return doc, 0 if all_ok else 1
 
 
-def cmd_brauer(args) -> tuple[dict, int]:
+def cmd_brauer(args, alg) -> tuple[dict, int]:
     k = args.k
-    if not 1 <= k <= br.MAX_COUNT_K:
-        raise UsageError("--k must be in 1..%d" % br.MAX_COUNT_K)
     res = br.count_by_type(k)
     doc = {}
     ok = True
@@ -256,13 +225,8 @@ def cmd_brauer(args) -> tuple[dict, int]:
     return doc, 0 if ok else 1
 
 
-def cmd_pn_trivial(args) -> tuple[dict, int]:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
+def cmd_pn_trivial(args, alg) -> tuple[dict, int]:
     k = args.k
-    if not 1 <= k <= MAX_COSET_K:
-        raise UsageError("--k must be in 1..%d" % MAX_COSET_K)
-    alg = build_algebra("p", 0, args.n)
     reps = br.coset_reps(k)
 
     def work(sig):
@@ -283,57 +247,46 @@ def cmd_pn_trivial(args) -> tuple[dict, int]:
     return doc, 0 if (all_zero and all_scalar) else 1
 
 
-def cmd_relations(args) -> tuple[dict, int]:
-    alg = _build(args)
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
-    # a one-dimensional V still costs time growing with k, so it counts as
-    # dim 2 (k <= 11); base >= 2 gives base^k > k, so capping k decides alike
-    base = max(alg.space.dim, 2)
-    if base ** min(args.k, MAX_RELATION_WORDS) > MAX_RELATION_WORDS:
-        raise UsageError(
-            "relations needs max(dim V, 2)^k <= %d, got %d^%d (dim V = %d, k = %d)"
-            % (MAX_RELATION_WORDS, base, args.k, alg.space.dim, args.k)
-        )
+def cmd_relations(args, alg) -> tuple[dict, int]:
     report = check_duality_relations(alg, args.k)
     ok = report["all_relations_hold"] and report["supercommutes_with_action"]
     return report, 0 if ok else 1
 
 
-def cmd_sweep(args) -> tuple[dict, int]:
-    alg = _build(args)
+# sweep's row k repeats this command at this degree, by family
+SWEEP_ROWS = {
+    "gl": ("hc", lambda k: k),
+    "osp": ("hc", lambda k: 2 * k),
+    "q": ("sergeev", lambda k: 2 * k - 1),
+    "p": ("pn-trivial", lambda k: k),
+}
+
+
+def cmd_sweep(args, alg) -> tuple[dict, int]:
     kmax = args.k
-    if kmax < 1:
-        raise UsageError("--k must be >= 1")
-    if alg.family == "p" and kmax > MAX_COSET_K:
-        raise UsageError("--k must be in 1..%d for p" % MAX_COSET_K)
+    command, degree = SWEEP_ROWS[alg.family]
     rows = []
     ok = True
     for k in range(1, kmax + 1):
         print("sweep: degree %d/%d" % (k, kmax), file=sys.stderr)
-        row = {"k": k}
-        if alg.family in ("gl", "osp"):
-            deg = k if alg.family == "gl" else 2 * k
-            row["element"] = "str_gelfand(%d)" % deg
+        deg = degree(k)
+        if command == "hc":
+            element = "str_gelfand(%d)" % deg
             _, verdicts, holds = _hc_verdicts(alg, str_gelfand(alg, deg))
-            row.update(verdicts)
-            ok = ok and holds
-        elif alg.family == "q":
-            deg = 2 * k - 1
-            row["element"] = "sergeev_Z(%d)" % deg
+        elif command == "sergeev":
+            element = "sergeev_Z(%d)" % deg
             verdicts = _sergeev_verdicts(alg, sergeev_Z(alg, deg), deg)
-            row.update(verdicts)
-            ok = ok and all(verdicts.values())
+            holds = all(verdicts.values())
         else:
-            reps = br.coset_reps(k)
-            zero = all(
+            reps = br.coset_reps(deg)
+            element = "eta_pi_theta over %d reps" % len(reps)
+            holds = all(
                 eta(project_tensor(alg, invariant_tensor(alg, s))).is_zero()
                 for s in reps
             )
-            row["element"] = "eta_pi_theta over %d reps" % len(reps)
-            row["all_zero"] = zero
-            ok = ok and zero
-        rows.append(row)
+            verdicts = {"all_zero": holds}
+        rows.append({"k": k, "element": element, **verdicts})
+        ok = ok and holds
     doc = {
         "family": alg.family,
         "m": alg.m,
@@ -345,13 +298,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
     return doc, 0 if ok else 1
 
 
-def cmd_sergeev(args) -> tuple[dict, int]:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
+def cmd_sergeev(args, alg) -> tuple[dict, int]:
     k = args.k
-    if k < 1:
-        raise UsageError("--k must be >= 1")
-    alg = build_algebra("q", 0, args.n)
     z = sergeev_Z(alg, k)
     doc = {"family": "q", "n": args.n, "k": k, "Z": z.to_json()}
     ok = True
@@ -371,14 +319,8 @@ def _sergeev_verdicts(alg, z, k) -> dict:
     }
 
 
-def cmd_molev(args) -> tuple[dict, int]:
-    alg = _build(args)
-    if alg.family not in ("gl", "osp"):
-        raise UsageError("molev elements are built for gl and osp")
+def cmd_molev(args, alg) -> tuple[dict, int]:
     k = args.k
-    # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
-    if not 1 <= k <= MAX_DEGREE:
-        raise UsageError("--k must be in 1..%d" % MAX_DEGREE)
     sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
     s = invariant_tensor(alg, sigma)
     shifts = parse_shifts(args.u, s.k)
@@ -406,51 +348,101 @@ def _map_with_progress(fn, items, label):
     return out
 
 
+class Command(NamedTuple):
+    """A subcommand: what runs, and the bounds ``admit`` checks before it."""
+
+    handler: Callable
+    help: str
+    flags: tuple  # the flags it reads besides --out
+    families: tuple = ()  # the algebras it may build; () builds none
+    k_min: int = 1
+    k_max: Optional[int] = None
+    # most basis words max(dim V, 2)^k of V^(x k), a one-dimensional V
+    # counted as two-dimensional: every algebra command's work grows with it
+    words: Optional[int] = None
+
+
 _SIZES = ("--family", "--m", "--n", "--k")
 
-# subcommand -> (handler, help, the flags it reads besides --out)
 COMMANDS = {
-    "invariant": (
-        cmd_invariant,
-        "the invariant tensor theta and central element z of a permutation",
-        _SIZES + ("--perm",),
-    ),
-    "hc": (
-        cmd_hc,
-        "Harish-Chandra image of Str X^k with predicate verdicts (gl, osp)",
-        _SIZES,
-    ),
-    "keylemma": (
-        cmd_keylemma,
-        "sign witnesses for every permutation of S_2k",
-        ("--k", "--per-type"),
-    ),
-    "brauer": (cmd_brauer, "diagram type counts, totals and double-coset sizes", ("--k",)),
-    "pn-trivial": (
-        cmd_pn_trivial,
-        "verify every degree-k invariant of S(p_n) vanishes",
-        ("--n", "--k"),
-    ),
-    "relations": (
-        cmd_relations,
-        "centralizer algebra relations as operator identities",
-        _SIZES,
-    ),
-    "sweep": (cmd_sweep, "centrality + Harish-Chandra grid over degrees 1..k", _SIZES),
-    "sergeev": (
-        cmd_sergeev,
-        "the recursive q(n) trace element Z_k and its identities",
-        ("--n", "--k"),
-    ),
-    "molev": (
-        cmd_molev,
-        "shifted-trace central element built from an invariant tensor",
-        _SIZES + ("--perm", "--u"),
-    ),
+    "invariant": Command(
+        cmd_invariant, "the invariant tensor theta and central element z of a permutation",
+        _SIZES + ("--perm",), FAMILY_CHOICES, words=4096),
+    "hc": Command(
+        cmd_hc, "Harish-Chandra image of Str X^k with predicate verdicts (gl, osp)",
+        _SIZES, ("gl", "osp"), words=6**6),
+    "keylemma": Command(
+        cmd_keylemma, "sign witnesses for every permutation of S_2k",
+        ("--k", "--per-type"), k_max=3),
+    "brauer": Command(
+        cmd_brauer, "diagram type counts, totals and double-coset sizes",
+        ("--k",), k_max=br.MAX_COUNT_K),
+    # coset_reps(k) enumerates (2k-1)!! representatives
+    "pn-trivial": Command(
+        cmd_pn_trivial, "verify every degree-k invariant of S(p_n) vanishes",
+        ("--n", "--k"), ("p",), k_max=4, words=4096),
+    # the time to check operators on the words grows faster than their count
+    "relations": Command(
+        cmd_relations, "centralizer algebra relations as operator identities",
+        _SIZES, FAMILY_CHOICES, k_min=2, words=7**4),
+    # each row k is also bounded as the command it repeats (SWEEP_ROWS)
+    "sweep": Command(
+        cmd_sweep, "centrality + Harish-Chandra grid over degrees 1..k",
+        _SIZES, FAMILY_CHOICES),
+    "sergeev": Command(
+        cmd_sergeev, "the recursive q(n) trace element Z_k and its identities",
+        ("--n", "--k"), ("q",), words=6**7),
+    # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
+    "molev": Command(
+        cmd_molev, "shifted-trace central element built from an invariant tensor",
+        _SIZES + ("--perm", "--u"), ("gl", "osp"), k_max=MAX_DEGREE, words=256),
 }
+# --per-type walks the coset representatives, as pn-trivial does
+COMMANDS["keylemma --per-type"] = COMMANDS["keylemma"]._replace(k_max=4)
+
+
+def _check(label, cmd, k, space):
+    if k < cmd.k_min or k > (cmd.k_max or k):
+        bound = "in %d..%d" % (cmd.k_min, cmd.k_max) if cmd.k_max else ">= %d" % cmd.k_min
+        raise UsageError("%s: --k must be %s" % (label, bound))
+    if cmd.words is None:
+        return
+    # base >= 2 gives base^k > k, so capping k decides alike
+    base = max(space.dim, 2)
+    if base ** min(k, cmd.words) > cmd.words:
+        raise UsageError(
+            "%s needs max(dim V, 2)^k <= %d, got %d^%d (dim V = %d, k = %d)"
+            % (label, cmd.words, base, k, space.dim, k)
+        )
+
+
+def admit(args) -> Optional[SuperSpace]:
+    """Check args against its command's row of COMMANDS, before any build;
+    return the space V of the algebra the command builds, or None."""
+    label = args.command + (" --per-type" if getattr(args, "per_type", False) else "")
+    cmd = COMMANDS[label]
+    space = None
+    if cmd.families:
+        family = getattr(args, "family", cmd.families[0])
+        if family not in cmd.families:
+            families = "|".join(cmd.families)
+            raise UsageError("%s supports --family %s, not %s" % (label, families, family))
+        try:
+            space = SuperSpace(family, getattr(args, "m", 0), args.n)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if space.dim > MAX_DIM:
+            raise UsageError("%s needs dim V <= %d, got %d" % (label, MAX_DIM, space.dim))
+    _check(label, cmd, args.k, space)
+    if label == "sweep":
+        row, degree = SWEEP_ROWS[space.family]
+        deg = degree(args.k)
+        _check("sweep --k %d (%s --k %d)" % (args.k, row, deg), COMMANDS[row], deg, space)
+    return space
+
 
 FLAGS = {
-    "--family": dict(choices=FAMILY_CHOICES),
+    "--family": dict(choices=FAMILY_CHOICES, required=True),
     "--m": dict(type=int, default=0),
     "--n": dict(type=int, default=0),
     "--k": dict(type=int, default=1),
@@ -475,18 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
         "gl(m|n), osp(m|2n), q(n), p(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=text, description=text)
-        for flag in flags + ("--out",):
+    for name, cmd in COMMANDS.items():
+        if " " in name:  # a flag's own bounds, not a subcommand
+            continue
+        p = sub.add_parser(name, help=cmd.help, description=cmd.help)
+        for flag in cmd.flags + ("--out",):
             p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, code = COMMANDS[args.command][0](args)
+        space = admit(args)
+        alg = build_algebra(space.family, space.m, space.n) if space else None
+        doc, code = COMMANDS[args.command].handler(args, alg)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -495,8 +490,12 @@ def main(argv=None) -> int:
         return 3
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+            return 2
     else:
         try:
             print(text)

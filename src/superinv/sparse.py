@@ -36,8 +36,8 @@ class Sparse:
 
     __slots__ = ("terms",)
     _context = ()
-    # coefficients are Scalars unless a subclass stores other values
-    _coerce = staticmethod(promote)
+    # None: coefficients go through the module's promote, found by name at each call
+    _coerce = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -48,7 +48,7 @@ class Sparse:
     def __init__(self, terms=None):
         data = {}
         if terms:
-            coerce = self._coerce
+            coerce = self._coerce or promote
             for key, coeff in terms.items() if hasattr(terms, "items") else terms:
                 coeff = coerce(coeff)
                 if coeff:

@@ -1,15 +1,28 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from superinv import brauer
-from superinv.cli import MAX_RELATION_WORDS, main, parse_permutation, parse_shifts, type_label
+from superinv.cli import (
+    COMMANDS,
+    MAX_DIM,
+    admit,
+    build_parser,
+    main,
+    parse_permutation,
+    parse_shifts,
+    type_label,
+)
 from superinv.signs import Permutation
 from superinv.tensoralg import MAX_DEGREE
+
+MAX_RELATION_WORDS = COMMANDS["relations"].words
 
 
 def run_cli(capsys, *argv):
@@ -79,9 +92,10 @@ def test_invariant_p_zero(capsys):
 
 
 def test_invalid_family_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "invariant", "--family", "xx", "--k", "1")
-    assert exc.value.code == 2
+    for family in (["--family", "xx"], []):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "invariant", *family, "--k", "1")
+        assert exc.value.code == 2
 
 
 def test_hc_command(capsys):
@@ -94,7 +108,7 @@ def test_hc_command(capsys):
     assert doc["supersymmetric"] is True
     code, _, err = run_cli(capsys, "hc", "--family", "q", "--n", "2", "--k", "1")
     assert code == 2
-    assert "HC unsupported" in err
+    assert "hc supports --family gl|osp, not q" in err
 
 
 def test_brauer_command(capsys):
@@ -231,6 +245,14 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert "internal error" in err and "forced" in err
 
 
+@pytest.mark.parametrize("target", ["dir", "missing"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    out_path = tmp_path if target == "dir" else tmp_path / "missing" / "doc.json"
+    code, out, err = run_cli(capsys, "brauer", "--k", "2", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_sweep_p_degree_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "sweep", "--family", "p", "--n", "1", "--k", "5")
     assert code == 2 and out == ""
@@ -289,3 +311,135 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait() == 0
     for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
         assert marker not in err
+
+
+# One argv just past each bound of the COMMANDS table, and the words of the
+# message naming that bound.  Admission rejects these before any algebra is
+# built, so none of them does the work.
+PAST_BOUNDS = [
+    ("invariant --family gl --m 1 --n 1 --k 0", "invariant: --k must be >= 1"),
+    (
+        "invariant --family gl --m 1 --n 1 --k 13",
+        "invariant needs max(dim V, 2)^k <= 4096, got 2^13",
+    ),
+    (
+        "invariant --family gl --m 4 --n 4 --k 5",
+        "invariant needs max(dim V, 2)^k <= 4096, got 8^5",
+    ),
+    ("invariant --family gl --m 9 --n 8 --k 1", "invariant needs dim V <= 16, got 17"),
+    ("hc --family gl --m 1 --n 1 --k 0", "hc: --k must be >= 1"),
+    ("hc --family gl --m 3 --n 3 --k 7", "hc needs max(dim V, 2)^k <= 46656, got 6^7"),
+    (
+        "hc --family gl --m 1 --n 1 --k 1000000000",
+        "hc needs max(dim V, 2)^k <= 46656, got 2^1000000000",
+    ),
+    ("hc --family osp --m 9 --n 4 --k 1", "hc needs dim V <= 16, got 17"),
+    ("hc --family p --n 2 --k 1", "hc supports --family gl|osp, not p"),
+    ("keylemma --k 0", "keylemma: --k must be in 1..3"),
+    ("keylemma --k 4", "keylemma: --k must be in 1..3"),
+    ("keylemma --k 5 --per-type", "keylemma --per-type: --k must be in 1..4"),
+    ("brauer --k 0", "brauer: --k must be in 1..8"),
+    ("brauer --k 9", "brauer: --k must be in 1..8"),
+    ("pn-trivial --n 2 --k 5", "pn-trivial: --k must be in 1..4"),
+    ("pn-trivial --n 0 --k 1", "family p requires n >= 1"),
+    ("pn-trivial --n 5 --k 4", "pn-trivial needs max(dim V, 2)^k <= 4096, got 10^4"),
+    ("pn-trivial --n 9 --k 1", "pn-trivial needs dim V <= 16, got 18"),
+    ("relations --family gl --m 1 --n 1 --k 1", "relations: --k must be >= 2"),
+    ("relations --family q --n 2 --k 6", "relations needs max(dim V, 2)^k <= 2401, got 4^6"),
+    ("relations --family p --n 9 --k 2", "relations needs dim V <= 16, got 18"),
+    ("sweep --family gl --m 1 --n 1 --k 0", "sweep: --k must be >= 1"),
+    (
+        "sweep --family gl --m 3 --n 3 --k 7",
+        "sweep --k 7 (hc --k 7) needs max(dim V, 2)^k <= 46656",
+    ),
+    (
+        "sweep --family osp --m 3 --n 1 --k 4",
+        "sweep --k 4 (hc --k 8) needs max(dim V, 2)^k <= 46656",
+    ),
+    (
+        "sweep --family q --n 3 --k 5",
+        "sweep --k 5 (sergeev --k 9) needs max(dim V, 2)^k <= 279936",
+    ),
+    ("sweep --family p --n 1 --k 5", "sweep --k 5 (pn-trivial --k 5): --k must be in 1..4"),
+    (
+        "sweep --family p --n 5 --k 4",
+        "sweep --k 4 (pn-trivial --k 4) needs max(dim V, 2)^k <= 4096",
+    ),
+    ("sweep --family gl --m 17 --n 0 --k 1", "sweep needs dim V <= 16, got 17"),
+    ("sergeev --n 2 --k 0", "sergeev: --k must be >= 1"),
+    ("sergeev --n 0 --k 1", "family q requires n >= 1"),
+    ("sergeev --n 3 --k 8", "sergeev needs max(dim V, 2)^k <= 279936, got 6^8"),
+    ("sergeev --n 9 --k 1", "sergeev needs dim V <= 16, got 18"),
+    ("molev --family gl --m 1 --n 1 --k 9", "molev: --k must be in 1..8"),
+    ("molev --family gl --m 2 --n 2 --k 5", "molev needs max(dim V, 2)^k <= 256, got 4^5"),
+    ("molev --family osp --m 9 --n 4 --k 1", "molev needs dim V <= 16, got 17"),
+    ("molev --family q --n 1 --k 1", "molev supports --family gl|osp, not q"),
+]
+
+
+@pytest.mark.parametrize("argv, message", PAST_BOUNDS)
+def test_past_a_bound_exits_2(capsys, monkeypatch, argv, message):
+    def no_build(*args):
+        raise AssertionError("built an algebra past a bound")
+
+    monkeypatch.setattr("superinv.cli.build_algebra", no_build)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_every_bounded_command_has_a_case_past_its_bound():
+    # every row of COMMANDS, and sweep with each family
+    labels = {
+        argv.split()[0] + (" --per-type" if "--per-type" in argv else "")
+        for argv, _ in PAST_BOUNDS
+    }
+    assert labels == set(COMMANDS)
+    swept = {argv.split()[2] for argv, _ in PAST_BOUNDS if argv.startswith("sweep ")}
+    assert swept == {"gl", "osp", "q", "p"}
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)
+# the scale ladder of ROADMAP.md's Baseline
+LADDER = [
+    "hc --family gl --m 3 --n 2 --k 5",
+    "hc --family gl --m 3 --n 3 --k 4",
+    "hc --family gl --m 3 --n 3 --k 5",
+    "hc --family gl --m 3 --n 3 --k 6",
+    "sergeev --n 3 --k 5",
+    "sergeev --n 3 --k 7",
+    "relations --family osp --m 3 --n 1 --k 4",
+    "pn-trivial --n 3 --k 4",
+    "brauer --k 8",
+]
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN) + LADDER)
+def test_benchmark_and_ladder_jobs_are_admitted(job):
+    admit(build_parser().parse_args(job.split()))
+
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+QUICK_START = re.search(r"## Quick start\n\n```sh\n(.*?)```", README, re.S).group(1)
+
+
+@pytest.mark.parametrize(
+    "line", [l for l in QUICK_START.splitlines() if l.startswith("superinv ")]
+)
+def test_readme_quick_start_runs(capsys, line):
+    code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0 and json.loads(out)
+
+
+def test_readme_bound_table_matches_commands():
+    rows = re.findall(r"^\| `([a-z-]+)` \|[^|]*\|[^|]*\|([^|]*)\|([^|]*)\|$", README, re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(c for c in COMMANDS if " " not in c)
+    for name, k, words in rows:
+        cmd = COMMANDS[name]
+        bound = ">= %d" % cmd.k_min if cmd.k_max is None else "%d..%d" % (cmd.k_min, cmd.k_max)
+        assert k.strip().startswith("`%s`" % bound)
+        assert words.split()[:1] == ([str(cmd.words)] if cmd.words else [])
+    assert "`--per-type` `1..%d`" % COMMANDS["keylemma --per-type"].k_max in README
+    assert "`dim V <= %d`" % MAX_DIM in README
