@@ -6,13 +6,18 @@ End(V)^(x k); the split projection pushes that down to T(g); then eta and
 the canonical map land in S(g) and U(g).  ``z_sigma`` is the composite,
 and is central whenever the input operator commutes with the action.
 
-For gl and q the operators come from signed place permutations (plus the
-Clifford generators for q); for osp and p they come from permuting the
-slots of the k-th power of the invariant pairing vector and converting
-back to End(V)^(x k) by dualizing the even slots.  Permutation inputs for
-osp/p are reduced to the lexicographically least member of their coset
-modulo the pair-block subgroup H first, so equal cosets give identical
-output.
+For gl and q the invariant tensors are signed place permutations; for osp
+and p they come from permuting the slots of the k-th power of the
+invariant pairing vector and converting back to End(V)^(x k) by dualizing
+the even slots (theta).  Permutation inputs for osp/p are reduced to the
+lexicographically least member of their coset modulo the pair-block
+subgroup H first, so equal cosets give identical output.
+
+The centralizer generators act on one or two adjacent slots, so each is
+one local tensor that ``slot_embed`` places on slots i.. of V^(x k), as
+phi_k places the action of g: s_i is the signed swap of V x V, e_i (osp,
+p) is theta of the cup-cap diagram pairing {1,3} and {2,4}, and c_i (q)
+is the odd Clifford operator on V.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
-from .scalars import ONE, Scalar, promote, sign_scalar
+from .scalars import ONE, I, Scalar, promote, sign_scalar
 from .signs import Permutation, p_exponent
 from .sparse import add_into
 from .spaces import SuperSpace
@@ -61,13 +66,11 @@ def omega_iso(space: SuperSpace, k: int, fn) -> Tensor:
     return Tensor(space, k, entries)
 
 
-def perm_operator(space: SuperSpace, sigma: Permutation, k: int | None = None) -> Tensor:
-    """The signed place-permutation operator for sigma on V^(x k)."""
-    if k is None:
-        k = sigma.size
-    if sigma.size != k:
-        raise ValueError("permutation size must equal the degree")
-    return omega_iso(space, k, lambda word: permute_word(sigma, basis_vector(space, word)))
+def perm_operator(space: SuperSpace, sigma: Permutation) -> Tensor:
+    """The signed place-permutation operator for sigma on V^(x k), k = sigma.size."""
+    return omega_iso(
+        space, sigma.size, lambda word: permute_word(sigma, basis_vector(space, word))
+    )
 
 
 def pairing_vector(space: SuperSpace) -> VectorTensor:
@@ -99,45 +102,19 @@ def c_power(alg: Algebra, k: int) -> VectorTensor:
 
 
 def contraction_operator(alg: Algebra, i: int, k: int) -> Tensor:
-    """e_i = 1^(i-1) x c x 1^(k-i-1) for the osp/p contraction c."""
-    space = alg.space
-    if space.family not in ("osp", "p"):
+    """e_i on slots i, i+1 of V^(x k): theta of the cup-cap diagram {1,3} {2,4} (osp, p)."""
+    if alg.family not in ("osp", "p"):
         raise ValueError("contraction operator exists for osp and p only")
-    if not 1 <= i <= k - 1:
-        raise ValueError("position out of range")
-    pair = pairing_vector(space)
-
-    def fn(word):
-        v1, v2 = word[i - 1], word[i]
-        coeff = Scalar(space.form(v1, v2))
-        out = {}
-        if coeff:
-            for (a, b), pc in pair.terms.items():
-                out[word[: i - 1] + (a, b) + word[i + 1 :]] = coeff * pc
-        return VectorTensor(space, k, out)
-
-    return omega_iso(space, k, fn)
+    return slot_embed(theta_brauer(alg, Permutation((1, 3, 2, 4))), i, k)
 
 
 def clifford_operator(alg: Algebra, i: int, k: int) -> Tensor:
     """The i-th Clifford generator acting on V^(x k) for q(n)."""
-    space = alg.space
-    if space.family != "q":
+    if alg.family != "q":
         raise ValueError("Clifford operators exist for q only")
-    if not 1 <= i <= k:
-        raise ValueError("position out of range")
-    from .scalars import I as IMAG
-
-    def fn(word):
-        prefix = sum(space.parity(word[t]) for t in range(i - 1)) & 1
-        v = word[i - 1]
-        # P e_v = -sqrt(-1) e_{-v} for v > 0, and +sqrt(-1) e_{-v} for v < 0
-        coeff = -IMAG if v > 0 else IMAG
-        if prefix:
-            coeff = -coeff
-        return VectorTensor(space, k, {word[: i - 1] + (-v,) + word[i:]: coeff})
-
-    return omega_iso(space, k, fn)
+    # P e_v = -sqrt(-1) e_{-v} for v > 0, and +sqrt(-1) e_{-v} for v < 0
+    c = Tensor(alg.space, 1, {((-v, v),): -I if v > 0 else I for v in alg.space.indices})
+    return slot_embed(c, i, k)
 
 
 # -- invariant tensors ------------------------------------------------------
@@ -457,17 +434,22 @@ def _relation_names(family: str, k: int) -> list:
 
 
 def _generator_operators(alg: Algebra, k: int) -> dict:
-    """The centralizer generators on V^(x k) by name: sI, plus eI (osp, p) or cI (q)."""
-    space = alg.space
-    ops = {
-        "s%d" % i: perm_operator(space, Permutation.transposition(k, i, i + 1))
-        for i in range(1, k)
-    }
+    """The centralizer generators on V^(x k) by name: sI, plus eI (osp, p) or cI (q).
+
+    Each is one local tensor placed on slots I.. by ``slot_embed``.  s is the
+    signed swap and not theta of the swap diagram: for p(n) theta carries a
+    sign, sending the swap diagram to -s and the identity diagram to -1.
+    """
+    local = {"s": perm_operator(alg.space, Permutation((2, 1)))}
     if alg.family in ("osp", "p"):
-        ops.update(("e%d" % i, contraction_operator(alg, i, k)) for i in range(1, k))
+        local["e"] = contraction_operator(alg, 1, 2)
     elif alg.family == "q":
-        ops.update(("c%d" % i, clifford_operator(alg, i, k)) for i in range(1, k + 1))
-    return ops
+        local["c"] = clifford_operator(alg, 1, 1)
+    return {
+        "%s%d" % (name, i): slot_embed(x, i, k)
+        for name, x in local.items()
+        for i in range(1, k - x.k + 2)
+    }
 
 
 def _read_side(side: str, ops: dict, ident: Tensor) -> Tensor:

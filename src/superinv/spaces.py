@@ -72,14 +72,6 @@ class SuperSpace:
             raise ValueError("epsilon is defined for osp only")
         return 1 if i <= self.m + self.n else -1
 
-    def form(self, i: int, j: int) -> int:
-        """The invariant bilinear form B(e_i, e_j) for osp and p."""
-        if self.family == "osp":
-            return self.epsilon(i) if j == self.prime(i) else 0
-        if self.family == "p":
-            return 1 if j == self.prime(i) else 0
-        raise ValueError("no bilinear form for family %s" % self.family)
-
     def block_index(self, i: int) -> int:
         """q only: the gl(n|n) block position of a signed index."""
         if self.family != "q":

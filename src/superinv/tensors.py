@@ -120,12 +120,7 @@ def matrix_unit(space: SuperSpace, i: int, j: int) -> Tensor:
 
 
 def identity_tensor(space: SuperSpace, k: int) -> Tensor:
-    if k == 0:
-        return Tensor(space, 0, {(): ONE})
-    keys = [()]
-    for _ in range(k):
-        keys = [key + ((d, d),) for key in keys for d in space.indices]
-    return Tensor(space, k, {key: ONE for key in keys})
+    return slot_embed(Tensor(space, 0, {(): ONE}), 1, k)
 
 
 def basis_vector(space: SuperSpace, word) -> VectorTensor:
@@ -271,11 +266,11 @@ def permute_word(sigma: Permutation, w):
 
 
 def slot_embed(x: Tensor, slot: int, k: int) -> Tensor:
-    """1 x..x x x..x 1: a degree-1 x in the given slot (1-based) of degree k."""
-    if x.k != 1:
-        raise ValueError("slot embedding needs a degree-1 input")
+    """1 x..x x x..x 1: a degree-j x on slots slot..slot+j-1 (1-based) of degree k."""
+    if not 1 <= slot <= k - x.k + 1:
+        raise ValueError("slot %d cannot hold degree %d in degree %d" % (slot, x.k, k))
     diag = [()]
-    for _ in range(k - 1):
+    for _ in range(k - x.k):
         diag = [w + ((d, d),) for w in diag for d in x.space.indices]
     return x._of_degree(
         k, {w[: slot - 1] + key + w[slot - 1 :]: v for key, v in x.terms.items() for w in diag}

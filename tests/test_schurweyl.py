@@ -584,3 +584,95 @@ def test_relation_reader_matches_hand_built_products():
     ops = _generator_operators(q1, 2)
     c1 = clifford_operator(q1, 1, 2)
     assert _read_side("c1^2", ops, identity_tensor(q1.space, 2)) == compose(c1, c1)
+
+
+# -- test-only references: the centralizer generators built word by word ------
+
+
+def _form(space, i, j):
+    """B(e_i, e_j) for osp and p."""
+    if j != space.prime(i):
+        return 0
+    return space.epsilon(i) if space.family == "osp" else 1
+
+
+def _contraction_reference(alg, i, k):
+    """e_i sends v_i x v_{i+1} to B(v_i, v_{i+1}) times the pairing vector."""
+    space = alg.space
+    pair = pairing_vector(space)
+
+    def fn(word):
+        coeff = Scalar(_form(space, word[i - 1], word[i]))
+        out = {}
+        if coeff:
+            for (a, b), pc in pair.terms.items():
+                out[word[: i - 1] + (a, b) + word[i + 1 :]] = coeff * pc
+        return VectorTensor(space, k, out)
+
+    return omega_iso(space, k, fn)
+
+
+def _clifford_reference(alg, i, k):
+    """c_i acts on slot i, with the sign of crossing the slots before it."""
+    space = alg.space
+
+    def fn(word):
+        prefix = sum(space.parity(word[t]) for t in range(i - 1)) & 1
+        v = word[i - 1]
+        coeff = -IMAG if v > 0 else IMAG
+        if prefix:
+            coeff = -coeff
+        return VectorTensor(space, k, {word[: i - 1] + (-v,) + word[i:]: coeff})
+
+    return omega_iso(space, k, fn)
+
+
+def _generator_reference(alg, name, k):
+    kind, i = name[0], int(name[1:])
+    if kind == "s":
+        return perm_operator(alg.space, Permutation.transposition(k, i, i + 1))
+    if kind == "e":
+        return _contraction_reference(alg, i, k)
+    return _clifford_reference(alg, i, k)
+
+
+GENERATOR_ALGEBRAS = [
+    ("gl", 0, 2), ("gl", 2, 0), ("gl", 1, 0), ("gl", 1, 1), ("gl", 2, 1),
+    ("osp", 1, 0), ("osp", 0, 1), ("osp", 1, 1), ("osp", 2, 1), ("osp", 3, 1),
+    ("osp", 2, 2), ("osp", 1, 2), ("p", 0, 1), ("p", 0, 2), ("p", 0, 3),
+    ("q", 0, 1), ("q", 0, 2), ("q", 0, 3),
+]
+
+
+@pytest.mark.parametrize("family,m,n", GENERATOR_ALGEBRAS)
+def test_generator_operators_match_word_by_word_references(family, m, n):
+    alg = build_algebra(family, m, n)
+    for k in (2, 3, 4):
+        ops = _generator_operators(alg, k)
+        kinds = {"gl": "s", "osp": "se", "p": "se", "q": "sc"}[family]
+        assert sorted(ops) == sorted(
+            "%s%d" % (kind, i) for kind in kinds for i in range(1, k + (kind == "c"))
+        )
+        for name, op in ops.items():
+            assert op == _generator_reference(alg, name, k), (name, k)
+
+
+@pytest.mark.parametrize("family,m,n", GENERATOR_ALGEBRAS)
+def test_flip_formulas_match_the_generators(family, m, n):
+    alg = build_algebra(family, m, n)
+    assert super_transposition_tensor(alg.space) == perm_operator(
+        alg.space, Permutation((2, 1))
+    )
+    if family == "osp":
+        assert form_flip_tensor(alg.space) == contraction_operator(alg, 1, 2)
+
+
+def test_generator_positions_out_of_range_raise():
+    p2 = build_algebra("p", 0, 2)
+    q1 = build_algebra("q", 0, 1)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            contraction_operator(p2, i, 3)
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            clifford_operator(q1, i, 3)

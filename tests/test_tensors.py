@@ -313,3 +313,33 @@ def test_uvalued_compose_matches_reference_in_order():
         assert [v.to_json() for v in got.terms.values()] == [
             v.to_json() for v in want.terms.values()
         ]
+
+
+def test_slot_embed_places_degree_j_and_rejects_slots_that_do_not_fit():
+    x = matrix_unit(GL11, 1, 2)
+    two = tensor_word(GL11, [(1, 2), (2, 2)], Scalar(3))
+    for j, t in ((1, x), (2, two)):
+        for k in (2, 3, 4):
+            for slot in (0, k - j + 2):
+                with pytest.raises(ValueError):
+                    slot_embed(t, slot, k)
+    with pytest.raises(ValueError):
+        slot_embed(two, 1, 1)
+    assert slot_embed(two, 1, 2) == two
+    # 1 x (e12 x e22) x 1 on V^(x 4)
+    placed = slot_embed(two, 2, 4)
+    assert set(placed.terms) == {
+        ((a, a), (1, 2), (2, 2), (b, b)) for a in GL11.indices for b in GL11.indices
+    }
+    assert set(placed.terms.values()) == {Scalar(3)}
+    # a degree-2 tensor placed at once equals its two factors placed one by one
+    pair = compose(slot_embed(x, 2, 3), slot_embed(x, 3, 3))
+    assert slot_embed(compose(slot_embed(x, 1, 2), slot_embed(x, 2, 2)), 2, 3) == pair
+
+
+def test_identity_tensor_keys_in_word_order():
+    for k in range(5):
+        ident = identity_tensor(GL11, k)
+        words = itertools.product(GL11.indices, repeat=k)
+        assert list(ident.terms) == [tuple((d, d) for d in w) for w in words]
+        assert set(ident.terms.values()) == {ONE}
