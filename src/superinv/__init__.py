@@ -8,7 +8,7 @@ centralizer algebras, and the diagram combinatorics that forces the center
 of U(p(n)) to be trivial.
 """
 
-from .algebras import Algebra, LieElement, bracket, build_algebra, phi_k, pi_tilde, rho
+from .algebras import Algebra, LieElement, build_algebra, phi_k
 from .enveloping import (
     CartanPolynomial,
     PBWElement,
@@ -25,7 +25,7 @@ from .enveloping import (
     zeta_project,
 )
 from .scalars import Rational, Scalar
-from .signs import Permutation, gamma_sign, p_sign, symmetric_group
+from .signs import Permutation, symmetric_group
 from .spaces import SuperSpace
 from .tensoralg import (
     SymElement,
@@ -39,12 +39,9 @@ from .tensoralg import (
 from .tensors import (
     Tensor,
     VectorTensor,
-    apply,
     compose,
     partial_supertrace,
     permute_word,
-    supertrace,
-    supertranspose,
 )
 from .schurweyl import (
     UValuedTensor,

@@ -14,9 +14,10 @@ each block; this global order is what the PBW layer sorts against, and it
 makes the Cartan projection a plain monomial filter.  Brackets between
 generators are tabulated once at build time from the matrix realization,
 re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
-H/2), which is verified to satisfy pi_tilde(iota(x)) = x on every
-generator.  The realization is the only per-family statement: pi_tilde,
-the parities and the Cartan variables are all read off its matrices.
+H/2), tabulated as ``pi_table`` and verified to satisfy
+pi_tilde(iota(x)) = x on every generator.  The realization is the only
+per-family statement: pi_tilde, the parities and the Cartan variables are
+all read off its matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import ONE, Scalar, sign_scalar
-from .sparse import Sparse, add_into
+from .sparse import Sparse
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
 
@@ -42,13 +43,6 @@ class LieElement(Sparse):
     def __init__(self, algebra, coeffs=None):
         self.algebra = algebra
         Sparse.__init__(self, coeffs)
-
-    def parity(self):
-        """Parity if homogeneous (0 for the zero element), else None."""
-        ps = {self.algebra.parity[i] for i in self.terms}
-        if not ps:
-            return 0
-        return ps.pop() if len(ps) == 1 else None
 
     def matrix(self) -> Tensor:
         """The realization iota(x) in End(V)."""
@@ -244,31 +238,6 @@ def build_algebra(family: str, m: int = 0, n: int = 0) -> Algebra:
     return Algebra(family, m, n)
 
 
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Super-bracket via the precomputed table."""
-    if x.algebra is not y.algebra:
-        raise ValueError("algebra mismatch")
-    alg = x.algebra
-    out = {}
-    for i, ci in x.terms.items():
-        for j, cj in y.terms.items():
-            cij = ci * cj
-            for g, c in alg.bracket_table[(i, j)].items():
-                add_into(out, g, cij * c)
-    return LieElement(alg, out)
-
-
-def pi_tilde(alg: Algebra, a: int, b: int) -> LieElement:
-    """Split projection of the matrix unit e_ab onto the algebra."""
-    if a not in alg.space.indices or b not in alg.space.indices:
-        raise ValueError("invalid index (%r, %r)" % (a, b))
-    hit = alg.pi_table[(a, b)]
-    if hit is None:
-        return LieElement(alg)
-    idx, c = hit
-    return LieElement(alg, {idx: c})
-
-
 def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
     """The action of x on V^(x k): sum over slots of 1 x..x iota(x) x..x 1."""
     if k < 1:
@@ -278,12 +247,3 @@ def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
     for slot in range(2, k + 1):
         out = out + slot_embed(mat, slot, k)
     return out
-
-
-def rho(alg: Algebra):
-    """Weyl-vector coordinates in the dual Cartan basis (gl/osp; zero for q)."""
-    if alg.family == "q":
-        return tuple(Fraction(0) for _ in range(alg.n))
-    if alg.family == "p":
-        raise ValueError("no Harish-Chandra data for p(n)")
-    return alg.rho_coords

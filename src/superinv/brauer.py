@@ -13,27 +13,23 @@ circles, read alternately along matching and fixed edges, have lengths
 whose multiset is the diagram's type.  Types classify the double cosets
 H sigma H.  The witness machinery proves, constructively, that conjugating
 a suitable element of H by sigma stays in H while flipping a sign
-character; the exhaustive scan is kept as a fallback and cross-check.
+character: that element is the reflection of one closure circle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .signs import Permutation, symmetric_group
 
-# count_by_type walks all (2k-1)!! diagrams, partition_A0_A1 all 2^k k! of H
+# count_by_type walks all (2k-1)!! diagrams
 MAX_COUNT_K = 8
-MAX_PARTITION_K = 4
 
 
 class BrauerDiagram(NamedTuple):
     k: int
     pairs: tuple  # sorted tuple of sorted (a, b) pairs
-
-    def to_json(self):
-        return {"k": self.k, "pairs": [list(p) for p in self.pairs]}
 
 
 class ClosureAnalysis(NamedTuple):
@@ -67,23 +63,6 @@ def overline_embed(g: Permutation) -> Permutation:
         img.append(2 * g(s) - 1)
         img.append(2 * g(s))
     return Permutation(img)
-
-
-def pair_swaps(mask: int, k: int) -> Permutation:
-    """The element of K flipping the pairs selected by the bit mask."""
-    img = list(range(1, 2 * k + 1))
-    for s in range(k):
-        if mask >> s & 1:
-            img[2 * s], img[2 * s + 1] = img[2 * s + 1], img[2 * s]
-    return Permutation(img)
-
-
-def h_elements(k: int) -> Iterator[Permutation]:
-    """All of H = K semidirect S_k-bar, |H| = 2^k k!."""
-    for g in symmetric_group(k):
-        gbar = overline_embed(g)
-        for mask in range(1 << k):
-            yield pair_swaps(mask, k) * gbar
 
 
 def factor_H(h: Permutation):
@@ -207,17 +186,6 @@ def coset_canonical(sigma: Permutation) -> Permutation:
     return Permutation(img)
 
 
-def stabilizer_is_H(k: int) -> bool:
-    """Statement check: the stabilizer of the identity diagram is exactly H."""
-    d0 = diagram_from_perm(Permutation.identity(2 * k))
-    h_set = set(h_elements(k))
-    for sigma in symmetric_group(2 * k):
-        fixes = diagram_from_perm(sigma) == d0
-        if fixes != (sigma in h_set):
-            return False
-    return True
-
-
 def _circle_reflection(circle: tuple, k: int) -> Permutation:
     """The reflection x_t -> x_{-1-t} of one closure circle, id elsewhere."""
     img = list(range(1, 2 * k + 1))
@@ -227,63 +195,29 @@ def _circle_reflection(circle: tuple, k: int) -> Permutation:
     return Permutation(img)
 
 
-def key_lemma_witness(sigma: Permutation, use_fast_path: bool = True):
-    """A quadruple (tau, g, tau1, g1) with sigma tau gbar sigma^{-1} = tau1 g1bar
-    and sign(tau1) sign(g) sign(g1) = -1.
+def key_lemma_witness(sigma: Permutation) -> KeyLemmaWitness:
+    """The quadruple (tau, g, tau1, g1) with sigma tau gbar sigma^{-1} = tau1 g1bar,
+    read off the reflection a = tau1 g1bar of sigma's first closure circle.
+
+    The reflection keeps both the fixed edges and sigma's matching, so a and
+    sigma^{-1} a sigma = tau gbar lie in H.  It is returned as it is:
+    ``witness_holds`` checks that sign(tau1) sign(g) sign(g1) = -1.
     """
     if sigma.size % 2:
         raise ValueError("need a permutation of an even number of points")
     k = sigma.size // 2
-    inv = sigma.inverse()
-    if use_fast_path:
-        analysis = closure_type(diagram_from_perm(sigma))
-        a = _circle_reflection(analysis.circles[0], k)
-        witness = _witness_from_candidate(sigma, inv, a)
-        if witness is not None and witness.sign_product() == -1:
-            return witness
-    for a in h_elements(k):
-        witness = _witness_from_candidate(sigma, inv, a)
-        if witness is not None and witness.sign_product() == -1:
-            return witness
-    raise AssertionError("no witness found for %r" % sigma)
-
-
-def _witness_from_candidate(sigma, sigma_inv, a) -> Optional[KeyLemmaWitness]:
+    a = _circle_reflection(closure_type(diagram_from_perm(sigma)).circles[0], k)
     fac1 = factor_H(a)
-    if fac1 is None:
-        return None
-    fac = factor_H(sigma_inv * a * sigma)
-    if fac is None:
-        return None
-    tau, g = fac
-    tau1, g1 = fac1
-    return KeyLemmaWitness(tau, g, tau1, g1)
+    fac = factor_H(sigma.inverse() * a * sigma)
+    if fac1 is None or fac is None:
+        raise AssertionError("the circle reflection for %r leaves H" % sigma)
+    return KeyLemmaWitness(*fac, *fac1)
 
 
 def witness_holds(sigma: Permutation, w: KeyLemmaWitness) -> bool:
     lhs = sigma * w.tau * overline_embed(w.g) * sigma.inverse()
     rhs = w.tau1 * overline_embed(w.g1)
     return lhs == rhs and w.sign_product() == -1
-
-
-def partition_A0_A1(sigma: Permutation):
-    """Split H intersect sigma H sigma^{-1} by the witness sign character."""
-    if sigma.size % 2:
-        raise ValueError("need a permutation of an even number of points")
-    k = sigma.size // 2
-    if k > MAX_PARTITION_K:
-        raise ValueError("k exceeds the bound %d" % MAX_PARTITION_K)
-    inv = sigma.inverse()
-    a0, a1 = [], []
-    for a in h_elements(k):
-        fac = factor_H(inv * a * sigma)
-        if fac is None:
-            continue
-        tau, g = fac
-        tau1, g1 = factor_H(a)
-        chi = tau1.sign() * g.sign() * g1.sign()
-        (a1 if chi == -1 else a0).append(a)
-    return a0, a1
 
 
 def intersection_order_formula(type_vector) -> int:
@@ -311,18 +245,3 @@ def double_coset_size_formula(k: int, type_vector) -> int:
     denom = intersection_order_formula(type_vector)
     assert num % denom == 0
     return num // denom
-
-
-def all_types(k: int) -> list:
-    """All partition type vectors of k, sorted."""
-    out = []
-
-    def rec(remaining, mx, acc):
-        if remaining == 0:
-            out.append(tuple(sorted(acc)))
-            return
-        for part in range(1, min(remaining, mx) + 1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(k, k, [])
-    return sorted(set(out))

@@ -389,9 +389,10 @@ COMMANDS = {
     "sweep": Command(
         cmd_sweep, "centrality + Harish-Chandra grid over degrees 1..k",
         _SIZES, FAMILY_CHOICES),
+    # the words bound alone admits q(2) at k = 9, which ran past 120 s on a 2-core host
     "sergeev": Command(
         cmd_sergeev, "the recursive q(n) trace element Z_k and its identities",
-        ("--n", "--k"), ("q",), words=6**7),
+        ("--n", "--k"), ("q",), k_max=7, words=6**7),
     # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
     "molev": Command(
         cmd_molev, "shifted-trace central element built from an invariant tensor",

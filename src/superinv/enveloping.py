@@ -10,15 +10,17 @@ monomial filter).  Out-of-order adjacent pairs rewrite by
 
 and an adjacent equal odd pair rewrites by x x -> (1/2)[x, x], uniformly,
 whether or not the bracket vanishes.  Rewriting terminates by induction on
-(degree, inversions) and the result is independent of the rewrite order;
-the test suite checks leftmost-first against rightmost-first.
+(degree, inversions), and ``pbw_normalize`` always rewrites the leftmost
+pair.  The result is independent of the rewrite order: the test suite
+checks, at every position where a rewrite applies, that the normal form of
+a word equals the sum of the normal forms of that one step's results.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebras import Algebra, LieElement
+from .algebras import Algebra
 from .scalars import HALF, ONE, Scalar, promote
 from .sparse import Sparse, add_into
 from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
@@ -43,10 +45,6 @@ class PBWElement(_WordMap):
         )
         return cls(algebra, {(idx,): ONE})
 
-    @classmethod
-    def from_lie(cls, x: LieElement):
-        return cls(x.algebra, {(g,): c for g, c in x.terms.items()})
-
     # defined here, not inherited, so that it stays an attribute of this class
     # that perfbench/tracer.py can wrap to count U(g) accumulation
     def __add__(self, other):
@@ -54,9 +52,6 @@ class PBWElement(_WordMap):
 
     def __mul__(self, other):
         return u_multiply(self, other)
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
 
     def is_scalar(self):
         return all(not w for w in self.terms)
@@ -68,30 +63,22 @@ class PBWElement(_WordMap):
         return PBWElement(self.algebra, even), PBWElement(self.algebra, odd)
 
 
-def pbw_normalize(alg: Algebra, word, coeff=ONE, strategy="leftmost") -> PBWElement:
-    """Rewrite an arbitrary generator word into PBW normal form."""
+def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
+    """Rewrite an arbitrary generator word into PBW normal form, leftmost pair first."""
     coeff = promote(coeff)
     par = alg.parity
     table = alg.bracket_table
     out = {}
     stack = [(tuple(word), coeff)]
-    positions_leftmost = strategy == "leftmost"
     while stack:
         w, c = stack.pop()
-        idx_range = range(len(w) - 1)
-        if not positions_leftmost:
-            idx_range = reversed(idx_range)
-        hit = -1
-        for i in idx_range:
+        for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
             if a > b or (a == b and par[a]):
-                hit = i
                 break
-        if hit < 0:
+        else:
             add_into(out, w, c)
             continue
-        i = hit
-        a, b = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2 :]
         if a == b:
             # odd square: x x -> (1/2)[x, x]
@@ -171,17 +158,6 @@ class CartanPolynomial(Sparse):
     def nvars(self):
         return len(self.names)
 
-    @classmethod
-    def constant(cls, names, coeff):
-        coeff = promote(coeff)
-        zero = tuple(0 for _ in names)
-        return cls(names, {zero: coeff} if coeff else {})
-
-    @classmethod
-    def variable(cls, names, v):
-        exp = tuple(1 if i == v else 0 for i in range(len(names)))
-        return cls(names, {exp: ONE})
-
     def __mul__(self, other):
         self._check(other)
         out = {}
@@ -189,17 +165,6 @@ class CartanPolynomial(Sparse):
             for eb, cb in other.terms.items():
                 add_into(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return CartanPolynomial(self.names, out)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def homogeneous_part(self, d):
-        return CartanPolynomial(
-            self.names, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
-
-    def top_degree_part(self):
-        return self.homogeneous_part(self.degree())
 
     def swap_vars(self, i, j):
         out = {}

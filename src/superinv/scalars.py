@@ -119,10 +119,6 @@ class Scalar:
         parts = (("re", self.re), ("im", self.im))
         return {name: [str(x.numerator), str(x.denominator)] for name, x in parts}
 
-    @classmethod
-    def from_json(cls, data) -> "Scalar":
-        return cls(*(Fraction(int(data[k][0]), int(data[k][1])) for k in ("re", "im")))
-
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

@@ -51,7 +51,8 @@ def omega_iso(space: SuperSpace, k: int, fn) -> Tensor:
     """Turn an operator on V^(x k), given on basis words, into a Tensor.
 
     ``fn`` maps an index word to the VectorTensor image of that basis
-    vector.  The resulting Tensor T satisfies apply(T, v) == fn-extended(v).
+    vector.  The resulting Tensor T acts on V^(x k), by the module action of
+    tensors.py, as fn extended linearly.
     """
     par = space._parity
     entries = {}
@@ -265,32 +266,6 @@ def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
 
 def identity_uvalued(alg: Algebra, k: int) -> UValuedTensor:
     return scalar_tensor(alg, identity_tensor(alg.space, k))
-
-
-def super_transposition_tensor(space: SuperSpace) -> Tensor:
-    """P = sum (-1)^{|j|} e_ij x e_ji, the flip of V x V in End(V)^(x 2)."""
-    entries = {}
-    par = space._parity
-    for i in space.indices:
-        for j in space.indices:
-            entries[((i, j), (j, i))] = ONE if par[j] == 0 else Scalar(-1)
-    return Tensor(space, 2, entries)
-
-
-def form_flip_tensor(space: SuperSpace) -> Tensor:
-    """Q = sum (-1)^{|i||j|+|i|+|j|} eps_i eps_j e_ij x e_i'j' (osp only)."""
-    if space.family != "osp":
-        raise ValueError("the form flip exists for osp only")
-    entries = {}
-    par = space._parity
-    for i in space.indices:
-        for j in space.indices:
-            exp = (par[i] * par[j] + par[i] + par[j]) & 1
-            c = Scalar(space.epsilon(i) * space.epsilon(j))
-            if exp:
-                c = -c
-            entries[((i, j), (space.prime(i), space.prime(j)))] = c
-    return Tensor(space, 2, entries)
 
 
 def generator_matrix(alg: Algebra) -> UValuedTensor:

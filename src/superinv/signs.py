@@ -3,12 +3,14 @@
 Conventions used throughout the package:
 
 * A parity word is a tuple over {0, 1}.
-* ``p_sign(x, y)`` is the product of (-1)**(x[i]*y[j]) over all pairs i > j
+* The sign p(x, y) is the product of (-1)**(x[i]*y[j]) over all pairs i > j
   (1-based positions, strictly decreasing), the sign picked up when a word
   of parities x is moved across a word of parities y letter by letter.
-* ``gamma_sign(x, s)`` is the product of (-1)**(x[s(i)]*x[s(j)]) over the
+* The sign gamma(x, s) is the product of (-1)**(x[s(i)]*x[s(j)]) over the
   inversions i < j, s(i) > s(j); it is the Koszul sign of reordering a
   supercommutative word x1...xk into x_{s(1)}...x_{s(k)}.
+* ``p_exponent`` and ``gamma_exponent`` return these signs as exponents
+  mod 2, so (-1)**exponent is the sign.
 * Permutations are stored in one-line image form, 1-based.  Composition
   ``a * b`` applies b first: (a*b)(x) = a(b(x)).  Cycle-notation parsing
   lives only in the CLI layer.
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Sequence
-
-from .scalars import Scalar, sign_scalar
 
 
 def p_exponent(x: Sequence[int], y: Sequence[int]) -> int:
@@ -35,11 +35,6 @@ def p_exponent(x: Sequence[int], y: Sequence[int]) -> int:
         if x[i]:
             total += run
     return total & 1
-
-
-def p_sign(x: Sequence[int], y: Sequence[int]) -> Scalar:
-    """The sign p(x, y) as a Scalar (+1 or -1)."""
-    return sign_scalar(p_exponent(x, y))
 
 
 def gamma_exponent(x: Sequence[int], sigma: "Permutation") -> int:
@@ -60,11 +55,6 @@ def gamma_exponent(x: Sequence[int], sigma: "Permutation") -> int:
     return total
 
 
-def gamma_sign(x: Sequence[int], sigma: "Permutation") -> Scalar:
-    """The sign gamma(x, sigma) as a Scalar (+1 or -1)."""
-    return sign_scalar(gamma_exponent(x, sigma))
-
-
 class Permutation:
     """A permutation of {1..k} in one-line image form."""
 
@@ -79,12 +69,6 @@ class Permutation:
     @classmethod
     def identity(cls, k: int) -> "Permutation":
         return cls(range(1, k + 1))
-
-    @classmethod
-    def transposition(cls, k: int, a: int, b: int) -> "Permutation":
-        img = list(range(1, k + 1))
-        img[a - 1], img[b - 1] = b, a
-        return cls(img)
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int) -> "Permutation":
@@ -142,15 +126,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def extend(self, k: int) -> "Permutation":
-        """Embed into S_k by fixing the new points."""
-        if k < self.size:
-            raise ValueError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(self.size + 1, k + 1)))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

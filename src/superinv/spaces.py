@@ -9,8 +9,6 @@ Index conventions (all 1-based except the signed q-indices):
 * p(n):      indices 1..2n, even iff i <= n; i' = i+n resp. i-n.  The odd
              symmetric form is (e_i, e_j) = delta(j, i').
 * q(n):      signed indices {1..n} u {-1..-n}, even iff i > 0; i' = -i.
-             The block picture inside gl(n|n) is reached through the fixed
-             bijection e_{-i} <-> e_{n+i} (``block_index``).
 """
 
 from __future__ import annotations
@@ -71,15 +69,6 @@ class SuperSpace:
         if self.family != "osp":
             raise ValueError("epsilon is defined for osp only")
         return 1 if i <= self.m + self.n else -1
-
-    def block_index(self, i: int) -> int:
-        """q only: the gl(n|n) block position of a signed index."""
-        if self.family != "q":
-            raise ValueError("block_index is defined for q only")
-        return i if i > 0 else self.n - i
-
-    def word_parity(self, word) -> int:
-        return sum(self._parity[i] for i in word) & 1
 
     def __eq__(self, other):
         return (

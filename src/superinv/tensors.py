@@ -17,7 +17,8 @@ and a Tensor acts on V^(x k) by
     (a1 x...x ak)(v1 x...x vk)
         = (-1)^{sum_s |a_s| (|v1|+...+|v_{s-1}|)} (a1 v1 x...x ak vk),
 
-which makes ``apply(compose(A, B), v) == apply(A, apply(B, v))``.
+so that compose(A, B) acts as B followed by A.  ``schurweyl.omega_iso``
+turns an operator given by this action on basis words into its Tensor.
 
 The symmetric group acts by signed place permutation:
     sigma . (v1 x...x vk)
@@ -102,15 +103,6 @@ class Tensor(_Tensor):
 class VectorTensor(_Tensor):
     """Sparse element of V^(x k)."""
 
-    def key_parity(self, key) -> int:
-        return self.space.word_parity(key)
-
-    def to_json(self):
-        entries = []
-        for key in sorted(self.terms):
-            entries.append({"key": list(key), "coeff": self.terms[key].to_json()})
-        return {"k": self.k, "space": self.space.to_json(), "entries": entries}
-
 
 # -- constructors ----------------------------------------------------------
 
@@ -176,40 +168,6 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     return a._like(out)
 
 
-def apply(a: Tensor, v: VectorTensor) -> VectorTensor:
-    """Act with a on v, with the Koszul signs of the module structure."""
-    if a.space != v.space or a.k != v.k:
-        raise ValueError("degree/space mismatch")
-    par = a.space._parity
-    out = {}
-    for ka, va in a.terms.items():
-        apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
-        for kv, vv in v.terms.items():
-            ok = True
-            for (r, c), i in zip(ka, kv):
-                if c != i:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            exp = 0
-            run = 0
-            for s in range(a.k):
-                if s > 0:
-                    run ^= par[kv[s - 1]]
-                if apar[s] and run:
-                    exp ^= 1
-            add_into(out, tuple(r for r, _ in ka), va * vv if not exp else -(va * vv))
-    return v._like(out)
-
-
-def supertrace(a: Tensor) -> Scalar:
-    """Str on End(V): e_ij -> (-1)^{|i|} delta_ij, extended linearly."""
-    if a.k != 1:
-        raise ValueError("supertrace requires k = 1")
-    return full_supertrace(a)
-
-
 def partial_supertrace(a: Tensor, pos: int) -> Tensor:
     """Supertrace on the pos-th factor (1-based), identity on the rest."""
     if not 1 <= pos <= a.k:
@@ -229,20 +187,6 @@ def full_supertrace(a: Tensor):
     while t.k > 0:
         t = partial_supertrace(t, t.k)
     return t.coefficient(())
-
-
-def supertranspose(a: Tensor) -> Tensor:
-    """Slotwise e_ij -> (-1)^{(|i|+|j|)|i|} e_ji; a super anti-automorphism."""
-    par = a.space._parity
-    out = {}
-    for key, coeff in a.terms.items():
-        exp = 0
-        new_key = []
-        for r, c in key:
-            exp ^= ((par[r] + par[c]) & par[r]) & 1
-            new_key.append((c, r))
-        out[tuple(new_key)] = coeff if not exp else -coeff
-    return Tensor(a.space, a.k, out)
 
 
 def permute_word(sigma: Permutation, w):

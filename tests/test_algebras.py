@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import apply, bracket, supertranspose
 
-from superinv.algebras import LieElement, bracket, build_algebra, phi_k, pi_tilde, rho
+from superinv.algebras import LieElement, build_algebra, phi_k
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
-from superinv.tensors import Tensor, apply, basis_vector, compose, supertranspose
+from superinv.tensors import Tensor, basis_vector, compose
 
 SIZES = [
     ("gl", 1, 1),
@@ -71,7 +72,8 @@ def test_split_projection_is_section(family, m, n):
     for g in range(alg.dim):
         acc = LieElement(alg)
         for ((a, b),), coeff in alg.embed[g].entries.items():
-            acc = acc + pi_tilde(alg, a, b).scale(coeff)
+            idx, c = alg.pi_table[(a, b)]
+            acc = acc + LieElement(alg, {idx: c * coeff})
         assert acc == alg.unit(g)
 
 
@@ -119,21 +121,20 @@ def test_gl_bracket_examples():
     assert bracket(e11, e11).is_zero()
 
 
-def test_pi_tilde_examples():
+def test_pi_table_examples():
     g = build_algebra("gl", 1, 1)
-    assert pi_tilde(g, 1, 2) == g.unit("E[1,2]")
+    assert g.pi_table[(1, 2)] == (g.gen_index["E[1,2]"], ONE)
     p2 = build_algebra("p", 0, 2)
-    assert pi_tilde(p2, 1, 3) == p2.unit("G[1,3]").scale(HALF)
+    assert p2.pi_table[(1, 3)] == (p2.gen_index["G[1,3]"], HALF)
     # osp(1|2): the middle diagonal has vanishing defining combination
     o = build_algebra("osp", 1, 1)
-    assert pi_tilde(o, 2, 2).is_zero()
+    assert o.pi_table[(2, 2)] is None
     # osp(2|2): the even-block diagonal survives as a Cartan generator
     o22 = build_algebra("osp", 2, 1)
-    half_f22 = pi_tilde(o22, 2, 2)
-    assert half_f22 == o22.unit("F[2,2]").scale(HALF)
+    assert o22.pi_table[(2, 2)] == (o22.gen_index["F[2,2]"], HALF)
     assert o22.tri_class[o22.gen_index["F[2,2]"]] == "C"
-    with pytest.raises(ValueError):
-        pi_tilde(g, 0, 1)
+    # one entry per matrix unit of End(V), and no other
+    assert set(g.pi_table) == {(a, b) for a in (1, 2) for b in (1, 2)}
 
 
 def test_osp_membership_relation():
@@ -203,15 +204,11 @@ def test_phi_k_is_lie_homomorphism():
     for family, m, n in [("gl", 1, 1), ("q", 0, 2), ("p", 0, 2), ("osp", 1, 1)]:
         alg = build_algebra(family, m, n)
         for _ in range(6):
-            x = alg.unit(rng.randrange(alg.dim))
-            y = alg.unit(rng.randrange(alg.dim))
+            gx, gy = rng.randrange(alg.dim), rng.randrange(alg.dim)
+            x, y = alg.unit(gx), alg.unit(gy)
             k = rng.choice((1, 2))
             lhs = phi_k(alg, bracket(x, y), k)
-            sign = (
-                MINUS_ONE
-                if x.parity() and y.parity()
-                else ONE
-            )
+            sign = MINUS_ONE if alg.parity[gx] and alg.parity[gy] else ONE
             rhs = compose(phi_k(alg, x, k), phi_k(alg, y, k)) - compose(
                 phi_k(alg, y, k), phi_k(alg, x, k)
             ).scale(sign)
@@ -219,25 +216,25 @@ def test_phi_k_is_lie_homomorphism():
 
 
 def test_rho_values():
-    assert rho(build_algebra("gl", 1, 1)) == (Fraction(-1, 2), Fraction(1, 2))
-    assert rho(build_algebra("gl", 2, 0)) == (Fraction(1, 2), Fraction(-1, 2))
-    assert rho(build_algebra("q", 0, 3)) == (Fraction(0), Fraction(0), Fraction(0))
-    with pytest.raises(ValueError):
-        rho(build_algebra("p", 0, 2))
+    assert build_algebra("gl", 1, 1).rho_coords == (Fraction(-1, 2), Fraction(1, 2))
+    assert build_algebra("gl", 2, 0).rho_coords == (Fraction(1, 2), Fraction(-1, 2))
+    # no Harish-Chandra data for q and p
+    assert build_algebra("q", 0, 3).rho_coords is None
+    assert build_algebra("p", 0, 2).rho_coords is None
 
 
 def test_q_block_bijection():
     # H[i,j] = e_ij + e_{-i,-j} lands in the gl(n|n) block picture through
-    # the signed-to-block index map
+    # the signed-to-block index map e_{-i} <-> e_{n+i}
     q = build_algebra("q", 0, 2)
-    space = q.space
+    n = q.space.n
+    block_index = lambda i: i if i > 0 else n - i
     for (i, j), mat in zip(q.gen_pairs, q.embed):
         keys = {key for (key,) in mat.entries}
         assert keys == {(i, j), (-i, -j)}
-        blocks = {(space.block_index(a), space.block_index(b)) for a, b in keys}
-        bi, bj = space.block_index(i), space.block_index(j)
+        blocks = {(block_index(a), block_index(b)) for a, b in keys}
+        bi, bj = block_index(i), block_index(j)
         # the two entries sit at (bi, bj) and its opposite block
-        n = space.n
         opp = (bi + n if bi <= n else bi - n, bj + n if bj <= n else bj - n)
         assert blocks == {(bi, bj), opp}
 

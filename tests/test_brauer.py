@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from oracles import all_types, h_elements, pair_swaps
 
 from superinv.brauer import (
+    KeyLemmaWitness,
     all_matchings,
-    all_types,
     closure_type,
     coset_canonical,
     coset_reps,
@@ -15,22 +16,56 @@ from superinv.brauer import (
     double_coset_sizes,
     double_factorial,
     factor_H,
-    h_elements,
     intersection_order_formula,
     key_lemma_witness,
     overline_embed,
-    pair_swaps,
-    partition_A0_A1,
     perm_type,
-    stabilizer_is_H,
     type_count_formula,
     witness_holds,
 )
 from superinv.signs import Permutation, symmetric_group
 
 
+def stabilizer_is_H(k):
+    """Statement check: the stabilizer of the identity diagram is exactly H."""
+    d0 = diagram_from_perm(Permutation.identity(2 * k))
+    h_set = set(h_elements(k))
+    return all(
+        (diagram_from_perm(sigma) == d0) == (sigma in h_set)
+        for sigma in symmetric_group(2 * k)
+    )
+
+
+def partition_A0_A1(sigma):
+    """Split H intersect sigma H sigma^{-1} by the witness sign character."""
+    k = sigma.size // 2
+    inv = sigma.inverse()
+    a0, a1 = [], []
+    for a in h_elements(k):
+        fac = factor_H(inv * a * sigma)
+        if fac is None:
+            continue
+        tau, g = fac
+        tau1, g1 = factor_H(a)
+        chi = tau1.sign() * g.sign() * g1.sign()
+        (a1 if chi == -1 else a0).append(a)
+    return a0, a1
+
+
+def scan_witness(sigma):
+    """The first witness of an exhaustive scan over H, or None."""
+    inv = sigma.inverse()
+    for a in h_elements(sigma.size // 2):
+        fac = factor_H(inv * a * sigma)
+        if fac is not None:
+            w = KeyLemmaWitness(*fac, *factor_H(a))
+            if w.sign_product() == -1:
+                return w
+    return None
+
+
 def test_overline_embed():
-    assert overline_embed(Permutation.identity(2)).is_identity()
+    assert overline_embed(Permutation.identity(1)) == Permutation.identity(2)
     assert overline_embed(Permutation((2, 1))) == Permutation.from_cycles(
         [(1, 3), (2, 4)], 4
     )
@@ -50,9 +85,9 @@ def test_factor_H():
         Permutation.identity(2),
     )
     tau, g = factor_H(Permutation.from_cycles([(1, 2)], 4))
-    assert tau == Permutation.from_cycles([(1, 2)], 4) and g.is_identity()
+    assert tau == Permutation.from_cycles([(1, 2)], 4) and g == Permutation.identity(2)
     tau, g = factor_H(Permutation.from_cycles([(1, 3), (2, 4)], 4))
-    assert tau.is_identity() and g == Permutation((2, 1))
+    assert tau == Permutation.identity(4) and g == Permutation((2, 1))
     assert factor_H(Permutation.from_cycles([(2, 3)], 4)) is None
     # unique factorization over all of H
     for k in (1, 2, 3):
@@ -174,8 +209,8 @@ def test_identity_witness():
     sigma = Permutation.identity(2)
     w = key_lemma_witness(sigma)
     assert witness_holds(sigma, w)
-    assert w.tau == Permutation((2, 1)) and w.g.is_identity()
-    assert w.tau1 == Permutation((2, 1)) and w.g1.is_identity()
+    assert w.tau == Permutation((2, 1)) and w.g == Permutation.identity(1)
+    assert w.tau1 == Permutation((2, 1)) and w.g1 == Permutation.identity(1)
 
 
 def test_long_cycle_witness_family():
@@ -195,18 +230,27 @@ def test_long_cycle_witness_family():
 
 
 def test_key_lemma_exhaustive_small():
-    for k in (1, 2):
+    for k in (1, 2, 3):
         for sigma in symmetric_group(2 * k):
+            assert witness_holds(sigma, key_lemma_witness(sigma)), sigma
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_circle_reflection_witness_on_coset_reps(k):
+    for sigma in coset_reps(k):
+        assert witness_holds(sigma, key_lemma_witness(sigma)), sigma
+
+
+def test_exhaustive_scan_agrees_on_a_sample():
+    rng = random.Random(9)
+    for k in (2, 3):
+        for sigma in rng.sample(list(symmetric_group(2 * k)), 8):
+            scanned = scan_witness(sigma)
+            assert scanned is not None and witness_holds(sigma, scanned)
+            # the reflection lies in the scan's sign -1 half A1
             w = key_lemma_witness(sigma)
-            assert witness_holds(sigma, w)
-    # the fast path alone must succeed on all of S_4
-    for sigma in symmetric_group(4):
-        w = key_lemma_witness(sigma, use_fast_path=True)
-        assert witness_holds(sigma, w)
-    # and brute force agrees that witnesses exist
-    for sigma in random.Random(9).sample(list(symmetric_group(4)), 6):
-        w = key_lemma_witness(sigma, use_fast_path=False)
-        assert witness_holds(sigma, w)
+            _, a1 = partition_A0_A1(sigma)
+            assert w.tau1 * overline_embed(w.g1) in a1
 
 
 def test_partition_A0_A1_worked_example():
@@ -234,7 +278,7 @@ def test_partition_A0_A1_worked_example():
 def test_partition_A0_A1_identity_k1():
     a0, a1 = partition_A0_A1(Permutation.identity(2))
     assert len(a0) == 1 and len(a1) == 1
-    assert a0[0].is_identity() and a1[0] == Permutation((2, 1))
+    assert a0 == [Permutation.identity(2)] and a1[0] == Permutation((2, 1))
 
 
 def test_partition_sizes_random():
@@ -250,8 +294,3 @@ def test_matching_enumeration():
     for pairs in all_matchings(range(1, 5)):
         dots = sorted(d for p in pairs for d in p)
         assert dots == [1, 2, 3, 4]
-
-
-def test_diagram_json():
-    d = diagram_from_perm(Permutation.identity(4))
-    assert d.to_json() == {"k": 2, "pairs": [[1, 2], [3, 4]]}

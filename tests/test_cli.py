@@ -32,7 +32,7 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_permutation():
-    assert parse_permutation("()", 3).is_identity()
+    assert parse_permutation("()", 3) == Permutation.identity(3)
     assert parse_permutation("(1 2)", 3) == Permutation((2, 1, 3))
     assert parse_permutation("(2 3)(4 5)", 6) == Permutation.from_cycles(
         [(2, 3), (4, 5)], 6
@@ -129,6 +129,18 @@ def test_keylemma_command(capsys):
     code, out, _ = run_cli(capsys, "keylemma", "--k", "4", "--per-type")
     assert code == 0
     assert json.loads(out)["count"] == 5
+
+
+def test_keylemma_reports_a_failing_witness(capsys, monkeypatch):
+    # with no fallback, a reflection of sign product +1 is reported, not replaced
+    monkeypatch.setattr(
+        brauer, "_circle_reflection", lambda circle, k: Permutation.identity(2 * k)
+    )
+    code, out, _ = run_cli(capsys, "keylemma", "--k", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_sign_products_minus_one"] is False
+    assert all(w["verified"] is False for w in doc["witnesses"])
 
 
 def test_pn_trivial_command(capsys):
@@ -356,19 +368,19 @@ PAST_BOUNDS = [
         "sweep --family osp --m 3 --n 1 --k 4",
         "sweep --k 4 (hc --k 8) needs max(dim V, 2)^k <= 46656",
     ),
-    (
-        "sweep --family q --n 3 --k 5",
-        "sweep --k 5 (sergeev --k 9) needs max(dim V, 2)^k <= 279936",
-    ),
+    ("sweep --family q --n 3 --k 5", "sweep --k 5 (sergeev --k 9): --k must be in 1..7"),
+    ("sweep --family q --n 2 --k 5", "sweep --k 5 (sergeev --k 9): --k must be in 1..7"),
     ("sweep --family p --n 1 --k 5", "sweep --k 5 (pn-trivial --k 5): --k must be in 1..4"),
     (
         "sweep --family p --n 5 --k 4",
         "sweep --k 4 (pn-trivial --k 4) needs max(dim V, 2)^k <= 4096",
     ),
     ("sweep --family gl --m 17 --n 0 --k 1", "sweep needs dim V <= 16, got 17"),
-    ("sergeev --n 2 --k 0", "sergeev: --k must be >= 1"),
+    ("sergeev --n 2 --k 0", "sergeev: --k must be in 1..7"),
     ("sergeev --n 0 --k 1", "family q requires n >= 1"),
-    ("sergeev --n 3 --k 8", "sergeev needs max(dim V, 2)^k <= 279936, got 6^8"),
+    ("sergeev --n 3 --k 8", "sergeev: --k must be in 1..7"),
+    ("sergeev --n 2 --k 9", "sergeev: --k must be in 1..7"),
+    ("sergeev --n 4 --k 7", "sergeev needs max(dim V, 2)^k <= 279936, got 8^7"),
     ("sergeev --n 9 --k 1", "sergeev needs dim V <= 16, got 18"),
     ("molev --family gl --m 1 --n 1 --k 9", "molev: --k must be in 1..8"),
     ("molev --family gl --m 2 --n 2 --k 5", "molev needs max(dim V, 2)^k <= 256, got 4^5"),

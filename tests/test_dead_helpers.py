@@ -1,0 +1,66 @@
+"""Every module-level function of the package has a caller in the package.
+
+A function that only tests call belongs in the tests (``tests/oracles.py``
+holds the shared ones), and one that nothing calls is deleted.  A
+reference counts when its name appears, as a name or an attribute,
+anywhere in ``src/superinv`` outside the function's own ``def``.
+``__init__.py`` is not scanned: a re-export is not a use.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "superinv"
+
+# name -> why it stays without a caller
+ALLOWED = {
+    "is_Q_poly": "the q(n) Harish-Chandra verdict in hc will call it (ROADMAP item 8)",
+    "psi_eta_pi": "the S(g) -> U(g) verdict of span will call it (ROADMAP items 5 and 7)",
+    "omega_k": "the T(g)/S(g) verdicts of span will call it (ROADMAP items 5 and 7)",
+    "is_invariant": "the T(g)^g, S(g)^g verdicts of span will call it (ROADMAP items 5 and 7)",
+}
+
+
+def _modules():
+    return {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _referenced_names(trees):
+    """(name, enclosing top-level statement) for every name and attribute read."""
+    refs = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((node.attr, owner))
+    return refs
+
+
+def test_every_module_level_function_has_a_caller():
+    trees = _modules()
+    refs = _referenced_names(trees)
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.FunctionDef) or stmt.name in ALLOWED:
+                continue
+            if not any(name == stmt.name and owner != stmt.name for name, owner in refs):
+                unused.append("%s:%d %s" % (module, stmt.lineno, stmt.name))
+    assert not unused, "functions no package code calls: %s" % ", ".join(unused)
+
+
+def test_allowlist_names_only_existing_functions():
+    defined = {
+        stmt.name
+        for tree in _modules().values()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    assert set(ALLOWED) <= defined

@@ -37,6 +37,18 @@ IX = GL11.gen_index
 E21, E11, E22, E12 = (IX[k] for k in ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
 
 
+def cartan_vars(names):
+    """Each variable of the Cartan polynomial ring on names, as a polynomial."""
+    n = len(names)
+    return [
+        CartanPolynomial(names, {tuple(int(i == v) for i in range(n)): ONE}) for v in range(n)
+    ]
+
+
+def cartan_const(names, coeff):
+    return CartanPolynomial(names, {(0,) * len(names): coeff})
+
+
 def test_pbw_examples():
     u = pbw_normalize(GL11, (E12, E21))
     expected = PBWElement(
@@ -48,15 +60,42 @@ def test_pbw_examples():
     assert pbw_normalize(GL11, ordered) == PBWElement(GL11, {ordered: ONE})
 
 
+def one_rewrite(alg, word, i):
+    """The terms that one rewrite of the pair at positions i, i+1 gives:
+    x y -> (-1)^{|x||y|} y x + [x, y], or x x -> (1/2)[x, x] for odd x."""
+    a, b = word[i], word[i + 1]
+    head, tail = word[:i], word[i + 2 :]
+    half = HALF if a == b else ONE
+    terms = [(head + (g,) + tail, c * half) for g, c in alg.bracket_table[(a, b)].items()]
+    if a != b:
+        sign = MINUS_ONE if alg.parity[a] and alg.parity[b] else ONE
+        terms.append((head + (b, a) + tail, sign))
+    return terms
+
+
 def test_pbw_confluence():
+    # the normal form of a word equals the normal form of what one rewrite
+    # gives, at each position where a rewrite applies, not only the leftmost
     rng = random.Random(101)
-    for family, m, n in [("gl", 1, 1), ("osp", 1, 1), ("q", 0, 2), ("p", 0, 2)]:
+    for family, m, n in [("gl", 1, 1), ("gl", 2, 1), ("osp", 1, 1), ("q", 0, 2), ("p", 0, 2)]:
         alg = build_algebra(family, m, n)
-        for _ in range(25):
-            word = tuple(rng.randrange(alg.dim) for _ in range(rng.choice((2, 3, 4))))
-            left = pbw_normalize(alg, word, strategy="leftmost")
-            right = pbw_normalize(alg, word, strategy="rightmost")
-            assert left == right, (family, word)
+        par = alg.parity
+        rewrites = 0
+        for _ in range(40):
+            word = tuple(rng.randrange(alg.dim) for _ in range(rng.choice((2, 3, 4, 5))))
+            nf = pbw_normalize(alg, word)
+            for i in range(len(word) - 1):
+                a, b = word[i], word[i + 1]
+                if a < b or (a == b and not par[a]):
+                    continue
+                step = PBWElement(alg)
+                for w, c in one_rewrite(alg, word, i):
+                    step = step + pbw_normalize(alg, w, c)
+                assert nf == step, (family, word, i)
+                rewrites += 1
+            if all(a < b or (a == b and not par[a]) for a, b in zip(word, word[1:])):
+                assert nf == PBWElement(alg, {word: ONE})
+        assert rewrites > 40, family
 
 
 def test_u_multiply():
@@ -104,7 +143,7 @@ def test_psi_intertwines_adjoint():
             continue
         lhs = psi_map(adjoint_act(a, s))
         u = psi_map(s)
-        x = PBWElement.from_lie(a)
+        x = PBWElement(GL11, {(g,): c for g, c in a.terms.items()})
         rhs = supercommutator(x, u)
         assert lhs == rhs
 
@@ -151,14 +190,13 @@ def test_zeta_examples():
 
 
 def test_rho_shift_examples():
-    h1 = CartanPolynomial.variable(GL11.var_names, 0)
-    hp1 = CartanPolynomial.variable(GL11.var_names, 1)
+    h1, hp1 = cartan_vars(GL11.var_names)
     shifted = rho_shift(h1, GL11)
-    assert shifted == h1 + CartanPolynomial.constant(GL11.var_names, HALF)
-    assert rho_shift(hp1, GL11) == hp1 + CartanPolynomial.constant(
+    assert shifted == h1 + cartan_const(GL11.var_names, HALF)
+    assert rho_shift(hp1, GL11) == hp1 + cartan_const(
         GL11.var_names, Scalar(Fraction(-1, 2))
     )
-    const = CartanPolynomial.constant(GL11.var_names, Scalar(42))
+    const = cartan_const(GL11.var_names, Scalar(42))
     assert rho_shift(const, GL11) == const
     # shifts cancel on h1 + h'1
     assert rho_shift(h1 + hp1, GL11) == h1 + hp1
@@ -175,12 +213,11 @@ def test_hc_is_algebra_map_on_center():
 
 def test_supersymmetric_predicate():
     names = ("h1", "h'1")
-    h = CartanPolynomial.variable(names, 0)
-    hp = CartanPolynomial.variable(names, 1)
+    h, hp = cartan_vars(names)
     assert is_supersymmetric(h + hp, 1, 1)
     assert not is_supersymmetric(h * h + hp * hp, 1, 1)
     assert is_supersymmetric(h * h - hp * hp, 1, 1)
-    assert is_supersymmetric(CartanPolynomial.constant(names, Scalar(5)), 1, 1)
+    assert is_supersymmetric(cartan_const(names, Scalar(5)), 1, 1)
     # power sums with the alternating sign pass for every degree
     names2 = ("h1", "h2", "h'1")
     for r in (1, 2, 3, 4):
@@ -198,18 +235,16 @@ def test_supersymmetric_predicate():
 
 def test_J_predicate():
     names = ("h1", "h'1")
-    h = CartanPolynomial.variable(names, 0)
-    hp = CartanPolynomial.variable(names, 1)
+    h, hp = cartan_vars(names)
     assert not is_J_poly(h * h + hp * hp, 1, 1)
     assert is_J_poly(h * h - hp * hp, 1, 1)
     assert not is_J_poly(h + hp, 1, 1)  # odd exponents
-    assert is_J_poly(CartanPolynomial.constant(names, ONE), 1, 1)
+    assert is_J_poly(cartan_const(names, ONE), 1, 1)
 
 
 def test_Q_predicate():
     names = ("h1", "h2")
-    x1 = CartanPolynomial.variable(names, 0)
-    x2 = CartanPolynomial.variable(names, 1)
+    x1, x2 = cartan_vars(names)
     cube = x1 * x1 * x1 + x2 * x2 * x2
     assert is_Q_poly(cube, 2)
     assert is_Q_poly(x1 + x2, 2)
