@@ -24,7 +24,7 @@ from .enveloping import (
     u_multiply,
     zeta_project,
 )
-from .scalars import Rational, Scalar
+from .scalars import Scalar
 from .signs import Permutation, symmetric_group
 from .spaces import SuperSpace
 from .tensoralg import (

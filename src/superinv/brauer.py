@@ -156,7 +156,7 @@ def count_by_type(k: int) -> dict:
     counts = {}
     total = 0
     for pairs in all_matchings(range(1, 2 * k + 1)):
-        t = closure_type(BrauerDiagram(k, tuple(sorted(pairs)))).type_vector
+        t = closure_type(BrauerDiagram(k, pairs)).type_vector
         counts[t] = counts.get(t, 0) + 1
         total += 1
     return {"counts": counts, "total": total}
@@ -164,16 +164,8 @@ def count_by_type(k: int) -> dict:
 
 def coset_reps(k: int) -> list:
     """Lexicographically least sigma per diagram; (2k-1)!! of them."""
-    reps = []
-    for pairs in all_matchings(range(1, 2 * k + 1)):
-        remaining = sorted(pairs)  # already sorted by first element
-        img = []
-        for a, b in remaining:
-            img.append(a)
-            img.append(b)
-        reps.append(Permutation(img))
-    reps.sort()
-    return reps
+    matchings = all_matchings(range(1, 2 * k + 1))
+    return sorted(Permutation([x for pair in pairs for x in pair]) for pairs in matchings)
 
 
 def coset_canonical(sigma: Permutation) -> Permutation:

@@ -154,10 +154,6 @@ class CartanPolynomial(Sparse):
         self.names = tuple(names)
         Sparse.__init__(self, terms)
 
-    @property
-    def nvars(self):
-        return len(self.names)
-
     def __mul__(self, other):
         self._check(other)
         out = {}
@@ -165,44 +161,6 @@ class CartanPolynomial(Sparse):
             for eb, cb in other.terms.items():
                 add_into(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return CartanPolynomial(self.names, out)
-
-    def swap_vars(self, i, j):
-        out = {}
-        for exp, coeff in self.terms.items():
-            e = list(exp)
-            e[i], e[j] = e[j], e[i]
-            out[tuple(e)] = coeff
-        return CartanPolynomial(self.names, out)
-
-    def substitute_shift(self, v, shift) -> "CartanPolynomial":
-        """Replace variable v by (variable v + shift)."""
-        shift = promote(shift)
-        if not shift:
-            return self
-        out = CartanPolynomial(self.names)
-        for exp, coeff in self.terms.items():
-            e = exp[v]
-            base = list(exp)
-            for t in range(e + 1):
-                base[v] = t
-                c = coeff * Scalar(math.comb(e, t)) * _power(shift, e - t)
-                out = out + CartanPolynomial(self.names, {tuple(base): c})
-        return out
-
-    def collapse_pair(self, i, j, sign_j=1):
-        """Set var i = t, var j = (sign_j)*t; group the rest by t-degree.
-
-        Returns a dict (reduced exponent tuple, t degree) -> Scalar where
-        the reduced tuple omits positions i and j.
-        """
-        out = {}
-        for exp, coeff in self.terms.items():
-            t_deg = exp[i] + exp[j]
-            if sign_j < 0 and exp[j] % 2:
-                coeff = -coeff
-            reduced = tuple(e for pos, e in enumerate(exp) if pos not in (i, j))
-            add_into(out, (reduced, t_deg), coeff)
-        return out
 
     def __repr__(self):
         return self.render()
@@ -230,13 +188,6 @@ class CartanPolynomial(Sparse):
         return {"vars": list(self.names), "terms": out}
 
 
-def _power(s: Scalar, e: int) -> Scalar:
-    out = ONE
-    for _ in range(e):
-        out = out * s
-    return out
-
-
 def zeta_project(u: PBWElement) -> CartanPolynomial:
     """Keep the pure-Cartan monomials; kills n- U(g) + U(g) n+."""
     alg = u.algebra
@@ -244,15 +195,15 @@ def zeta_project(u: PBWElement) -> CartanPolynomial:
         raise ValueError("Cartan projection is supported for gl and osp only")
     var_of = {g: v for v, g in enumerate(alg.cartan_vars)}
     names = alg.var_names
-    out = CartanPolynomial(names)
+    out = {}
     for word, coeff in u.terms.items():
         if any(alg.tri_class[g] != "C" for g in word):
             continue
         exp = [0] * len(names)
         for g in word:
             exp[var_of[g]] += 1
-        out = out + CartanPolynomial(names, {tuple(exp): coeff})
-    return out
+        add_into(out, tuple(exp), coeff)
+    return CartanPolynomial(names, out)
 
 
 def rho_shift(p: CartanPolynomial, alg: Algebra) -> CartanPolynomial:
@@ -261,21 +212,46 @@ def rho_shift(p: CartanPolynomial, alg: Algebra) -> CartanPolynomial:
         raise ValueError("rho shift is supported for gl and osp only")
     if p.names != alg.var_names:
         raise ValueError("variable mismatch")
-    out = p
+    terms = p.terms
     for v, r in enumerate(alg.rho_coords):
-        out = out.substitute_shift(v, Scalar(-r))
-    return out
+        if not r:
+            continue
+        shift = Scalar(-r)
+        out = {}
+        for exp, coeff in terms.items():
+            # (h + shift)^e = sum_t C(e, t) shift^(e - t) h^t, from t = e down
+            e, power = exp[v], coeff
+            for t in range(e, -1, -1):
+                add_into(out, exp[:v] + (t,) + exp[v + 1 :], power * Scalar(math.comb(e, t)))
+                power = power * shift
+        terms = out
+    return CartanPolynomial(p.names, terms)
 
 
 def harish_chandra_image(u: PBWElement) -> CartanPolynomial:
     return rho_shift(zeta_project(u), u.algebra)
 
 
-def _symmetric_in_block(p: CartanPolynomial, start, size) -> bool:
-    for i in range(start, start + size - 1):
-        if p.swap_vars(i, i + 1) != p:
-            return False
-    return True
+def _stable_polynomial(terms, blocks, pair, sign) -> bool:
+    """The membership test shared by the Harish-Chandra predicates.
+
+    True iff the polynomial (exponent tuple -> coefficient) is symmetric in
+    the variables of each (start, size) block and, for the pair (i, j) with
+    i < j (None: no pair), substituting x_i = t, x_j = sign*t leaves no t.
+    """
+    for start, size in blocks:
+        for v in range(start, start + size - 1):
+            for exp, coeff in terms.items():
+                if terms.get(exp[:v] + (exp[v + 1], exp[v]) + exp[v + 2 :]) != coeff:
+                    return False
+    if pair is None:
+        return True
+    i, j = pair
+    grouped = {}
+    for exp, coeff in terms.items():
+        rest = exp[:i] + exp[i + 1 : j] + exp[j + 1 :]
+        add_into(grouped, (rest, exp[i] + exp[j]), -coeff if sign < 0 and exp[j] % 2 else coeff)
+    return all(t == 0 for _, t in grouped)
 
 
 def is_supersymmetric(p: CartanPolynomial, m: int, n: int) -> bool:
@@ -285,14 +261,10 @@ def is_supersymmetric(p: CartanPolynomial, m: int, n: int) -> bool:
     that is the convention under which the power sums
     sum h_i^r + (-1)^(r-1) sum h'_j^r pass for every r.
     """
-    if m + n != p.nvars:
+    if m + n != len(p.names):
         raise ValueError("block sizes do not cover the variables")
-    if not _symmetric_in_block(p, 0, m) or not _symmetric_in_block(p, m, n):
-        return False
-    if m == 0 or n == 0:
-        return True
-    grouped = p.collapse_pair(m - 1, m + n - 1, sign_j=-1)
-    return all(t == 0 for (_, t), c in grouped.items() if c)
+    pair = (m - 1, m + n - 1) if m and n else None
+    return _stable_polynomial(p.terms, ((0, m), (m, n)), pair, -1)
 
 
 def is_J_poly(p: CartanPolynomial, m: int, n: int) -> bool:
@@ -303,27 +275,15 @@ def is_J_poly(p: CartanPolynomial, m: int, n: int) -> bool:
     substitution square to the same value.  Under this test the images of
     the even-degree traces (top degree 2 sum h^2k - 2 sum h'^2k) pass.
     """
-    for exp in p.terms:
-        if any(e % 2 for e in exp):
-            return False
-    halved = CartanPolynomial(
-        p.names, {tuple(e // 2 for e in exp): c for exp, c in p.terms.items()}
-    )
-    if not _symmetric_in_block(halved, 0, m) or not _symmetric_in_block(halved, m, n):
+    if any(e % 2 for exp in p.terms for e in exp):
         return False
-    if m == 0 or n == 0:
-        return True
-    grouped = halved.collapse_pair(m - 1, m + n - 1, sign_j=1)
-    return all(t == 0 for (_, t), c in grouped.items() if c)
+    halved = {tuple(e // 2 for e in exp): c for exp, c in p.terms.items()}
+    pair = (m - 1, m + n - 1) if m and n else None
+    return _stable_polynomial(halved, ((0, m), (m, n)), pair, 1)
 
 
 def is_Q_poly(p: CartanPolynomial, n: int) -> bool:
     """Symmetric, and stable under x_i = -x_j = t for one (hence any) pair."""
-    if n != p.nvars:
+    if n != len(p.names):
         raise ValueError("variable count mismatch")
-    if not _symmetric_in_block(p, 0, n):
-        return False
-    if n < 2:
-        return True
-    grouped = p.collapse_pair(n - 2, n - 1, sign_j=-1)
-    return all(t == 0 for (_, t), c in grouped.items() if c)
+    return _stable_polynomial(p.terms, ((0, n),), (n - 2, n - 1) if n >= 2 else None, -1)

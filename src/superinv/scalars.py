@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
 _NUMBERS = (int, Fraction)
 _new = object.__new__
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .algebras import Algebra, LieElement
-from .scalars import ONE, Scalar, promote
+from .scalars import Scalar
 from .signs import gamma_exponent, symmetric_group
 from .sparse import Sparse, add_into
 from .tensors import Tensor
@@ -85,17 +85,8 @@ class SymElement(_WordMap):
     """Element of S(g); stored monomials are sorted with signs absorbed."""
 
     def __mul__(self, other):
-        self._check(other)
-        out = {}
-        par = self.algebra.parity
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                res = _sym_sort(wa + wb, par)
-                if res is None:
-                    continue
-                word, exp = res
-                add_into(out, word, ca * cb if not exp else -(ca * cb))
-        return SymElement(self.algebra, out)
+        # S(g) is a quotient of T(g): eta of the product of the stored words
+        return eta(TensorAlgebraElement.__mul__(self, other))
 
 
 def _sym_sort(word, par):
@@ -117,15 +108,6 @@ def _sym_sort(word, par):
         if w[i - 1] == w[i] and par[w[i]]:
             return None
     return tuple(w), exp
-
-
-def sym_monomial(alg: Algebra, word, coeff=ONE) -> SymElement:
-    res = _sym_sort(tuple(word), alg.parity)
-    if res is None:
-        return SymElement(alg)
-    w, exp = res
-    coeff = promote(coeff)
-    return SymElement(alg, {w: coeff if not exp else -coeff})
 
 
 def eta(t: TensorAlgebraElement) -> SymElement:
@@ -175,10 +157,9 @@ def adjoint_act(x: LieElement, t):
         raise ValueError("algebra mismatch")
     par = alg.parity
     table = alg.bracket_table
-    out = type(t)(alg)
+    terms = {}
     for g, cg in x.terms.items():
         pg = par[g]
-        terms = {}
         for word, coeff in t.terms.items():
             prefix_parity = 0
             for i, xi in enumerate(word):
@@ -191,14 +172,9 @@ def adjoint_act(x: LieElement, t):
                         v = -v
                     add_into(terms, new_word, v)
                 prefix_parity ^= par[xi]
-        if isinstance(t, SymElement):
-            piece = SymElement(alg)
-            for word, coeff in terms.items():
-                piece = piece + sym_monomial(alg, word, coeff)
-            out = out + piece
-        else:
-            out = out + TensorAlgebraElement(alg, terms)
-    return out
+    out = TensorAlgebraElement(alg, terms)
+    # on S(g) the derivation of T(g) passes to the quotient
+    return eta(out) if isinstance(t, SymElement) else out
 
 
 def is_invariant(t) -> bool:

@@ -189,24 +189,18 @@ def full_supertrace(a: Tensor):
     return t.coefficient(())
 
 
-def permute_word(sigma: Permutation, w):
-    """The signed place-permutation action of sigma on a (Vector)Tensor."""
+def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
+    """The signed place-permutation action of sigma on a VectorTensor."""
     if sigma.size != w.k:
         raise ValueError("degree mismatch")
     inv = sigma.inverse()
+    parities = w.space._parity
     out = {}
-    if isinstance(w, VectorTensor):
-        parities = w.space._parity
-        slot_parity = lambda slot: parities[slot]
-    else:
-        parities = w.space._parity
-        slot_parity = lambda slot: (parities[slot[0]] + parities[slot[1]]) & 1
     for key, coeff in w.terms.items():
-        word_par = tuple(slot_parity(slot) for slot in key)
-        exp = gamma_exponent(word_par, inv)
+        exp = gamma_exponent(tuple(parities[i] for i in key), inv)
         new_key = tuple(key[inv(t) - 1] for t in range(1, w.k + 1))
         add_into(out, new_key, coeff if not exp else -coeff)
-    return type(w)(w.space, w.k, out)
+    return VectorTensor(w.space, w.k, out)
 
 
 def slot_embed(x: Tensor, slot: int, k: int) -> Tensor:

@@ -2,15 +2,19 @@
 
 None of these is on a path the CLI runs: each is an independent statement
 of a convention (the module action, the supertranspose, the flips of
-V x V, the Lie bracket, the group H) that tests compare the package's own
-kernels against.
+V x V, the Lie bracket, the group H, the Harish-Chandra predicates and the
+rho shift) that tests compare the package's own kernels against.
 """
+
+import math
 
 from superinv.algebras import LieElement
 from superinv.brauer import overline_embed
-from superinv.scalars import ONE, Scalar
+from superinv.enveloping import CartanPolynomial
+from superinv.scalars import ONE, Scalar, promote
 from superinv.signs import Permutation, symmetric_group
 from superinv.sparse import add_into
+from superinv.tensoralg import SymElement, _sym_sort
 from superinv.tensors import Tensor
 
 
@@ -122,3 +126,83 @@ def all_types(k):
 
     rec(k, k, [])
     return sorted(out)
+
+
+def sym_monomial(alg, word, coeff=ONE):
+    """The monomial of S(g) on word: sorted, signed, zero on an odd square."""
+    res = _sym_sort(tuple(word), alg.parity)
+    if res is None:
+        return SymElement(alg)
+    w, exp = res
+    coeff = promote(coeff)
+    return SymElement(alg, {w: coeff if not exp else -coeff})
+
+
+# -- the Harish-Chandra predicates and the rho shift, one step at a time ----
+
+
+def _swap_vars(p, i, j):
+    out = {}
+    for exp, coeff in p.terms.items():
+        e = list(exp)
+        e[i], e[j] = e[j], e[i]
+        out[tuple(e)] = coeff
+    return CartanPolynomial(p.names, out)
+
+
+def _symmetric_in_block(p, start, size):
+    return all(_swap_vars(p, i, i + 1) == p for i in range(start, start + size - 1))
+
+
+def _pair_cancels(p, i, j, sign_j):
+    """Setting var i = t, var j = sign_j*t leaves no power of t."""
+    out = {}
+    for exp, coeff in p.terms.items():
+        if sign_j < 0 and exp[j] % 2:
+            coeff = -coeff
+        reduced = tuple(e for pos, e in enumerate(exp) if pos not in (i, j))
+        add_into(out, (reduced, exp[i] + exp[j]), coeff)
+    return all(t == 0 for (_, t), c in out.items() if c)
+
+
+def is_supersymmetric_reference(p, m, n):
+    if m + n != len(p.names):
+        raise ValueError("block sizes do not cover the variables")
+    if not _symmetric_in_block(p, 0, m) or not _symmetric_in_block(p, m, n):
+        return False
+    return m == 0 or n == 0 or _pair_cancels(p, m - 1, m + n - 1, -1)
+
+
+def is_J_poly_reference(p, m, n):
+    if any(e % 2 for exp in p.terms for e in exp):
+        return False
+    halved = CartanPolynomial(
+        p.names, {tuple(e // 2 for e in exp): c for exp, c in p.terms.items()}
+    )
+    if not _symmetric_in_block(halved, 0, m) or not _symmetric_in_block(halved, m, n):
+        return False
+    return m == 0 or n == 0 or _pair_cancels(halved, m - 1, m + n - 1, 1)
+
+
+def is_Q_poly_reference(p, n):
+    if n != len(p.names):
+        raise ValueError("variable count mismatch")
+    if not _symmetric_in_block(p, 0, n):
+        return False
+    return n < 2 or _pair_cancels(p, n - 2, n - 1, -1)
+
+
+def rho_shift_reference(p, alg):
+    """h -> h - rho(h), one variable at a time, one term at a time."""
+    if p.names != alg.var_names:
+        raise ValueError("variable mismatch")
+    for v, r in enumerate(alg.rho_coords):
+        shifted = CartanPolynomial(p.names)
+        for exp, coeff in p.terms.items():
+            base = list(exp)
+            for t in range(exp[v] + 1):
+                base[v] = t
+                c = coeff * Scalar(math.comb(exp[v], t) * (-r) ** (exp[v] - t))
+                shifted = shifted + CartanPolynomial(p.names, {tuple(base): c})
+        p = shifted
+    return p

@@ -126,9 +126,11 @@ def test_keylemma_command(capsys):
     assert doc["count"] == 24
     assert doc["all_sign_products_minus_one"] is True
     assert all(w["sign_product"] == -1 for w in doc["witnesses"])
-    code, out, _ = run_cli(capsys, "keylemma", "--k", "4", "--per-type")
-    assert code == 0
-    assert json.loads(out)["count"] == 5
+    # one witness per cycle type: the partitions of k
+    for k, types in (("4", 5), ("5", 7)):
+        code, out, _ = run_cli(capsys, "keylemma", "--k", k, "--per-type")
+        assert code == 0
+        assert json.loads(out)["count"] == types
 
 
 def test_keylemma_reports_a_failing_witness(capsys, monkeypatch):
@@ -349,7 +351,7 @@ PAST_BOUNDS = [
     ("hc --family p --n 2 --k 1", "hc supports --family gl|osp, not p"),
     ("keylemma --k 0", "keylemma: --k must be in 1..3"),
     ("keylemma --k 4", "keylemma: --k must be in 1..3"),
-    ("keylemma --k 5 --per-type", "keylemma --per-type: --k must be in 1..4"),
+    ("keylemma --k 8 --per-type", "keylemma --per-type: --k must be in 1..7"),
     ("brauer --k 0", "brauer: --k must be in 1..8"),
     ("brauer --k 9", "brauer: --k must be in 1..8"),
     ("pn-trivial --n 2 --k 5", "pn-trivial: --k must be in 1..4"),

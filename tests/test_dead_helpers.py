@@ -43,6 +43,10 @@ def _referenced_names(trees):
     return refs
 
 
+def _has_caller(name, refs):
+    return any(ref == name and owner != name for ref, owner in refs)
+
+
 def test_every_module_level_function_has_a_caller():
     trees = _modules()
     refs = _referenced_names(trees)
@@ -51,9 +55,17 @@ def test_every_module_level_function_has_a_caller():
         for stmt in tree.body:
             if not isinstance(stmt, ast.FunctionDef) or stmt.name in ALLOWED:
                 continue
-            if not any(name == stmt.name and owner != stmt.name for name, owner in refs):
+            if not _has_caller(stmt.name, refs):
                 unused.append("%s:%d %s" % (module, stmt.lineno, stmt.name))
     assert not unused, "functions no package code calls: %s" % ", ".join(unused)
+
+
+def test_allowlisted_functions_still_have_no_caller():
+    # an entry goes once package code calls its function, so no entry
+    # outlives its reason
+    refs = _referenced_names(_modules())
+    called = sorted(name for name in ALLOWED if _has_caller(name, refs))
+    assert not called, "allowlisted but called in the package: %s" % ", ".join(called)
 
 
 def test_allowlist_names_only_existing_functions():

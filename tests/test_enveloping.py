@@ -3,6 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    is_J_poly_reference,
+    is_Q_poly_reference,
+    is_supersymmetric_reference,
+    rho_shift_reference,
+    sym_monomial,
+)
 
 from superinv.algebras import build_algebra
 from superinv.enveloping import (
@@ -24,13 +33,7 @@ from superinv.enveloping import (
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import str_gelfand, theta_glq, z_sigma
 from superinv.signs import symmetric_group
-from superinv.tensoralg import (
-    TensorAlgebraElement,
-    adjoint_act,
-    eta,
-    project_tensor,
-    sym_monomial,
-)
+from superinv.tensoralg import TensorAlgebraElement, adjoint_act, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
 IX = GL11.gen_index
@@ -250,6 +253,99 @@ def test_Q_predicate():
     assert is_Q_poly(x1 + x2, 2)
     assert not is_Q_poly(x1 * x1 + x2 * x2, 2)
     assert not is_Q_poly(x1, 2)  # not symmetric
+
+
+def _by_variable_count(specs):
+    out = {}
+    for spec in specs:
+        alg = build_algebra(*spec)
+        out.setdefault(len(alg.var_names), []).append(alg)
+    return out
+
+
+# algebras whose rho shift the random polynomials go through, by variable count
+RHO_ALGEBRAS = _by_variable_count([
+    ("gl", 1, 0), ("gl", 0, 1), ("osp", 3, 0), ("osp", 1, 1),
+    ("gl", 1, 1), ("osp", 2, 1), ("osp", 3, 1), ("osp", 1, 2),
+    ("gl", 2, 1), ("gl", 1, 2), ("gl", 3, 0), ("osp", 5, 1),
+    ("gl", 2, 2), ("gl", 3, 1), ("gl", 1, 3),
+])
+# (m, n) with 1 <= m + n <= 4, the splits with both blocks first: sampling
+# favours the head of the list
+BLOCK_SPLITS = sorted(
+    ((m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4), key=lambda s: 0 in s
+)
+POLY_COEFFS = [Scalar(c) for c in (1, -1, 2, -3)] + [HALF, Scalar(1, 1)]
+
+
+def power_sum(names, m, kind, r):
+    """The degree-r power sum of kind: the generators of the super, J and Q
+    rings, and for "sym" the plain power sum, symmetric but in none of them."""
+    terms = {}
+    for v in range(len(names)):
+        e = [0] * len(names)
+        e[v] = 2 * r if kind == "J" else r
+        if kind == "J":
+            coeff = ONE if v < m else MINUS_ONE
+        elif kind == "super":
+            coeff = ONE if v < m or r % 2 else MINUS_ONE
+        else:
+            coeff = ONE
+        terms[tuple(e)] = coeff
+    return CartanPolynomial(names, terms)
+
+
+@st.composite
+def cartan_cases(draw):
+    """(names, m, n, kind, a product of kind's power sums, a sparse random polynomial)."""
+    m, n = draw(st.sampled_from(BLOCK_SPLITS))
+    nvars = m + n
+    names = tuple("x%d" % v for v in range(nvars))
+    kind = draw(st.sampled_from(("super", "J", "Q", "sym")))
+    member = cartan_const(names, draw(st.sampled_from(POLY_COEFFS)))
+    for r in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)):
+        if kind == "Q":
+            r = 2 * r - 1  # the odd power sums generate the Q-polynomials
+        elif kind == "sym":
+            r = 2 * r  # even: outside all three rings once both blocks are there
+        member = member * power_sum(names, m, kind, r)
+    exponent = st.tuples(*[st.integers(0, 4)] * nvars)
+    noise = CartanPolynomial(
+        names, draw(st.lists(st.tuples(exponent, st.sampled_from(POLY_COEFFS)), max_size=5))
+    )
+    return names, m, n, kind, member, noise
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cartan_cases(), st.data())
+def test_hc_predicates_and_rho_shift_match_references(case, data):
+    names, m, n, kind, member, noise = case
+    ring_of = {
+        "super": lambda p: is_supersymmetric_reference(p, m, n),
+        "J": lambda p: is_J_poly_reference(p, m, n),
+        "Q": lambda p: is_Q_poly_reference(p, m + n),
+    }
+    assert kind == "sym" or ring_of[kind](member)
+    for p in (member, noise, member + noise):
+        assert is_supersymmetric(p, m, n) == is_supersymmetric_reference(p, m, n)
+        assert is_J_poly(p, m, n) == is_J_poly_reference(p, m, n)
+        assert is_Q_poly(p, m + n) == is_Q_poly_reference(p, m + n)
+        alg = data.draw(st.sampled_from(RHO_ALGEBRAS[len(names)]))
+        q = CartanPolynomial(alg.var_names, p.terms)
+        assert rho_shift(q, alg) == rho_shift_reference(q, alg)
+
+
+@pytest.mark.parametrize("family,m,n", [("gl", 1, 1), ("gl", 2, 1), ("osp", 3, 1)])
+def test_hc_image_matches_reference(family, m, n):
+    alg = build_algebra(family, m, n)
+    for k in (1, 2, 3):
+        u = str_gelfand(alg, k)
+        image = harish_chandra_image(u)
+        assert image == rho_shift_reference(zeta_project(u), alg)
+        if family == "gl":
+            assert is_supersymmetric(image, m, n) is is_supersymmetric_reference(image, m, n)
+        else:
+            assert is_J_poly(image, m // 2, n) is is_J_poly_reference(image, m // 2, n)
 
 
 def test_pbw_json_graded_lex():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import bracket
+from oracles import bracket, sym_monomial
 
 from superinv import tensoralg
 from superinv.algebras import build_algebra
@@ -17,7 +17,6 @@ from superinv.tensoralg import (
     is_invariant,
     omega_k,
     project_tensor,
-    sym_monomial,
 )
 
 GL11 = build_algebra("gl", 1, 1)
