@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import ONE, Scalar, sign_scalar
-from .sparse import Sparse
+from .sparse import Sparse, add_terms
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
 
@@ -46,9 +46,9 @@ class LieElement(Sparse):
 
     def matrix(self) -> Tensor:
         """The realization iota(x) in End(V)."""
-        out = Tensor(self.algebra.space, 1, {})
+        out = Tensor(self.algebra.space, 1)
         for idx, c in self.terms.items():
-            out = out + self.algebra.embed[idx].scale(c)
+            add_terms(out.terms, self.algebra.embed[idx].scale(c).terms)
         return out
 
     def __repr__(self):
@@ -243,7 +243,7 @@ def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
     if k < 1:
         raise ValueError("k must be >= 1")
     mat = x.matrix()
-    out = slot_embed(mat, 1, k)
-    for slot in range(2, k + 1):
-        out = out + slot_embed(mat, slot, k)
+    out = Tensor(mat.space, k)
+    for slot in range(1, k + 1):
+        add_terms(out.terms, slot_embed(mat, slot, k).terms)
     return out

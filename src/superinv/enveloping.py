@@ -22,7 +22,7 @@ import math
 
 from .algebras import Algebra
 from .scalars import HALF, ONE, Scalar, promote
-from .sparse import Sparse, add_into
+from .sparse import Sparse, add_into, add_terms
 from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
 
 
@@ -56,12 +56,6 @@ class PBWElement(_WordMap):
     def is_scalar(self):
         return all(not w for w in self.terms)
 
-    def parity_components(self):
-        even, odd = {}, {}
-        for word, coeff in self.terms.items():
-            (even if self.word_parity(word) == 0 else odd)[word] = coeff
-        return PBWElement(self.algebra, even), PBWElement(self.algebra, odd)
-
 
 def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
     """Rewrite an arbitrary generator word into PBW normal form, leftmost pair first."""
@@ -94,11 +88,11 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
 def u_multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     a._check(b)
     alg = a.algebra
-    out = PBWElement(alg)
+    out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            out = out + pbw_normalize(alg, wa + wb, ca * cb)
-    return out
+            add_terms(out, pbw_normalize(alg, wa + wb, ca * cb).terms)
+    return a._like(out)
 
 
 def eta_prime(t: TensorAlgebraElement) -> PBWElement:
@@ -116,19 +110,18 @@ def psi_map(s: SymElement) -> PBWElement:
 
 
 def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    """[a, b] = ab - (-1)^{|a||b|} ba, per homogeneous component of both."""
-    result = PBWElement(a.algebra)
-    for pa, ca in enumerate(a.parity_components()):
-        for pb, cb in enumerate(b.parity_components()):
-            if ca.is_zero() or cb.is_zero():
-                continue
-            term = u_multiply(ca, cb)
-            swap = u_multiply(cb, ca)
-            if pa and pb:
-                result = result + term + swap
-            else:
-                result = result + term - swap
-    return result
+    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over the terms of a and b."""
+    a._check(b)
+    alg = a.algebra
+    right = [(wb, cb, b.word_parity(wb)) for wb, cb in b.terms.items()]
+    out = {}
+    for wa, ca in a.terms.items():
+        odd = a.word_parity(wa)
+        for wb, cb, odd_b in right:
+            c = ca * cb
+            add_terms(out, pbw_normalize(alg, wa + wb, c).terms)
+            add_terms(out, pbw_normalize(alg, wb + wa, c if odd and odd_b else -c).terms)
+    return a._like(out)
 
 
 def is_central(u: PBWElement) -> bool:

@@ -29,7 +29,7 @@ from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
 from .scalars import ONE, I, Scalar, promote, sign_scalar
 from .signs import Permutation, p_exponent
-from .sparse import add_into
+from .sparse import add_into, add_terms
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
@@ -338,19 +338,18 @@ def sergeev_elements(alg: Algebra, m: int):
             f1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, -j))
     e, f = e1, f1
     for level in range(2, m + 1):
-        sign = Scalar(1) if (level - 1) % 2 == 0 else Scalar(-1)
+        sign = sign_scalar(level - 1)
         enew, fnew = {}, {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 acc_e = PBWElement(alg)
                 acc_f = PBWElement(alg)
                 for k_ in range(1, n + 1):
-                    acc_e = acc_e + u_multiply(e1[(i, k_)], e[(k_, j)]) + u_multiply(
-                        f1[(i, k_)], f[(k_, j)]
-                    ).scale(sign)
-                    acc_f = acc_f + u_multiply(e1[(i, k_)], f[(k_, j)]) + u_multiply(
-                        f1[(i, k_)], e[(k_, j)]
-                    ).scale(sign)
+                    x, y = e1[(i, k_)], f1[(i, k_)]
+                    # e' = e1 e + sign f1 f and f' = e1 f + sign f1 e, entry by entry
+                    for acc, u, v in ((acc_e, e, f), (acc_f, f, e)):
+                        add_terms(acc.terms, u_multiply(x, u[(k_, j)]).terms)
+                        add_terms(acc.terms, u_multiply(y, v[(k_, j)]).scale(sign).terms)
                 enew[(i, j)] = acc_e
                 fnew[(i, j)] = acc_f
         e, f = enew, fnew
@@ -362,7 +361,7 @@ def sergeev_Z(alg: Algebra, k: int) -> PBWElement:
     e, _ = sergeev_elements(alg, k)
     out = PBWElement(alg)
     for i in range(1, alg.n + 1):
-        out = out + e[(i, i)]
+        add_terms(out.terms, e[(i, i)].terms)
     return out
 
 

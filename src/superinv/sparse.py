@@ -27,6 +27,12 @@ def add_into(data: dict, key, coeff):
             del data[key]
 
 
+def add_terms(data: dict, terms: dict):
+    """data += terms, one add_into per key, so cancelled keys are dropped."""
+    for key, coeff in terms.items():
+        add_into(data, key, coeff)
+
+
 class Sparse:
     """A sparse map key -> coefficient; zero coefficients are never stored.
 
@@ -70,8 +76,7 @@ class Sparse:
     def __add__(self, other):
         self._check(other)
         data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_into(data, key, coeff)
+        add_terms(data, other.terms)
         return self._like(data)
 
     def __sub__(self, other):

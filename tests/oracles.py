@@ -2,15 +2,16 @@
 
 None of these is on a path the CLI runs: each is an independent statement
 of a convention (the module action, the supertranspose, the flips of
-V x V, the Lie bracket, the group H, the Harish-Chandra predicates and the
-rho shift) that tests compare the package's own kernels against.
+V x V, the Lie bracket, the group H, the Harish-Chandra predicates, the
+rho shift, the U(g) product and the supercommutator) that tests compare
+the package's own kernels against.
 """
 
 import math
 
 from superinv.algebras import LieElement
 from superinv.brauer import overline_embed
-from superinv.enveloping import CartanPolynomial
+from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
 from superinv.scalars import ONE, Scalar, promote
 from superinv.signs import Permutation, symmetric_group
 from superinv.sparse import add_into
@@ -206,3 +207,39 @@ def rho_shift_reference(p, alg):
                 shifted = shifted + CartanPolynomial(p.names, {tuple(base): c})
         p = shifted
     return p
+
+
+# -- the U(g) product and supercommutator, one rebuilt sum per term ---------
+
+
+def u_multiply_reference(a, b):
+    """ab, the normal form of every pair of words added by a rebinding +."""
+    alg = a.algebra
+    out = PBWElement(alg)
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            out = out + pbw_normalize(alg, wa + wb, ca * cb)
+    return out
+
+
+def _parity_components(u):
+    even, odd = {}, {}
+    for word, coeff in u.terms.items():
+        (odd if u.word_parity(word) else even)[word] = coeff
+    return PBWElement(u.algebra, even), PBWElement(u.algebra, odd)
+
+
+def supercommutator_reference(a, b):
+    """[a, b] = ab - (-1)^{|a||b|} ba on each pair of homogeneous components."""
+    result = PBWElement(a.algebra)
+    for pa, ca in enumerate(_parity_components(a)):
+        for pb, cb in enumerate(_parity_components(b)):
+            if ca.is_zero() or cb.is_zero():
+                continue
+            term = u_multiply_reference(ca, cb)
+            swap = u_multiply_reference(cb, ca)
+            if pa and pb:
+                result = result + term + swap
+            else:
+                result = result + term - swap
+    return result

@@ -10,7 +10,9 @@ from oracles import (
     is_Q_poly_reference,
     is_supersymmetric_reference,
     rho_shift_reference,
+    supercommutator_reference,
     sym_monomial,
+    u_multiply_reference,
 )
 
 from superinv.algebras import build_algebra
@@ -31,7 +33,7 @@ from superinv.enveloping import (
     zeta_project,
 )
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
-from superinv.schurweyl import str_gelfand, theta_glq, z_sigma
+from superinv.schurweyl import sergeev_Z, str_gelfand, theta_glq, z_sigma
 from superinv.signs import symmetric_group
 from superinv.tensoralg import TensorAlgebraElement, adjoint_act, eta, project_tensor
 
@@ -120,6 +122,44 @@ def test_u_multiply():
             )
 
 
+# the algebras the random U(g) elements are drawn over: gl(1|1), gl(2|1),
+# osp(3|2), q(2), p(2)
+PRODUCT_ALGEBRAS = [
+    build_algebra(*spec)
+    for spec in [("gl", 1, 1), ("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+]
+# signed integers and Gaussians, each with its negative, so repeated words cancel
+PBW_COEFFS = [Scalar(c, d) for c, d in ((1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, -1))]
+PBW_COEFFS += [-c for c in PBW_COEFFS]
+
+
+@st.composite
+def pbw_elements(draw, alg):
+    """A sparse element of mixed parity: 1-4 terms on normal words of length 0-3.
+
+    A term may reuse an earlier word, so its coefficient adds to or cancels
+    the earlier one."""
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        if words and draw(st.booleans()):
+            words.append(draw(st.sampled_from(words)))
+            continue
+        word = tuple(sorted(draw(st.lists(st.integers(0, alg.dim - 1), max_size=3))))
+        # a normal word holds no odd generator twice
+        odd = [g for g in word if alg.parity[g]]
+        words.append(word if len(set(odd)) == len(odd) else tuple(sorted(set(word))))
+    return PBWElement(alg, [(w, draw(st.sampled_from(PBW_COEFFS))) for w in words])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_and_supercommutator_match_references(data):
+    alg = data.draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    a, b = data.draw(pbw_elements(alg)), data.draw(pbw_elements(alg))
+    assert u_multiply(a, b) == u_multiply_reference(a, b)
+    assert supercommutator(a, b) == supercommutator_reference(a, b)
+
+
 def test_psi_examples():
     assert psi_map(sym_monomial(GL11, (E12,))) == PBWElement.generator(GL11, E12)
     assert psi_map(sym_monomial(GL11, (E11, E22))) == PBWElement(
@@ -164,6 +204,31 @@ def test_is_central():
     z = PBWElement.generator(GL11, E11) + PBWElement.generator(GL11, E22)
     assert is_central(z)
     assert not is_central(PBWElement.generator(GL11, E12))
+
+
+def _central_element(alg):
+    if alg.family == "q":
+        return sergeev_Z(alg, 3)
+    if alg.family == "p":
+        # the centre of U(p(n)) is the scalars: every z_sigma and str_gelfand
+        # of p(2) is 0, so a nonzero scalar stands in
+        return PBWElement.unit(alg, 3)
+    return str_gelfand(alg, 2)
+
+
+@pytest.mark.parametrize(
+    "family,m,n", [("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+)
+def test_is_central_rejects_perturbed_central_elements(family, m, n):
+    alg = build_algebra(family, m, n)
+    u = _central_element(alg)
+    assert is_central(u) and not u.is_zero()
+    raising = PBWElement.generator(alg, alg.tri_class.index("U"))
+    assert not is_central(u * raising + u)
+    # an odd part next to the even central one
+    for y in range(alg.dim):
+        if alg.parity[y]:
+            assert not is_central(u + PBWElement.generator(alg, y)), alg.gens[y]
 
 
 def test_conjugacy_average_identity_small():
