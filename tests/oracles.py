@@ -1,16 +1,23 @@
 """Test-only references that several test modules share.
 
 None of these is on a path the CLI runs: each is an independent statement
-of a convention (the module action, the supertranspose, the flips of
-V x V, the Lie bracket, the group H, the Harish-Chandra predicates, the
-rho shift, the U(g) product and the supercommutator) that tests compare
-the package's own kernels against.
+of a convention or a count (the module action, the supertranspose, the
+flips of V x V, the Lie bracket, the group H, the Harish-Chandra
+predicates, the rho shift, the U(g) product, the supercommutator and the
+diagram count by closure type) that tests compare the package's own
+kernels against.
 """
 
 import math
 
 from superinv.algebras import LieElement
-from superinv.brauer import overline_embed
+from superinv.brauer import (
+    MAX_COUNT_K,
+    BrauerDiagram,
+    all_matchings,
+    closure_type,
+    overline_embed,
+)
 from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
 from superinv.scalars import ONE, Scalar, promote
 from superinv.signs import Permutation, symmetric_group
@@ -127,6 +134,19 @@ def all_types(k):
 
     rec(k, k, [])
     return sorted(out)
+
+
+def count_by_type_reference(k: int) -> dict:
+    """Enumerate all (k,k)-diagrams and bucket them by closure type."""
+    if k > MAX_COUNT_K:
+        raise ValueError("k exceeds the bound %d" % MAX_COUNT_K)
+    counts = {}
+    total = 0
+    for pairs in all_matchings(range(1, 2 * k + 1)):
+        t = closure_type(BrauerDiagram(k, pairs)).type_vector
+        counts[t] = counts.get(t, 0) + 1
+        total += 1
+    return {"counts": counts, "total": total}
 
 
 def sym_monomial(alg, word, coeff=ONE):

@@ -203,7 +203,7 @@ def test_criterion_07_key_lemma():
 
 def test_criterion_08_brauer_counting():
     ok = True
-    for k in range(1, 7):
+    for k in range(1, 13):
         res = count_by_type(k)
         ok = ok and res["total"] == double_factorial(2 * k - 1)
         for t, count in res["counts"].items():
@@ -213,7 +213,7 @@ def test_criterion_08_brauer_counting():
         for t, size in sizes.items():
             ok = ok and size == double_coset_size_formula(k, t)
         ok = ok and sum(sizes.values()) == math.factorial(2 * k)
-    report(8, "diagram type counts (k<=6) and double cosets (k<=4)", ok)
+    report(8, "diagram type counts (k<=12) and double cosets (k<=4)", ok)
 
 
 def test_criterion_09_relation_suites():

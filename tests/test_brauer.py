@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
-from oracles import all_types, h_elements, pair_swaps
+from oracles import all_types, count_by_type_reference, h_elements, pair_swaps
 
+from superinv import brauer
 from superinv.brauer import (
     KeyLemmaWitness,
     all_matchings,
@@ -138,14 +139,35 @@ def test_count_by_type():
     res = count_by_type(3)
     assert res["counts"] == {(1, 1, 1): 1, (1, 2): 6, (3,): 8}
     assert res["total"] == 15
-    for k in range(1, 7):
+    for k in range(1, 13):
         res = count_by_type(k)
         assert res["total"] == double_factorial(2 * k - 1)
+        assert set(res["counts"]) == set(all_types(k))
         for t, count in res["counts"].items():
             assert count == type_count_formula(k, t)
     assert count_by_type(5)["total"] == 945
     with pytest.raises(ValueError):
-        count_by_type(9)
+        count_by_type(13)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_count_by_type_matches_enumeration(k):
+    res = count_by_type(k)
+    ref = count_by_type_reference(k)
+    assert res["counts"] == ref["counts"]
+    assert res["total"] == ref["total"]
+
+
+def test_count_by_type_neither_enumerates_nor_reads_the_formula(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("count_by_type must not call this")
+
+    expected = {t: type_count_formula(8, t) for t in all_types(8)}
+    for name in ("all_matchings", "closure_type", "type_count_formula"):
+        monkeypatch.setattr(brauer, name, forbidden)
+    res = count_by_type(8)
+    assert res["counts"] == expected
+    assert res["total"] == double_factorial(15)
 
 
 def test_coset_reps():

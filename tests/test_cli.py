@@ -119,6 +119,14 @@ def test_brauer_command(capsys):
     assert doc["total"] == 15 and doc["matches_formula"] is True
 
 
+def test_brauer_command_at_its_bound(capsys):
+    code, out, _ = run_cli(capsys, "brauer", "--k", "12")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["matches_formula"] is True
+    assert doc["total"] == brauer.double_factorial(23)
+
+
 def test_keylemma_command(capsys):
     code, out, _ = run_cli(capsys, "keylemma", "--k", "2")
     assert code == 0
@@ -352,8 +360,8 @@ PAST_BOUNDS = [
     ("keylemma --k 0", "keylemma: --k must be in 1..3"),
     ("keylemma --k 4", "keylemma: --k must be in 1..3"),
     ("keylemma --k 8 --per-type", "keylemma --per-type: --k must be in 1..7"),
-    ("brauer --k 0", "brauer: --k must be in 1..8"),
-    ("brauer --k 9", "brauer: --k must be in 1..8"),
+    ("brauer --k 0", "brauer: --k must be in 1..12"),
+    ("brauer --k 13", "brauer: --k must be in 1..12"),
     ("pn-trivial --n 2 --k 5", "pn-trivial: --k must be in 1..4"),
     ("pn-trivial --n 0 --k 1", "family p requires n >= 1"),
     ("pn-trivial --n 5 --k 4", "pn-trivial needs max(dim V, 2)^k <= 4096, got 10^4"),
