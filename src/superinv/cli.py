@@ -226,7 +226,14 @@ def cmd_brauer(args, alg) -> tuple[dict, int]:
 
 
 def cmd_pn_trivial(args, alg) -> tuple[dict, int]:
-    k = args.k
+    reps, verdicts = _pn_trivial_verdicts(alg, args.k)
+    doc = {"family": "p", "n": args.n, "k": args.k, "reps": reps, **verdicts}
+    return doc, 0 if all(verdicts.values()) else 1
+
+
+def _pn_trivial_verdicts(alg, k) -> tuple[int, dict]:
+    """The number of coset representatives of degree k, and whether every
+    eta pi theta vanishes in S(g) and every eta' pi theta is a scalar in U(g)."""
     reps = br.coset_reps(k)
 
     def work(sig):
@@ -234,17 +241,11 @@ def cmd_pn_trivial(args, alg) -> tuple[dict, int]:
         return eta(pt).is_zero(), eta_prime(pt).is_scalar()
 
     rows = _map_with_progress(work, reps, "pn-trivial")
-    all_zero = all(z for z, _ in rows)
-    all_scalar = all(s for _, s in rows)
-    doc = {
-        "family": "p",
-        "n": args.n,
-        "k": k,
-        "reps": len(reps),
-        "all_zero": all_zero,
-        "all_scalar": all_scalar,
+    verdicts = {
+        "all_zero": all(z for z, _ in rows),
+        "all_scalar": all(s for _, s in rows),
     }
-    return doc, 0 if (all_zero and all_scalar) else 1
+    return len(reps), verdicts
 
 
 def cmd_relations(args, alg) -> tuple[dict, int]:
@@ -278,13 +279,9 @@ def cmd_sweep(args, alg) -> tuple[dict, int]:
             verdicts = _sergeev_verdicts(alg, sergeev_Z(alg, deg), deg)
             holds = all(verdicts.values())
         else:
-            reps = br.coset_reps(deg)
-            element = "eta_pi_theta over %d reps" % len(reps)
-            holds = all(
-                eta(project_tensor(alg, invariant_tensor(alg, s))).is_zero()
-                for s in reps
-            )
-            verdicts = {"all_zero": holds}
+            reps, verdicts = _pn_trivial_verdicts(alg, deg)
+            element = "eta_pi_theta over %d reps" % reps
+            holds = all(verdicts.values())
         rows.append({"k": k, "element": element, **verdicts})
         ok = ok and holds
     doc = {

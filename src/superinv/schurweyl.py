@@ -99,7 +99,7 @@ def c_power(alg: Algebra, k: int) -> VectorTensor:
             for key, c in entries.items()
             for pkey, pc in pair.terms.items()
         }
-    return VectorTensor(space, 2 * k, entries)
+    return pair._of_degree(2 * k, entries)
 
 
 def contraction_operator(alg: Algebra, i: int, k: int) -> Tensor:
@@ -146,30 +146,32 @@ def theta_brauer(alg: Algebra, sigma: Permutation) -> Tensor:
 
 
 def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
-    """The fixed linear map V^(x 2k) -> End(V)^(x k) of the construction."""
+    """The fixed linear map V^(x 2k) -> End(V)^(x k) of the construction.
+
+    The pair (a, b) on slots 2s+1, 2s+2 becomes e_{a b'} on slot s+1, and
+    the family picks a sign flip at each slot s (counted from 0): for osp
+    where epsilon(b) = -1, for p by |a| + (k-1-s)(|a|+|b|) mod 2, the
+    closed form of sum_s |a_s| plus p((1,...,1), pair parities).
+    """
     space = alg.space
     if vec.k % 2:
         raise ValueError("even total degree required")
     k = vec.k // 2
-    par = space._parity
+    par, prime = space._parity, space.prime
+    if space.family == "osp":
+        def flip(s, a, b):
+            return space.epsilon(b) < 0
+    else:
+        def flip(s, a, b):
+            return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
     entries = {}
     for word, coeff in vec.terms.items():
-        key = tuple(
-            (word[2 * s], space.prime(word[2 * s + 1])) for s in range(k)
-        )
-        if space.family == "osp":
-            c = coeff
-            for s in range(k):
-                if space.epsilon(word[2 * s + 1]) < 0:
-                    c = -c
-        else:
-            exp = sum(par[word[2 * s]] for s in range(k)) & 1
-            pair_par = tuple(
-                (par[word[2 * s]] + par[word[2 * s + 1]]) & 1 for s in range(k)
-            )
-            exp ^= p_exponent((1,) * k, pair_par)
-            c = coeff if not exp else -coeff
-        add_into(entries, key, c)
+        key = []
+        for s, (a, b) in enumerate(zip(word[::2], word[1::2])):
+            key.append((a, prime(b)))
+            if flip(s, a, b):
+                coeff = -coeff
+        add_into(entries, tuple(key), coeff)
     return Tensor(space, k, entries)
 
 
@@ -191,21 +193,20 @@ def _actions(alg: Algebra, k: int) -> list:
 
 
 def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
-    """The generators whose action does not supercommute with t.
+    """The generators g whose action does not supercommute with t.
 
-    Each parity component of t is checked on its own, so t may be
-    inhomogeneous.
+    An odd g passes t's odd keys with a sign, so the test is
+    g t = t' g, where t' is t with its odd keys negated when g is odd.  t
+    may be inhomogeneous: the two sides' parity components match one by one.
     """
-    parts = [(comp, p) for p, comp in enumerate(t.parity_components()) if comp]
-    failures = []
-    for g, action in enumerate(actions):
-        for comp, p in parts:
-            lhs = compose(action, comp)
-            rhs = compose(comp, action)
-            if (lhs + rhs if alg.parity[g] and p else lhs - rhs):
-                failures.append(g)
-                break
-    return failures
+    twisted = t._like(
+        {key: -c if t.key_parity(key) else c for key, c in t.terms.items()}
+    )
+    return [
+        g
+        for g, action in enumerate(actions)
+        if compose(action, t) != compose(twisted if alg.parity[g] else t, action)
+    ]
 
 
 # -- elements of U(g) --------------------------------------------------------
@@ -312,11 +313,10 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
     if not tensor_is_invariant(alg, s):
         raise ValueError("input tensor is not invariant")
     x = generator_matrix(alg)
-    acc = None
-    for a in range(1, k + 1):
-        term = slot_embed(x, a, k) + identity_uvalued(alg, k).scale(shifts[a - 1])
-        acc = term if acc is None else acc * term
-    prod = scalar_tensor(alg, s) if acc is None else acc * scalar_tensor(alg, s)
+    one = identity_uvalued(alg, k)
+    prod = scalar_tensor(alg, s)
+    for a in range(k, 0, -1):
+        prod = (slot_embed(x, a, k) + one.scale(shifts[a - 1])) * prod
     return full_supertrace(prod)
 
 

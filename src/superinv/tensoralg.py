@@ -163,14 +163,11 @@ def adjoint_act(x: LieElement, t):
         for word, coeff in t.terms.items():
             prefix_parity = 0
             for i, xi in enumerate(word):
-                sign = -1 if (pg and prefix_parity) else 1
-                br = table[(g, xi)]
-                for h, ch in br.items():
-                    new_word = word[:i] + (h,) + word[i + 1 :]
+                for h, ch in table[(g, xi)].items():
                     v = coeff * ch * cg
-                    if sign < 0:
+                    if pg and prefix_parity:
                         v = -v
-                    add_into(terms, new_word, v)
+                    add_into(terms, word[:i] + (h,) + word[i + 1 :], v)
                 prefix_parity ^= par[xi]
     out = TensorAlgebraElement(alg, terms)
     # on S(g) the derivation of T(g) passes to the quotient

@@ -84,13 +84,6 @@ class Tensor(_Tensor):
             return parities.pop()
         return None
 
-    def parity_components(self):
-        """Split into (even part, odd part)."""
-        even, odd = {}, {}
-        for key, coeff in self.terms.items():
-            (even if self.key_parity(key) == 0 else odd)[key] = coeff
-        return Tensor(self.space, self.k, even), Tensor(self.space, self.k, odd)
-
     def to_json(self):
         entries = []
         for key in sorted(self.terms):
@@ -198,9 +191,8 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
     out = {}
     for key, coeff in w.terms.items():
         exp = gamma_exponent(tuple(parities[i] for i in key), inv)
-        new_key = tuple(key[inv(t) - 1] for t in range(1, w.k + 1))
-        add_into(out, new_key, coeff if not exp else -coeff)
-    return VectorTensor(w.space, w.k, out)
+        add_into(out, tuple(key[i - 1] for i in inv.images), -coeff if exp else coeff)
+    return w._like(out)
 
 
 def slot_embed(x: Tensor, slot: int, k: int) -> Tensor:

@@ -3,9 +3,10 @@
 None of these is on a path the CLI runs: each is an independent statement
 of a convention or a count (the module action, the supertranspose, the
 flips of V x V, the Lie bracket, the group H, the Harish-Chandra
-predicates, the rho shift, the U(g) product, the supercommutator and the
-diagram count by closure type) that tests compare the package's own
-kernels against.
+predicates, the rho shift, the U(g) product, the supercommutator, the
+diagram count by closure type, the dualization of theta's even slots and
+the supercommutation test of an operator) that tests compare the
+package's own kernels against.
 """
 
 import math
@@ -20,10 +21,10 @@ from superinv.brauer import (
 )
 from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
 from superinv.scalars import ONE, Scalar, promote
-from superinv.signs import Permutation, symmetric_group
+from superinv.signs import Permutation, p_exponent, symmetric_group
 from superinv.sparse import add_into
 from superinv.tensoralg import SymElement, _sym_sort
-from superinv.tensors import Tensor
+from superinv.tensors import Tensor, compose
 
 
 def apply(a, v):
@@ -263,3 +264,53 @@ def supercommutator_reference(a, b):
             else:
                 result = result + term - swap
     return result
+
+
+# -- the Schur-Weyl signs, family test per word and one check per parity ---
+
+
+def dualize_even_slots_reference(alg, vec):
+    """V^(x 2k) -> End(V)^(x k), testing the family on every word; p(n)'s sign
+    is sum |a_s| plus p((1,...,1), pair parities)."""
+    space = alg.space
+    if vec.k % 2:
+        raise ValueError("even total degree required")
+    k = vec.k // 2
+    par = space._parity
+    entries = {}
+    for word, coeff in vec.terms.items():
+        key = tuple(
+            (word[2 * s], space.prime(word[2 * s + 1])) for s in range(k)
+        )
+        if space.family == "osp":
+            c = coeff
+            for s in range(k):
+                if space.epsilon(word[2 * s + 1]) < 0:
+                    c = -c
+        else:
+            exp = sum(par[word[2 * s]] for s in range(k)) & 1
+            pair_par = tuple(
+                (par[word[2 * s]] + par[word[2 * s + 1]]) & 1 for s in range(k)
+            )
+            exp ^= p_exponent((1,) * k, pair_par)
+            c = coeff if not exp else -coeff
+        add_into(entries, key, c)
+    return Tensor(space, k, entries)
+
+
+def noncommuting_generators_reference(alg, t, actions):
+    """The generators whose action does not supercommute with t, checked on
+    each parity component of t on its own."""
+    even, odd = {}, {}
+    for key, coeff in t.terms.items():
+        (odd if t.key_parity(key) else even)[key] = coeff
+    parts = [(Tensor(t.space, t.k, comp), p) for p, comp in enumerate((even, odd)) if comp]
+    failures = []
+    for g, action in enumerate(actions):
+        for comp, p in parts:
+            lhs = compose(action, comp)
+            rhs = compose(comp, action)
+            if (lhs + rhs if alg.parity[g] and p else lhs - rhs):
+                failures.append(g)
+                break
+    return failures

@@ -219,6 +219,19 @@ def test_sweep_command(capsys):
     assert "sweep" in err
 
 
+def test_sweep_p_rows_repeat_pn_trivial(capsys):
+    # row k gates on both verdicts pn-trivial --k k reports
+    code, out, _ = run_cli(capsys, "sweep", "--family", "p", "--n", "1", "--k", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["all_scalar"] for row in rows] == [True, True]
+    for row in rows:
+        _, pn_out, _ = run_cli(capsys, "pn-trivial", "--n", "1", "--k", str(row["k"]))
+        pn = json.loads(pn_out)
+        assert (row["all_zero"], row["all_scalar"]) == (pn["all_zero"], pn["all_scalar"])
+        assert row["element"] == "eta_pi_theta over %d reps" % pn["reps"]
+
+
 def test_deterministic_output(capsys):
     args = ["invariant", "--family", "q", "--n", "2", "--k", "2", "--perm", "(1 2)"]
     _, out1, _ = run_cli(capsys, *args)

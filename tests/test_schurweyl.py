@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 from oracles import (
     apply,
+    dualize_even_slots_reference,
     form_flip_tensor,
     h_elements,
+    noncommuting_generators_reference,
     super_transposition_tensor,
     supertranspose,
 )
 
-from superinv.algebras import build_algebra
+from superinv.algebras import build_algebra, phi_k
 from superinv.enveloping import PBWElement, eta_prime, is_central
 from superinv.scalars import I as IMAG
 from superinv.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from superinv.schurweyl import (
+    _actions,
     _generator_operators,
+    _noncommuting_generators,
     _read_side,
     c_power,
     check_duality_relations,
@@ -677,3 +681,47 @@ def test_generator_positions_out_of_range_raise():
     for i in (0, 4):
         with pytest.raises(ValueError):
             clifford_operator(q1, i, 3)
+
+
+# -- the Koszul signs of theta and of supercommutation, against their first form
+
+
+@pytest.mark.parametrize(
+    "family, m, n",
+    [("osp", 1, 1), ("osp", 2, 1), ("osp", 3, 1), ("osp", 2, 0),
+     ("p", 0, 1), ("p", 0, 2), ("p", 0, 3)],
+)
+def test_dualize_even_slots_matches_reference_in_key_order(family, m, n):
+    alg = build_algebra(family, m, n)
+    for k in (1, 2, 3):
+        power = c_power(alg, k)
+        for sigma in symmetric_group(2 * k):
+            vec = permute_word(sigma, power)
+            got = dualize_even_slots(alg, vec).terms.items()
+            want = dualize_even_slots_reference(alg, vec).terms.items()
+            assert list(got) == list(want), sigma
+
+
+@pytest.mark.parametrize(
+    "family, m, n",
+    [("gl", 1, 1), ("osp", 1, 1), ("osp", 3, 1), ("p", 0, 1), ("p", 0, 2),
+     ("q", 0, 1), ("q", 0, 2)],
+)
+def test_noncommuting_generators_matches_reference(family, m, n):
+    # each generator alone, and made inhomogeneous or non-invariant by a
+    # second summand: s1 (even), the action of an odd generator, c1 (odd, q)
+    alg = build_algebra(family, m, n)
+    odd = alg.parity.index(1)
+    failing = 0
+    for k in (2, 3):
+        actions = _actions(alg, k)
+        ops = _generator_operators(alg, k)
+        summands = [ops["s1"], phi_k(alg, alg.unit(odd), k)]
+        if family == "q":
+            summands.append(ops["c1"])
+        for op in ops.values():
+            for t in [op] + [op + x for x in summands]:
+                got = _noncommuting_generators(alg, t, actions)
+                assert got == noncommuting_generators_reference(alg, t, actions)
+                failing += bool(got)
+    assert failing
