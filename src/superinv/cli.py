@@ -46,10 +46,8 @@ from .schurweyl import (
     str_gelfand,
     z_sigma,
 )
-from .spaces import SuperSpace
+from .spaces import FAMILIES, SuperSpace
 from .tensoralg import MAX_DEGREE, eta, project_tensor
-
-FAMILY_CHOICES = ("gl", "osp", "q", "p")
 
 # building an algebra tabulates dim(g)^2 ~ dim(V)^4 brackets
 MAX_DIM = 16
@@ -364,7 +362,7 @@ _SIZES = ("--family", "--m", "--n", "--k")
 COMMANDS = {
     "invariant": Command(
         cmd_invariant, "the invariant tensor theta and central element z of a permutation",
-        _SIZES + ("--perm",), FAMILY_CHOICES, words=4096),
+        _SIZES + ("--perm",), FAMILIES, words=4096),
     "hc": Command(
         cmd_hc, "Harish-Chandra image of Str X^k with predicate verdicts (gl, osp)",
         _SIZES, ("gl", "osp"), words=6**6),
@@ -381,11 +379,11 @@ COMMANDS = {
     # the time to check operators on the words grows faster than their count
     "relations": Command(
         cmd_relations, "centralizer algebra relations as operator identities",
-        _SIZES, FAMILY_CHOICES, k_min=2, words=7**4),
+        _SIZES, FAMILIES, k_min=2, words=7**4),
     # each row k is also bounded as the command it repeats (SWEEP_ROWS)
     "sweep": Command(
         cmd_sweep, "centrality + Harish-Chandra grid over degrees 1..k",
-        _SIZES, FAMILY_CHOICES),
+        _SIZES, FAMILIES),
     # the words bound alone admits q(2) at k = 9, which ran past 120 s on a 2-core host
     "sergeev": Command(
         cmd_sergeev, "the recursive q(n) trace element Z_k and its identities",
@@ -441,7 +439,7 @@ def admit(args) -> Optional[SuperSpace]:
 
 
 FLAGS = {
-    "--family": dict(choices=FAMILY_CHOICES, required=True),
+    "--family": dict(choices=FAMILIES, required=True),
     "--m": dict(type=int, default=0),
     "--n": dict(type=int, default=0),
     "--k": dict(type=int, default=1),

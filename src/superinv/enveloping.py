@@ -62,8 +62,8 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
     coeff = promote(coeff)
     par = alg.parity
     table = alg.bracket_table
-    out = {}
-    stack = [(tuple(word), coeff)]
+    out = PBWElement(alg)
+    stack = [(tuple(word), coeff)] if coeff else []
     while stack:
         w, c = stack.pop()
         for i in range(len(w) - 1):
@@ -71,7 +71,7 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
             if a > b or (a == b and par[a]):
                 break
         else:
-            add_into(out, w, c)
+            add_into(out.terms, w, c)
             continue
         head, tail = w[:i], w[i + 2 :]
         if a == b:
@@ -82,7 +82,7 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
             stack.append((head + (b, a) + tail, -c if (par[a] and par[b]) else c))
             for g, cv in table[(a, b)].items():
                 stack.append((head + (g,) + tail, c * cv))
-    return PBWElement(alg, out)
+    return out
 
 
 def u_multiply(a: PBWElement, b: PBWElement) -> PBWElement:

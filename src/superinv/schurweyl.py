@@ -1,17 +1,21 @@
 """Operators on V^(x k) and the invariants they produce in U(g).
 
-The pipeline is: a centralizer-algebra element acts on V^(x k); the
-canonical isomorphism omega_iso turns the operator into an element of
-End(V)^(x k); the split projection pushes that down to T(g); then eta and
-the canonical map land in S(g) and U(g).  ``z_sigma`` is the composite,
-and is central whenever the input operator commutes with the action.
+The pipeline is: a centralizer-algebra element acts on V^(x k), as an
+element of End(V)^(x k); the split projection pushes that down to T(g);
+then eta and the canonical map land in S(g) and U(g).  ``z_sigma`` is the
+composite, and is central whenever the input operator commutes with the
+action.
 
-For gl and q the invariant tensors are signed place permutations; for osp
-and p they come from permuting the slots of the k-th power of the
-invariant pairing vector and converting back to End(V)^(x k) by dualizing
-the even slots (theta).  Permutation inputs for osp/p are reduced to the
-lexicographically least member of their coset modulo the pair-block
-subgroup H first, so equal cosets give identical output.
+Every invariant tensor theta is built the same way: a permutation acts,
+with its Koszul sign, on the k-th power of an invariant vector of V x V,
+and each slot pair is read back as a matrix unit.  For gl and q the vector
+is the identity sum_i e_i x e_i, sigma in S_k moves only the first slot of
+each pair, and ``omega_iso`` reads the pair (a, b) as e_ab: theta is the
+signed place permutation.  For osp and p the vector is the invariant
+pairing, sigma ranges over S_2k, and ``dualize_even_slots`` reads the pair
+as e_ab' with the family's sign.  Permutation inputs for osp/p are
+reduced to the lexicographically least member of their coset modulo the
+pair-block subgroup H first, so equal cosets give identical output.
 
 The centralizer generators act on one or two adjacent slots, so each is
 one local tensor that ``slot_embed`` places on slots i.. of V^(x k), as
@@ -22,20 +26,17 @@ is the odd Clifford operator on V.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
 from .scalars import ONE, I, Scalar, promote, sign_scalar
-from .signs import Permutation, p_exponent
-from .sparse import add_into, add_terms
+from .signs import Permutation
+from .sparse import add_terms
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
     Tensor,
     VectorTensor,
-    basis_vector,
     compose,
     full_supertrace,
     identity_tensor,
@@ -47,31 +48,31 @@ from .tensors import (
 # -- operator constructions -------------------------------------------------
 
 
-def omega_iso(space: SuperSpace, k: int, fn) -> Tensor:
-    """Turn an operator on V^(x k), given on basis words, into a Tensor.
+def omega_iso(vec: VectorTensor) -> Tensor:
+    """V^(x 2k) -> End(V)^(x k): the slot pair (a, b) becomes e_ab, with no sign.
 
-    ``fn`` maps an index word to the VectorTensor image of that basis
-    vector.  The resulting Tensor T acts on V^(x k), by the module action of
-    tensors.py, as fn extended linearly.
+    Read off the k-th power of the identity vector after a place
+    permutation, this is the operator of that permutation (perm_operator).
     """
-    par = space._parity
-    entries = {}
-    for word in itertools.product(space.indices, repeat=k):
-        image = fn(word)
-        ipar = tuple(par[i] for i in word)
-        for jword, coeff in image.terms.items():
-            jpar = tuple(par[j] for j in jword)
-            mixed = tuple((a + b) & 1 for a, b in zip(ipar, jpar))
-            exp = p_exponent(mixed, ipar)
-            add_into(entries, tuple(zip(jword, word)), coeff if not exp else -coeff)
-    return Tensor(space, k, entries)
+    if vec.k % 2:
+        raise ValueError("even total degree required")
+    out = Tensor(vec.space, vec.k // 2)
+    for word, coeff in vec.terms.items():
+        out.terms[tuple(zip(word[::2], word[1::2]))] = coeff
+    return out
 
 
 def perm_operator(space: SuperSpace, sigma: Permutation) -> Tensor:
-    """The signed place-permutation operator for sigma on V^(x k), k = sigma.size."""
-    return omega_iso(
-        space, sigma.size, lambda word: permute_word(sigma, basis_vector(space, word))
-    )
+    """The signed place-permutation operator for sigma on V^(x k), k = sigma.size.
+
+    sigma, lifted to S_2k so that it moves only the V slots 2s-1 of
+    (V x V)^(x k), acts on the k-th power of sum_i e_i x e_i; the Koszul
+    sign of that action is the operator's.
+    """
+    k = sigma.size
+    lifted = Permutation(x for s in range(1, k + 1) for x in (2 * sigma(s) - 1, 2 * s))
+    ident = VectorTensor(space, 2, {(i, i): ONE for i in space.indices})
+    return omega_iso(permute_word(lifted, _power(ident, k)))
 
 
 def pairing_vector(space: SuperSpace) -> VectorTensor:
@@ -90,16 +91,19 @@ def pairing_vector(space: SuperSpace) -> VectorTensor:
 
 def c_power(alg: Algebra, k: int) -> VectorTensor:
     """The k-th tensor power of the pairing vector, in V^(x 2k)."""
-    space = alg.space
-    pair = pairing_vector(space)
+    return _power(pairing_vector(alg.space), k)
+
+
+def _power(vec: VectorTensor, k: int) -> VectorTensor:
+    """The k-th tensor power of vec."""
     entries = {(): ONE}
     for _ in range(k):
         entries = {
-            key + pkey: c * pc
+            key + vkey: c * vc
             for key, c in entries.items()
-            for pkey, pc in pair.terms.items()
+            for vkey, vc in vec.terms.items()
         }
-    return pair._of_degree(2 * k, entries)
+    return vec._of_degree(vec.k * k, entries)
 
 
 def contraction_operator(alg: Algebra, i: int, k: int) -> Tensor:
@@ -164,15 +168,16 @@ def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
     else:
         def flip(s, a, b):
             return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
-    entries = {}
+    # prime is a bijection, so distinct words give distinct keys
+    out = Tensor(space, k)
     for word, coeff in vec.terms.items():
         key = []
         for s, (a, b) in enumerate(zip(word[::2], word[1::2])):
             key.append((a, prime(b)))
             if flip(s, a, b):
                 coeff = -coeff
-        add_into(entries, tuple(key), coeff)
-    return Tensor(space, k, entries)
+        out.terms[tuple(key)] = coeff
+    return out
 
 
 def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:

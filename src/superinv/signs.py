@@ -3,14 +3,15 @@
 Conventions used throughout the package:
 
 * A parity word is a tuple over {0, 1}.
-* The sign p(x, y) is the product of (-1)**(x[i]*y[j]) over all pairs i > j
-  (1-based positions, strictly decreasing), the sign picked up when a word
-  of parities x is moved across a word of parities y letter by letter.
 * The sign gamma(x, s) is the product of (-1)**(x[s(i)]*x[s(j)]) over the
   inversions i < j, s(i) > s(j); it is the Koszul sign of reordering a
   supercommutative word x1...xk into x_{s(1)}...x_{s(k)}.
-* ``p_exponent`` and ``gamma_exponent`` return these signs as exponents
-  mod 2, so (-1)**exponent is the sign.
+  ``gamma_exponent`` returns it as an exponent mod 2, so (-1)**exponent is
+  the sign.  ``tensors.permute_word`` applies it, and
+  ``schurweyl.perm_operator`` needs no other sign.
+* The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
+  in which these signs were first stated, lives in tests/oracles.py
+  (``p_exponent``), beside the references that use it.
 * Permutations are stored in one-line image form, 1-based.  Composition
   ``a * b`` applies b first: (a*b)(x) = a(b(x)).  Cycle-notation parsing
   lives only in the CLI layer.
@@ -20,21 +21,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Sequence
-
-
-def p_exponent(x: Sequence[int], y: Sequence[int]) -> int:
-    """Exponent (mod 2) of p(x, y) = prod_{i>j} (-1)^{x_i y_j}."""
-    if len(x) != len(y):
-        raise ValueError("parity words must have equal length")
-    total = 0
-    run = 0
-    # sum_{i>j} x_i*y_j: accumulate prefix sums of y.
-    for i in range(len(x)):
-        if i > 0:
-            run += y[i - 1]
-        if x[i]:
-            total += run
-    return total & 1
 
 
 def gamma_exponent(x: Sequence[int], sigma: "Permutation") -> int:

@@ -17,8 +17,7 @@ and a Tensor acts on V^(x k) by
     (a1 x...x ak)(v1 x...x vk)
         = (-1)^{sum_s |a_s| (|v1|+...+|v_{s-1}|)} (a1 v1 x...x ak vk),
 
-so that compose(A, B) acts as B followed by A.  ``schurweyl.omega_iso``
-turns an operator given by this action on basis words into its Tensor.
+so that compose(A, B) acts as B followed by A.
 
 The symmetric group acts by signed place permutation:
     sigma . (v1 x...x vk)
@@ -106,11 +105,6 @@ def matrix_unit(space: SuperSpace, i: int, j: int) -> Tensor:
 
 def identity_tensor(space: SuperSpace, k: int) -> Tensor:
     return slot_embed(Tensor(space, 0, {(): ONE}), 1, k)
-
-
-def basis_vector(space: SuperSpace, word) -> VectorTensor:
-    word = tuple(word)
-    return VectorTensor(space, len(word), {word: ONE})
 
 
 # -- the operations --------------------------------------------------------

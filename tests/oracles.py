@@ -1,14 +1,16 @@
 """Test-only references that several test modules share.
 
 None of these is on a path the CLI runs: each is an independent statement
-of a convention or a count (the module action, the supertranspose, the
-flips of V x V, the Lie bracket, the group H, the Harish-Chandra
-predicates, the rho shift, the U(g) product, the supercommutator, the
-diagram count by closure type, the dualization of theta's even slots and
-the supercommutation test of an operator) that tests compare the
-package's own kernels against.
+of a convention or a count (the sign p(x, y), basis vectors, the module
+action, the operator-to-tensor map on basis words, the place-permutation
+operator, the supertranspose, the flips of V x V, the Lie bracket, the
+group H, the Harish-Chandra predicates, the rho shift, the U(g) product,
+the supercommutator, the diagram count by closure type, the dualization
+of theta's even slots and the supercommutation test of an operator) that
+tests compare the package's own kernels against.
 """
 
+import itertools
 import math
 
 from superinv.algebras import LieElement
@@ -21,10 +23,31 @@ from superinv.brauer import (
 )
 from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
 from superinv.scalars import ONE, Scalar, promote
-from superinv.signs import Permutation, p_exponent, symmetric_group
+from superinv.signs import Permutation, symmetric_group
 from superinv.sparse import add_into
 from superinv.tensoralg import SymElement, _sym_sort
-from superinv.tensors import Tensor, compose
+from superinv.tensors import Tensor, VectorTensor, compose, permute_word
+
+
+def p_exponent(x, y):
+    """Exponent (mod 2) of p(x, y) = prod_{i>j} (-1)^{x_i y_j}, the sign picked
+    up when a word of parities x is moved across a word of parities y."""
+    if len(x) != len(y):
+        raise ValueError("parity words must have equal length")
+    total = 0
+    run = 0
+    # sum_{i>j} x_i*y_j: accumulate prefix sums of y.
+    for i in range(len(x)):
+        if i > 0:
+            run += y[i - 1]
+        if x[i]:
+            total += run
+    return total & 1
+
+
+def basis_vector(space, word):
+    word = tuple(word)
+    return VectorTensor(space, len(word), {word: ONE})
 
 
 def apply(a, v):
@@ -51,6 +74,33 @@ def apply(a, v):
                     exp ^= 1
             add_into(out, tuple(r for r, _ in ka), va * vv if not exp else -(va * vv))
     return v._like(out)
+
+
+def omega_iso_reference(space, k, fn):
+    """Turn an operator on V^(x k), given on basis words, into a Tensor.
+
+    ``fn`` maps an index word to the VectorTensor image of that basis
+    vector.  The resulting Tensor T acts on V^(x k), by ``apply``, as fn
+    extended linearly.
+    """
+    par = space._parity
+    entries = {}
+    for word in itertools.product(space.indices, repeat=k):
+        image = fn(word)
+        ipar = tuple(par[i] for i in word)
+        for jword, coeff in image.terms.items():
+            jpar = tuple(par[j] for j in jword)
+            mixed = tuple((a + b) & 1 for a, b in zip(ipar, jpar))
+            exp = p_exponent(mixed, ipar)
+            add_into(entries, tuple(zip(jword, word)), coeff if not exp else -coeff)
+    return Tensor(space, k, entries)
+
+
+def perm_operator_reference(space, sigma):
+    """The place-permutation operator for sigma, one basis word at a time."""
+    return omega_iso_reference(
+        space, sigma.size, lambda word: permute_word(sigma, basis_vector(space, word))
+    )
 
 
 def supertranspose(a):

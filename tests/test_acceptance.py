@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import all_types, form_flip_tensor, super_transposition_tensor
+from oracles import all_types, form_flip_tensor, p_exponent, super_transposition_tensor
 
 from superinv.algebras import build_algebra
 from superinv.brauer import (
@@ -48,7 +48,6 @@ from superinv.schurweyl import (
 from superinv.signs import (
     Permutation,
     gamma_exponent,
-    p_exponent,
     symmetric_group,
 )
 from superinv.tensoralg import eta, project_tensor

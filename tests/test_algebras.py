@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import apply, bracket, supertranspose
+from oracles import apply, basis_vector, bracket, supertranspose
 
 from superinv.algebras import LieElement, build_algebra, phi_k
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
-from superinv.tensors import Tensor, basis_vector, compose
+from superinv.tensors import Tensor, compose
 
 SIZES = [
     ("gl", 1, 1),

@@ -5,12 +5,17 @@ holds the shared ones), and one that nothing calls is deleted.  A
 reference counts when its name appears, as a name or an attribute,
 anywhere in ``src/superinv`` outside the function's own ``def``.
 ``__init__.py`` is not scanned: a re-export is not a use.
+
+The same holds one level out: every function of ``tests/oracles.py`` is
+named by some ``tests/test_*.py`` or by another oracle, so a reference
+that leaves the package does not become dead test code.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "superinv"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "superinv"
 
 # name -> why it stays without a caller
 ALLOWED = {
@@ -76,3 +81,15 @@ def test_allowlist_names_only_existing_functions():
         if isinstance(stmt, ast.FunctionDef)
     }
     assert set(ALLOWED) <= defined
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    oracles = {"oracles.py": ast.parse((TESTS / "oracles.py").read_text())}
+    tests = {path.name: ast.parse(path.read_text()) for path in TESTS.glob("test_*.py")}
+    refs = _referenced_names(oracles) | _referenced_names(tests)
+    unused = [
+        "oracles.py:%d %s" % (stmt.lineno, stmt.name)
+        for stmt in oracles["oracles.py"].body
+        if isinstance(stmt, ast.FunctionDef) and not _has_caller(stmt.name, refs)
+    ]
+    assert not unused, "oracles no test names: %s" % ", ".join(unused)

@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 from oracles import (
     apply,
+    basis_vector,
     dualize_even_slots_reference,
     form_flip_tensor,
     h_elements,
     noncommuting_generators_reference,
+    omega_iso_reference,
+    p_exponent,
+    perm_operator_reference,
     super_transposition_tensor,
     supertranspose,
 )
@@ -47,7 +51,6 @@ from superinv.tensoralg import eta, project_tensor
 from superinv.tensors import (
     Tensor,
     VectorTensor,
-    basis_vector,
     compose,
     full_supertrace,
     identity_tensor,
@@ -87,11 +90,11 @@ def test_perm_operator_commutes_with_action():
 def test_omega_iso_identity_and_inverse():
     sp = GL11.space
     ident_fn = lambda word: basis_vector(sp, word)
-    assert omega_iso(sp, 2, ident_fn) == identity_tensor(sp, 2)
+    assert omega_iso_reference(sp, 2, ident_fn) == identity_tensor(sp, 2)
     # k = 1: omega is the identity on matrix units
     e12 = Tensor(sp, 1, {((1, 2),): ONE})
     fn = lambda word: apply(e12, basis_vector(sp, word))
-    assert omega_iso(sp, 1, fn) == e12
+    assert omega_iso_reference(sp, 1, fn) == e12
 
 
 def operator_of(t: Tensor):
@@ -100,7 +103,7 @@ def operator_of(t: Tensor):
 
 
 def test_omega_iso_roundtrip():
-    # omega_iso inverts the operator view given by apply on basis words
+    # omega_iso_reference inverts the operator view given by apply on basis words
     rng = random.Random(8)
     sp = build_algebra("q", 0, 1).space
     for _ in range(10):
@@ -111,7 +114,7 @@ def test_omega_iso_roundtrip():
             )
             entries[key] = Scalar(rng.randint(-2, 2))
         t = Tensor(sp, 2, entries)
-        assert omega_iso(sp, 2, operator_of(t)) == t
+        assert omega_iso_reference(sp, 2, operator_of(t)) == t
 
 
 def test_omega_iso_multiplicative():
@@ -141,17 +144,55 @@ def test_omega_iso_multiplicative():
                     out = out + fa[w2].scale(c)
                 return out
 
-            lhs = omega_iso(sp, 2, compose_fn)
+            lhs = omega_iso_reference(sp, 2, compose_fn)
             rhs = compose(
-                omega_iso(sp, 2, lambda w: fa[w]), omega_iso(sp, 2, lambda w: fb[w])
+                omega_iso_reference(sp, 2, lambda w: fa[w]),
+                omega_iso_reference(sp, 2, lambda w: fb[w]),
             )
             assert lhs == rhs
+
+
+def test_omega_iso_reads_slot_pairs_as_matrix_units():
+    sp = GL11.space
+    ident = VectorTensor(sp, 2, {(i, i): ONE for i in sp.indices})
+    power = VectorTensor(sp, 4, {
+        (a, a, b, b): ONE for a in sp.indices for b in sp.indices
+    })
+    assert omega_iso(ident) == identity_tensor(sp, 1)
+    assert omega_iso(power) == identity_tensor(sp, 2)
+    # an odd pair is read as it stands: no sign, wherever it sits
+    assert omega_iso(VectorTensor(sp, 4, {(1, 1, 1, 2): ONE})) == Tensor(
+        sp, 2, {((1, 1), (1, 2)): ONE}
+    )
+    assert omega_iso(VectorTensor(sp, 4, {(2, 1, 1, 2): ONE})) == Tensor(
+        sp, 2, {((2, 1), (1, 2)): ONE}
+    )
+    with pytest.raises(ValueError):
+        omega_iso(VectorTensor(sp, 3, {(1, 1, 1): ONE}))
+
+
+PERM_OPERATOR_GRID = [
+    ("gl", 1, 1, 5), ("q", 0, 1, 5),
+    ("gl", 2, 1, 4), ("gl", 1, 2, 4), ("gl", 2, 2, 4), ("gl", 3, 0, 4),
+    ("q", 0, 2, 4), ("osp", 1, 1, 4), ("p", 0, 1, 4),
+    ("osp", 3, 1, 3), ("p", 0, 2, 3),
+]
+
+
+@pytest.mark.parametrize("family, m, n, k_max", PERM_OPERATOR_GRID)
+def test_perm_operator_matches_reference_in_key_order(family, m, n, k_max):
+    space = build_algebra(family, m, n).space
+    for k in range(1, k_max + 1):
+        for sigma in symmetric_group(k):
+            got = perm_operator(space, sigma).terms.items()
+            want = perm_operator_reference(space, sigma).terms.items()
+            assert list(got) == list(want), sigma
 
 
 def test_theta_glq_closed_formula():
     # Omega_2(Psi((12))) equals the direct signed double sum
     sp = GL11.space
-    from superinv.signs import gamma_exponent, p_exponent
+    from superinv.signs import gamma_exponent
 
     sigma = Permutation((2, 1))
     expected = {}
@@ -614,7 +655,7 @@ def _contraction_reference(alg, i, k):
                 out[word[: i - 1] + (a, b) + word[i + 1 :]] = coeff * pc
         return VectorTensor(space, k, out)
 
-    return omega_iso(space, k, fn)
+    return omega_iso_reference(space, k, fn)
 
 
 def _clifford_reference(alg, i, k):
@@ -629,7 +670,7 @@ def _clifford_reference(alg, i, k):
             coeff = -coeff
         return VectorTensor(space, k, {word[: i - 1] + (-v,) + word[i:]: coeff})
 
-    return omega_iso(space, k, fn)
+    return omega_iso_reference(space, k, fn)
 
 
 def _generator_reference(alg, name, k):

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from superinv.signs import Permutation, gamma_exponent, p_exponent, symmetric_group
+from oracles import p_exponent
+
+from superinv.signs import Permutation, gamma_exponent, symmetric_group
 
 
 def brute_p_exponent(x, y):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import apply, supertranspose
+from oracles import apply, basis_vector, supertranspose
 
 from superinv.algebras import build_algebra
 from superinv.scalars import MINUS_ONE, ONE, Scalar
@@ -14,7 +14,6 @@ from superinv.spaces import SuperSpace
 from superinv.sparse import add_into
 from superinv.tensors import (
     Tensor,
-    basis_vector,
     compose,
     full_supertrace,
     identity_tensor,
