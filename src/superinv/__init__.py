@@ -46,9 +46,6 @@ from .tensors import (
 from .schurweyl import (
     UValuedTensor,
     check_duality_relations,
-    clifford_operator,
-    contraction_operator,
-    c_power,
     generator_matrix,
     invariant_tensor,
     molev_element,
@@ -58,8 +55,6 @@ from .schurweyl import (
     sergeev_elements,
     str_gelfand,
     tensor_is_invariant,
-    theta_brauer,
-    theta_glq,
     z_sigma,
 )
 

@@ -46,7 +46,7 @@ from .schurweyl import (
     str_gelfand,
     z_sigma,
 )
-from .spaces import FAMILIES, SuperSpace
+from .spaces import FAMILIES, SuperSpace, dimension
 from .tensoralg import MAX_DEGREE, eta, project_tensor
 
 # building an algebra tabulates dim(g)^2 ~ dim(V)^4 brackets
@@ -425,11 +425,12 @@ def admit(args) -> Optional[SuperSpace]:
             families = "|".join(cmd.families)
             raise UsageError("%s supports --family %s, not %s" % (label, families, family))
         try:
-            space = SuperSpace(family, getattr(args, "m", 0), args.n)
+            dim = dimension(family, getattr(args, "m", 0), args.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if space.dim > MAX_DIM:
-            raise UsageError("%s needs dim V <= %d, got %d" % (label, MAX_DIM, space.dim))
+        if dim > MAX_DIM:
+            raise UsageError("%s needs dim V <= %d, got %d" % (label, MAX_DIM, dim))
+        space = SuperSpace(family, getattr(args, "m", 0), args.n)
     _check(label, cmd, args.k, space)
     if label == "sweep":
         row, degree = SWEEP_ROWS[space.family]

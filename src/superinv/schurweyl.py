@@ -6,12 +6,13 @@ then eta and the canonical map land in S(g) and U(g).  ``z_sigma`` is the
 composite, and is central whenever the input operator commutes with the
 action.
 
-Every invariant tensor theta is built the same way: a permutation acts,
-with its Koszul sign, on the k-th power of an invariant vector of V x V,
-and each slot pair is read back as a matrix unit.  For gl and q the vector
-is the identity sum_i e_i x e_i, sigma in S_k moves only the first slot of
-each pair, and ``omega_iso`` reads the pair (a, b) as e_ab: theta is the
-signed place permutation.  For osp and p the vector is the invariant
+Every invariant tensor theta comes from ``invariant_tensor``, one
+recipe for all four families: a permutation acts, with its Koszul sign,
+on the k-th power of an invariant vector of V x V, and each slot pair is
+read back as a matrix unit.  For gl and q the vector is the identity
+sum_i e_i x e_i, sigma in S_k moves only the first slot of each pair, and
+``omega_iso`` reads the pair (a, b) as e_ab: theta is the signed place
+permutation ``perm_operator``.  For osp and p the vector is the invariant
 pairing, sigma ranges over S_2k, and ``dualize_even_slots`` reads the pair
 as e_ab' with the family's sign.  Permutation inputs for osp/p are
 reduced to the lexicographically least member of their coset modulo the
@@ -89,11 +90,6 @@ def pairing_vector(space: SuperSpace) -> VectorTensor:
     return VectorTensor(space, 2, entries)
 
 
-def c_power(alg: Algebra, k: int) -> VectorTensor:
-    """The k-th tensor power of the pairing vector, in V^(x 2k)."""
-    return _power(pairing_vector(alg.space), k)
-
-
 def _power(vec: VectorTensor, k: int) -> VectorTensor:
     """The k-th tensor power of vec."""
     entries = {(): ONE}
@@ -106,47 +102,23 @@ def _power(vec: VectorTensor, k: int) -> VectorTensor:
     return vec._of_degree(vec.k * k, entries)
 
 
-def contraction_operator(alg: Algebra, i: int, k: int) -> Tensor:
-    """e_i on slots i, i+1 of V^(x k): theta of the cup-cap diagram {1,3} {2,4} (osp, p)."""
-    if alg.family not in ("osp", "p"):
-        raise ValueError("contraction operator exists for osp and p only")
-    return slot_embed(theta_brauer(alg, Permutation((1, 3, 2, 4))), i, k)
-
-
-def clifford_operator(alg: Algebra, i: int, k: int) -> Tensor:
-    """The i-th Clifford generator acting on V^(x k) for q(n)."""
-    if alg.family != "q":
-        raise ValueError("Clifford operators exist for q only")
-    # P e_v = -sqrt(-1) e_{-v} for v > 0, and +sqrt(-1) e_{-v} for v < 0
-    c = Tensor(alg.space, 1, {((-v, v),): -I if v > 0 else I for v in alg.space.indices})
-    return slot_embed(c, i, k)
-
-
 # -- invariant tensors ------------------------------------------------------
 
 
-def theta_glq(alg: Algebra, sigma: Permutation) -> Tensor:
-    """The invariant of End(V)^(x k) attached to a permutation (gl, q)."""
-    if alg.family not in ("gl", "q"):
-        raise ValueError("permutation invariants exist for gl and q only")
-    return perm_operator(alg.space, sigma)
+def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
+    """The invariant theta of End(V)^(x k) attached to sigma.
 
-
-def theta_brauer(alg: Algebra, sigma: Permutation) -> Tensor:
-    """The invariant attached to sigma in S_2k for osp and p.
-
-    Built by letting sigma act on the k-th power of the pairing vector and
-    dualizing the even slots.  sigma is replaced by the canonical
-    representative of sigma*H first.
+    gl, q: sigma in S_k, and theta is its signed place permutation.  osp, p:
+    sigma in S_2k, replaced by the canonical representative of sigma*H,
+    acts on the k-th power of the pairing vector; the even slots are then
+    dualized.
     """
-    if alg.family not in ("osp", "p"):
-        raise ValueError("pairing invariants exist for osp and p only")
+    if alg.family in ("gl", "q"):
+        return perm_operator(alg.space, sigma)
     if sigma.size % 2:
         raise ValueError("sigma must live in S_2k")
-    k = sigma.size // 2
-    sigma = coset_canonical(sigma)
-    vec = permute_word(sigma, c_power(alg, k))
-    return dualize_even_slots(alg, vec)
+    power = _power(pairing_vector(alg.space), sigma.size // 2)
+    return dualize_even_slots(alg, permute_word(coset_canonical(sigma), power))
 
 
 def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
@@ -178,13 +150,6 @@ def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
                 coeff = -coeff
         out.terms[tuple(key)] = coeff
     return out
-
-
-def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
-    """Family dispatch: permutations for gl/q, pair permutations for osp/p."""
-    if alg.family in ("gl", "q"):
-        return theta_glq(alg, sigma)
-    return theta_brauer(alg, sigma)
 
 
 def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
@@ -270,10 +235,6 @@ def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
     return out
 
 
-def identity_uvalued(alg: Algebra, k: int) -> UValuedTensor:
-    return scalar_tensor(alg, identity_tensor(alg.space, k))
-
-
 def generator_matrix(alg: Algebra) -> UValuedTensor:
     """The U(g)-valued matrix with (i,j) entry the spanning element X_ij.
 
@@ -318,7 +279,7 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
     if not tensor_is_invariant(alg, s):
         raise ValueError("input tensor is not invariant")
     x = generator_matrix(alg)
-    one = identity_uvalued(alg, k)
+    one = scalar_tensor(alg, identity_tensor(alg.space, k))
     prod = scalar_tensor(alg, s)
     for a in range(k, 0, -1):
         prod = (slot_embed(x, a, k) + one.scale(shifts[a - 1])) * prod
@@ -421,9 +382,11 @@ def _generator_operators(alg: Algebra, k: int) -> dict:
     """
     local = {"s": perm_operator(alg.space, Permutation((2, 1)))}
     if alg.family in ("osp", "p"):
-        local["e"] = contraction_operator(alg, 1, 2)
+        local["e"] = invariant_tensor(alg, Permutation((1, 3, 2, 4)))
     elif alg.family == "q":
-        local["c"] = clifford_operator(alg, 1, 1)
+        # P e_v = -sqrt(-1) e_{-v} for v > 0, and +sqrt(-1) e_{-v} for v < 0
+        indices = alg.space.indices
+        local["c"] = Tensor(alg.space, 1, {((-v, v),): -I if v > 0 else I for v in indices})
     return {
         "%s%d" % (name, i): slot_embed(x, i, k)
         for name, x in local.items()

@@ -9,11 +9,33 @@ Index conventions (all 1-based except the signed q-indices):
 * p(n):      indices 1..2n, even iff i <= n; i' = i+n resp. i-n.  The odd
              symmetric form is (e_i, e_j) = delta(j, i').
 * q(n):      signed indices {1..n} u {-1..-n}, even iff i > 0; i' = -i.
+
+q(n) and p(n) have no m: their spaces take m = 0.
 """
 
 from __future__ import annotations
 
 FAMILIES = ("gl", "osp", "q", "p")
+
+
+def dimension(family: str, m: int, n: int) -> int:
+    """dim V of the family at sizes m, n, or ValueError for sizes it does not take.
+
+    Nothing here grows with m or n, so a bound on dim V can be checked
+    before a SuperSpace is built.
+    """
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if m < 0 or n < 0:
+        raise ValueError("sizes must be non-negative")
+    if family in ("q", "p") and n < 1:
+        raise ValueError("family %s requires n >= 1" % family)
+    if family in ("q", "p") and m:
+        raise ValueError("family %s requires m = 0, got %d" % (family, m))
+    dim = {"gl": m + n, "osp": m + 2 * n}.get(family, 2 * n)
+    if dim < 1:  # gl or osp: q and p have n >= 1
+        raise ValueError("%s requires %s >= 1" % (family, "m+n" if family == "gl" else "m+2n"))
+    return dim
 
 
 class SuperSpace:
@@ -22,34 +44,15 @@ class SuperSpace:
     __slots__ = ("family", "m", "n", "indices", "dim", "_parity")
 
     def __init__(self, family: str, m: int, n: int):
-        if family not in FAMILIES:
-            raise ValueError("unknown family %r" % (family,))
-        if m < 0 or n < 0:
-            raise ValueError("sizes must be non-negative")
-        if family in ("q", "p") and n < 1:
-            raise ValueError("family %s requires n >= 1" % family)
-        self.family = family
-        self.m = m
-        self.n = n
-        if family == "gl":
-            if m + n < 1:
-                raise ValueError("gl requires m+n >= 1")
-            self.indices = tuple(range(1, m + n + 1))
-            self._parity = {i: (0 if i <= m else 1) for i in self.indices}
-        elif family == "osp":
-            if m + 2 * n < 1:
-                raise ValueError("osp requires m+2n >= 1")
-            self.indices = tuple(range(1, m + 2 * n + 1))
-            self._parity = {
-                i: (1 if (i <= n or i > m + n) else 0) for i in self.indices
-            }
-        elif family == "p":
-            self.indices = tuple(range(1, 2 * n + 1))
-            self._parity = {i: (0 if i <= n else 1) for i in self.indices}
-        else:  # q
+        self.dim = dimension(family, m, n)
+        self.family, self.m, self.n = family, m, n
+        if family == "q":
             self.indices = tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
-            self._parity = {i: (0 if i > 0 else 1) for i in self.indices}
-        self.dim = len(self.indices)
+        else:
+            self.indices = tuple(range(1, self.dim + 1))
+        # the even indices are lo < i <= hi
+        lo, hi = {"gl": (0, m), "osp": (n, m + n)}.get(family, (0, n))
+        self._parity = {i: 0 if lo < i <= hi else 1 for i in self.indices}
 
     def parity(self, i: int) -> int:
         return self._parity[i]

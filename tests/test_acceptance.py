@@ -37,12 +37,11 @@ from superinv.scalars import MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import (
     check_duality_relations,
     generator_matrix,
+    invariant_tensor,
     scalar_tensor,
     sergeev_Z,
     slot_embed,
     str_gelfand,
-    theta_brauer,
-    theta_glq,
     z_sigma,
 )
 from superinv.signs import (
@@ -108,7 +107,7 @@ def test_criterion_03_conjugacy_average():
             perms = list(symmetric_group(k))
             inv_fact = Scalar(Fraction(1, math.factorial(k)))
             for sigma in perms:
-                lhs = psi_map(eta(project_tensor(alg, theta_glq(alg, sigma))))
+                lhs = psi_map(eta(project_tensor(alg, invariant_tensor(alg, sigma))))
                 rhs = PBWElement(alg)
                 for tau in perms:
                     rhs = rhs + z_sigma(alg, tau.inverse() * sigma * tau)
@@ -120,7 +119,7 @@ def test_criterion_03_conjugacy_average():
         bars = [overline_embed(t) for t in symmetric_group(k)]
         inv_fact = Scalar(Fraction(1, math.factorial(k)))
         for sigma in symmetric_group(2 * k):
-            lhs = psi_map(eta(project_tensor(alg, theta_brauer(alg, sigma))))
+            lhs = psi_map(eta(project_tensor(alg, invariant_tensor(alg, sigma))))
             rhs = PBWElement(alg)
             for tb in bars:
                 rhs = rhs + z_sigma(alg, tb * sigma)
@@ -160,12 +159,12 @@ def test_criterion_06_p_triviality():
         alg = build_algebra("p", 0, n)
         for k in (1, 2, 3):
             for sigma in coset_reps(k):
-                pt = project_tensor(alg, theta_brauer(alg, sigma))
+                pt = project_tensor(alg, invariant_tensor(alg, sigma))
                 ok = ok and eta(pt).is_zero()
                 ok = ok and eta_prime(pt).is_scalar()
     p2 = build_algebra("p", 0, 2)
     sigma = Permutation.from_cycles([(2, 3), (4, 5)], 6)
-    nonzero = not project_tensor(p2, theta_brauer(p2, sigma.inverse())).is_zero()
+    nonzero = not project_tensor(p2, invariant_tensor(p2, sigma.inverse())).is_zero()
     ok = ok and nonzero
     elapsed = time.time() - start
     ok = ok and elapsed < 600

@@ -6,6 +6,7 @@ from oracles import apply, basis_vector, bracket, supertranspose
 
 from superinv.algebras import LieElement, build_algebra, phi_k
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
+from superinv.spaces import SuperSpace, dimension
 from superinv.tensors import Tensor, compose
 
 SIZES = [
@@ -55,6 +56,8 @@ def row_reduce_rank(rows):
 def test_dimension_and_independence(family, m, n):
     alg = build_algebra(family, m, n)
     assert alg.dim == expected_dim(family, m, n)
+    space = alg.space
+    assert dimension(family, m, n) == space.dim == len(space.indices) == len(space._parity)
     idx = {v: i for i, v in enumerate(alg.space.indices)}
     rows = []
     for mat in alg.embed:
@@ -64,6 +67,18 @@ def test_dimension_and_independence(family, m, n):
             row[idx[r] * alg.space.dim + idx[c]] = coeff.re
         rows.append(row)
     assert row_reduce_rank(rows) == alg.dim
+
+
+def test_space_rejects_sizes_it_would_ignore():
+    # q(n) and p(n) have no m; a nonzero m is refused, not dropped
+    for family in ("q", "p"):
+        with pytest.raises(ValueError, match="requires m = 0"):
+            SuperSpace(family, 1, 1)
+    for family, m, n in (("gl", 0, 0), ("osp", 0, 0), ("q", 0, 0), ("gl", -1, 2)):
+        with pytest.raises(ValueError):
+            dimension(family, m, n)
+    # the dimension of a space too large to build is still a number
+    assert dimension("osp", 10**9, 10**9) == 3 * 10**9
 
 
 @pytest.mark.parametrize("family,m,n", SIZES)

@@ -362,6 +362,12 @@ PAST_BOUNDS = [
         "invariant needs max(dim V, 2)^k <= 4096, got 8^5",
     ),
     ("invariant --family gl --m 9 --n 8 --k 1", "invariant needs dim V <= 16, got 17"),
+    # rejected before a SuperSpace allocates one entry per index
+    (
+        "invariant --family gl --m 1000000000 --n 0 --k 1",
+        "invariant needs dim V <= 16, got 1000000000",
+    ),
+    ("invariant --family p --m 3 --n 1 --k 1", "family p requires m = 0, got 3"),
     ("hc --family gl --m 1 --n 1 --k 0", "hc: --k must be >= 1"),
     ("hc --family gl --m 3 --n 3 --k 7", "hc needs max(dim V, 2)^k <= 46656, got 6^7"),
     (
@@ -382,6 +388,7 @@ PAST_BOUNDS = [
     ("relations --family gl --m 1 --n 1 --k 1", "relations: --k must be >= 2"),
     ("relations --family q --n 2 --k 6", "relations needs max(dim V, 2)^k <= 2401, got 4^6"),
     ("relations --family p --n 9 --k 2", "relations needs dim V <= 16, got 18"),
+    ("relations --family q --m 5 --n 1 --k 2", "family q requires m = 0, got 5"),
     ("sweep --family gl --m 1 --n 1 --k 0", "sweep: --k must be >= 1"),
     (
         "sweep --family gl --m 3 --n 3 --k 7",

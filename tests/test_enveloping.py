@@ -33,7 +33,7 @@ from superinv.enveloping import (
     zeta_project,
 )
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
-from superinv.schurweyl import sergeev_Z, str_gelfand, theta_glq, z_sigma
+from superinv.schurweyl import invariant_tensor, sergeev_Z, str_gelfand, z_sigma
 from superinv.signs import symmetric_group
 from superinv.tensoralg import TensorAlgebraElement, adjoint_act, eta, project_tensor
 
@@ -238,7 +238,7 @@ def test_conjugacy_average_identity_small():
             perms = list(symmetric_group(k))
             inv_fact = Scalar(Fraction(1, math.factorial(k)))
             for sigma in perms:
-                lhs = psi_map(eta(project_tensor(alg, theta_glq(alg, sigma))))
+                lhs = psi_map(eta(project_tensor(alg, invariant_tensor(alg, sigma))))
                 rhs = PBWElement(alg)
                 for tau in perms:
                     rhs = rhs + z_sigma(alg, tau.inverse() * sigma * tau)

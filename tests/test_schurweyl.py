@@ -25,13 +25,12 @@ from superinv.schurweyl import (
     _actions,
     _generator_operators,
     _noncommuting_generators,
+    _power,
     _read_side,
-    c_power,
     check_duality_relations,
-    clifford_operator,
-    contraction_operator,
     dualize_even_slots,
     generator_matrix,
+    invariant_tensor,
     molev_element,
     omega_iso,
     pairing_vector,
@@ -42,8 +41,6 @@ from superinv.schurweyl import (
     slot_embed,
     str_gelfand,
     tensor_is_invariant,
-    theta_brauer,
-    theta_glq,
     z_sigma,
 )
 from superinv.signs import Permutation, symmetric_group
@@ -210,7 +207,7 @@ def test_theta_glq_closed_formula():
             expected[key] = expected.get(key, ZERO) + (
                 ONE if exp == 0 else MINUS_ONE
             )
-    assert theta_glq(GL11, sigma) == Tensor(sp, 2, expected)
+    assert invariant_tensor(GL11, sigma) == Tensor(sp, 2, expected)
 
 
 def test_theta_cycle_example():
@@ -226,13 +223,13 @@ def test_theta_cycle_example():
                 (word[t], word[t + 1]) for t in range(k - 1)
             )
             expected[key] = ONE if exp == 0 else MINUS_ONE
-        assert theta_glq(alg, sigma) == Tensor(sp, k, expected)
+        assert invariant_tensor(alg, sigma) == Tensor(sp, k, expected)
         # and z of the full cycle is the trace of the k-th matrix power
         assert z_sigma(alg, sigma) == str_gelfand(alg, k)
 
 
 def test_theta_k1():
-    assert theta_glq(GL11, Permutation.identity(1)) == identity_tensor(GL11.space, 1)
+    assert invariant_tensor(GL11, Permutation.identity(1)) == identity_tensor(GL11.space, 1)
 
 
 def test_gelfand_orientation_is_pinned():
@@ -271,28 +268,28 @@ def test_z_sigma_gl_k2_example():
 
 def test_pairing_vector_and_contraction():
     o = build_algebra("osp", 1, 1)
-    e1 = contraction_operator(o, 1, 2)
+    e1 = _generator_operators(o, 2)["e1"]
     assert compose(e1, e1) == e1.scale(Scalar(-1))  # delta = m - 2n = -1
     p2 = build_algebra("p", 0, 2)
-    f1 = contraction_operator(p2, 1, 2)
+    f1 = _generator_operators(p2, 2)["e1"]
     assert compose(f1, f1).is_zero()
     s1 = perm_operator(p2.space, Permutation((2, 1)))
     assert compose(s1, f1) == f1.scale(MINUS_ONE)
     assert compose(f1, s1) == f1
     with pytest.raises(ValueError):
-        contraction_operator(GL11, 1, 2)
+        pairing_vector(GL11.space)
 
 
 def test_contraction_commutes_with_action():
     for family, m, n in [("osp", 2, 1), ("p", 0, 2)]:
         alg = build_algebra(family, m, n)
-        op = contraction_operator(alg, 1, 3)
+        op = _generator_operators(alg, 3)["e1"]
         assert tensor_is_invariant(alg, op)
 
 
 def test_clifford_examples():
     q1 = build_algebra("q", 0, 1)
-    c1 = clifford_operator(q1, 1, 1)
+    c1 = _generator_operators(q1, 1)["c1"]
     assert apply(c1, basis_vector(q1.space, (1,))) == basis_vector(
         q1.space, (-1,)
     ).scale(-IMAG)
@@ -300,27 +297,27 @@ def test_clifford_examples():
         q1.space, (1,)
     ).scale(IMAG)
     q2 = build_algebra("q", 0, 2)
-    c1, c2 = clifford_operator(q2, 1, 2), clifford_operator(q2, 2, 2)
+    ops = _generator_operators(q2, 2)
+    c1, c2 = ops["c1"], ops["c2"]
     ident = identity_tensor(q2.space, 2)
     assert compose(c1, c1) == ident
     assert (compose(c1, c2) + compose(c2, c1)).is_zero()
     # sigma c_i = c_{sigma(i)} sigma
     s = perm_operator(q2.space, Permutation((2, 1)))
     assert compose(s, c1) == compose(c2, s)
-    with pytest.raises(ValueError):
-        clifford_operator(GL11, 1, 1)
+    assert sorted(_generator_operators(GL11, 2)) == ["s1"]
 
 
 def test_clifford_supercommutes_with_action():
     q2 = build_algebra("q", 0, 2)
-    c1 = clifford_operator(q2, 1, 2)
+    c1 = _generator_operators(q2, 2)["c1"]
     assert tensor_is_invariant(q2, c1)
 
 
 def test_theta_brauer_identity_perm():
     for family, m, n in [("osp", 1, 1), ("osp", 2, 1), ("p", 0, 2)]:
         alg = build_algebra(family, m, n)
-        th = theta_brauer(alg, Permutation.identity(2))
+        th = invariant_tensor(alg, Permutation.identity(2))
         assert th == identity_tensor(alg.space, 1)
         assert eta(project_tensor(alg, th)).is_zero()
 
@@ -331,21 +328,21 @@ def test_theta_brauer_coset_stability():
     for family, m, n in [("osp", 2, 1), ("p", 0, 2)]:
         alg = build_algebra(family, m, n)
         for sigma in rng.sample(list(symmetric_group(4)), 6):
-            base = theta_brauer(alg, sigma)
+            base = invariant_tensor(alg, sigma)
             for h in rng.sample(hs, 3):
-                assert theta_brauer(alg, sigma * h) == base
+                assert invariant_tensor(alg, sigma * h) == base
 
 
 def test_theta_invariance_sweeps():
     for alg in (GL11, build_algebra("q", 0, 2)):
         for k in (1, 2, 3):
             for sigma in symmetric_group(k):
-                assert tensor_is_invariant(alg, theta_glq(alg, sigma))
+                assert tensor_is_invariant(alg, invariant_tensor(alg, sigma))
     for family, m, n in [("osp", 1, 1), ("osp", 2, 1), ("p", 0, 2)]:
         alg = build_algebra(family, m, n)
         for k in (1, 2):
             for sigma in symmetric_group(2 * k):
-                assert tensor_is_invariant(alg, theta_brauer(alg, sigma))
+                assert tensor_is_invariant(alg, invariant_tensor(alg, sigma))
 
 
 def test_theta_brauer_closed_formula_osp():
@@ -382,7 +379,7 @@ def test_theta_brauer_closed_formula_osp():
                 acc = entries.get(key)
                 entries[key] = coeff if acc is None else acc + coeff
             expected = Tensor(sp, k, entries)
-            assert theta_brauer(alg, sigma) == expected, (m, n, sigma)
+            assert invariant_tensor(alg, sigma) == expected, (m, n, sigma)
 
 
 def test_theta_brauer_matches_two_step_construction():
@@ -394,8 +391,8 @@ def test_theta_brauer_matches_two_step_construction():
 
         for sigma in rng.sample(list(symmetric_group(4)), 8):
             canon = coset_canonical(sigma)
-            vec = permute_word(canon, c_power(alg, 2))
-            assert theta_brauer(alg, sigma) == dualize_even_slots(alg, vec)
+            vec = permute_word(canon, _power(pairing_vector(alg.space), 2))
+            assert invariant_tensor(alg, sigma) == dualize_even_slots(alg, vec)
 
 
 def test_p2_crossing_invariant_frozen_formula():
@@ -404,7 +401,7 @@ def test_p2_crossing_invariant_frozen_formula():
     p2 = build_algebra("p", 0, 2)
     sp = p2.space
     sigma = Permutation.from_cycles([(2, 3), (4, 5)], 6)
-    actual = project_tensor(p2, theta_brauer(p2, sigma.inverse()))
+    actual = project_tensor(p2, invariant_tensor(p2, sigma.inverse()))
     from superinv.tensoralg import TensorAlgebraElement
 
     eighth = Scalar(Fraction(1, 8))
@@ -434,11 +431,7 @@ def test_p2_crossing_invariant_frozen_formula():
 def test_theta_brauer_error_paths():
     p2 = build_algebra("p", 0, 2)
     with pytest.raises(ValueError):
-        theta_brauer(p2, Permutation((2, 3, 1)))  # odd total degree
-    with pytest.raises(ValueError):
-        theta_brauer(GL11, Permutation.identity(2))
-    with pytest.raises(ValueError):
-        contraction_operator(p2, 3, 3)  # position out of range
+        invariant_tensor(p2, Permutation((2, 3, 1)))  # odd total degree
 
 
 def test_q3_family_checks():
@@ -454,14 +447,14 @@ def test_q3_family_checks():
 def test_osp32_full_s4_sweep():
     o32 = build_algebra("osp", 3, 1)
     for sigma in symmetric_group(4):
-        th = theta_brauer(o32, sigma)
+        th = invariant_tensor(o32, sigma)
         assert tensor_is_invariant(o32, th)
         assert is_central(z_sigma(o32, sigma))
 
 
 def test_molev_osp():
     o = build_algebra("osp", 1, 1)
-    s = theta_brauer(o, Permutation.from_cycles([(1, 3)], 4))
+    s = invariant_tensor(o, Permutation.from_cycles([(1, 3)], 4))
     me = molev_element(o, s, [Scalar(Fraction(1, 2)), Scalar(-2)])
     assert is_central(me)
 
@@ -478,7 +471,7 @@ def test_p_averaging_collapses_to_zero():
     bars = [overline_embed(t) for t in symmetric_group(2)]
     fact = Scalar(Fraction(1, math.factorial(2)))
     for sigma in symmetric_group(4):
-        lhs = psi_eta_pi(p2, theta_brauer(p2, sigma))
+        lhs = psi_eta_pi(p2, invariant_tensor(p2, sigma))
         assert lhs.is_zero()
         rhs = PBWElement(p2)
         for tb in bars:
@@ -538,7 +531,7 @@ def test_traced_pipeline_identity():
     # eta' pi (S^st) = Str_{1..k} E_1 ... E_k S for invariant S
     for k in (1, 2):
         for sigma in symmetric_group(k):
-            s = theta_glq(GL11, sigma)
+            s = invariant_tensor(GL11, sigma)
             lhs = eta_prime(project_tensor(GL11, supertranspose(s)))
             x = generator_matrix(GL11)
             acc = None
@@ -562,7 +555,7 @@ def test_molev_k1_expansion():
 
 def test_molev_centrality_and_errors():
     sigma = Permutation((2, 1))
-    s = theta_glq(GL11, sigma)
+    s = invariant_tensor(GL11, sigma)
     elem = molev_element(GL11, s, [Scalar(1), Scalar(Fraction(1, 2))])
     assert is_central(elem)
     zero = Tensor(GL11.space, 2, {})
@@ -628,7 +621,7 @@ def test_relation_reader_matches_hand_built_products():
     assert not e1s2.is_zero() and _read_side("-e1 s2", ops, ident) == -e1s2
     q1 = build_algebra("q", 0, 1)
     ops = _generator_operators(q1, 2)
-    c1 = clifford_operator(q1, 1, 2)
+    c1 = ops["c1"]
     assert _read_side("c1^2", ops, identity_tensor(q1.space, 2)) == compose(c1, c1)
 
 
@@ -710,18 +703,15 @@ def test_flip_formulas_match_the_generators(family, m, n):
         alg.space, Permutation((2, 1))
     )
     if family == "osp":
-        assert form_flip_tensor(alg.space) == contraction_operator(alg, 1, 2)
+        assert form_flip_tensor(alg.space) == _generator_operators(alg, 2)["e1"]
 
 
 def test_generator_positions_out_of_range_raise():
     p2 = build_algebra("p", 0, 2)
     q1 = build_algebra("q", 0, 1)
-    for i in (0, 3):
-        with pytest.raises(ValueError):
-            contraction_operator(p2, i, 3)
-    for i in (0, 4):
-        with pytest.raises(ValueError):
-            clifford_operator(q1, i, 3)
+    # only the slots a local tensor fits on carry a generator
+    assert sorted(_generator_operators(p2, 3)) == ["e1", "e2", "s1", "s2"]
+    assert sorted(_generator_operators(q1, 3)) == ["c1", "c2", "c3", "s1", "s2"]
 
 
 # -- the Koszul signs of theta and of supercommutation, against their first form
@@ -735,7 +725,7 @@ def test_generator_positions_out_of_range_raise():
 def test_dualize_even_slots_matches_reference_in_key_order(family, m, n):
     alg = build_algebra(family, m, n)
     for k in (1, 2, 3):
-        power = c_power(alg, k)
+        power = _power(pairing_vector(alg.space), k)
         for sigma in symmetric_group(2 * k):
             vec = permute_word(sigma, power)
             got = dualize_even_slots(alg, vec).terms.items()

@@ -6,7 +6,7 @@ from oracles import bracket, sym_monomial
 from superinv import tensoralg
 from superinv.algebras import build_algebra
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
-from superinv.schurweyl import theta_glq
+from superinv.schurweyl import invariant_tensor
 from superinv.signs import Permutation, symmetric_group
 from superinv.tensoralg import (
     DegreeCapExceeded,
@@ -114,7 +114,7 @@ def test_is_invariant():
     assert not is_invariant(t_elem(GL11, {(E12,): ONE}))
     for k in (1, 2, 3):
         for sigma in symmetric_group(k):
-            t = project_tensor(GL11, theta_glq(GL11, sigma))
+            t = project_tensor(GL11, invariant_tensor(GL11, sigma))
             assert is_invariant(t), sigma
             assert is_invariant(eta(t)), sigma
 
@@ -128,7 +128,7 @@ def test_cycle_factorization_of_invariants():
                 n_cycles = len(cycles) + (k - sum(len(c) for c in cycles))
                 if k == 4 and n_cycles < 2:
                     continue
-                lhs = eta(project_tensor(alg, theta_glq(alg, sigma)))
+                lhs = eta(project_tensor(alg, invariant_tensor(alg, sigma)))
                 # each length-t cycle contributes the invariant of the
                 # standard t-cycle (invariants are conjugation-invariant),
                 # and each fixed point that of the one-slot identity
@@ -141,7 +141,7 @@ def test_cycle_factorization_of_invariants():
                     eta(
                         project_tensor(
                             alg,
-                            theta_glq(
+                            invariant_tensor(
                                 alg,
                                 Permutation.from_cycles(
                                     [tuple(range(1, len(c) + 1))], len(c)
@@ -152,7 +152,7 @@ def test_cycle_factorization_of_invariants():
                     for c in cycles
                 ]
                 factors.extend(
-                    eta(project_tensor(alg, theta_glq(alg, Permutation.identity(1))))
+                    eta(project_tensor(alg, invariant_tensor(alg, Permutation.identity(1))))
                     for _ in fixed
                 )
                 rhs = factors[0]
