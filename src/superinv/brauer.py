@@ -1,12 +1,12 @@
 """(k,k)-diagram combinatorics behind the triviality argument for p(n).
 
-A permutation sigma in S_2k determines a perfect matching of {1..2k} by
-pairing sigma(2s-1) with sigma(2s); drawn with dots labeled column by
-column (odd labels on top, even below), that matching is the diagram of
-sigma.  Two permutations give the same diagram exactly when they lie in
-the same left coset of H, the subgroup generated by the pair swaps
-(12),(34),...,(2k-1,2k) together with the doubled permutations
-g -> gbar, gbar(2s-1) = 2g(s)-1, gbar(2s) = 2g(s).
+A permutation sigma in S_2k is a diagram: it pairs sigma(2s-1) with
+sigma(2s), a perfect matching of {1..2k} drawn with dots labeled column by
+column (odd labels on top, even below).  Two permutations give the same
+diagram exactly when they lie in the same left coset of H, the subgroup
+generated by the pair swaps (12),(34),...,(2k-1,2k) together with the
+doubled permutations g -> gbar, gbar(2s-1) = 2g(s)-1, gbar(2s) = 2g(s);
+the lex-least member of a coset stands for it.
 
 The closure of a diagram adds the fixed edges {2s-1,2s}; its connected
 circles, read alternately along matching and fixed edges, have lengths
@@ -29,11 +29,6 @@ from .signs import Permutation, symmetric_group
 # count_by_type costs milliseconds here; the bound keeps brauer's type
 # table to p(12) = 77 rows
 MAX_COUNT_K = 12
-
-
-class BrauerDiagram(NamedTuple):
-    k: int
-    pairs: tuple  # sorted tuple of sorted (a, b) pairs
 
 
 class ClosureAnalysis(NamedTuple):
@@ -86,27 +81,22 @@ def factor_H(h: Permutation):
     return tau, g
 
 
-def diagram_from_perm(sigma: Permutation) -> BrauerDiagram:
+def _pairs(sigma: Permutation) -> Iterator[tuple]:
+    """The pairs (sigma(2s-1), sigma(2s)) of sigma's diagram, s = 1..k."""
     if sigma.size % 2:
         raise ValueError("need a permutation of an even number of points")
-    k = sigma.size // 2
-    pairs = []
-    for s in range(1, k + 1):
-        a, b = sigma(2 * s - 1), sigma(2 * s)
-        pairs.append((a, b) if a < b else (b, a))
-    return BrauerDiagram(k, tuple(sorted(pairs)))
+    return zip(sigma.images[::2], sigma.images[1::2])
 
 
-def closure_type(d: BrauerDiagram) -> ClosureAnalysis:
-    """Circles of the closure, traversed matching-edge first from the least dot."""
+def closure_type(sigma: Permutation) -> ClosureAnalysis:
+    """Circles of sigma's closure, traversed matching-edge first from the least dot."""
     match = {}
-    for a, b in d.pairs:
-        match[a] = b
-        match[b] = a
+    for a, b in _pairs(sigma):
+        match[a], match[b] = b, a
     red = lambda x: x + 1 if x % 2 else x - 1
     seen = set()
     circles = []
-    for start in range(1, 2 * d.k + 1):
+    for start in range(1, sigma.size + 1):
         if start in seen:
             continue
         circle = [start]
@@ -121,23 +111,6 @@ def closure_type(d: BrauerDiagram) -> ClosureAnalysis:
         circles.append(tuple(circle))
     lengths = tuple(sorted(len(c) // 2 for c in circles))
     return ClosureAnalysis(tuple(circles), lengths)
-
-
-def perm_type(sigma: Permutation) -> tuple:
-    return closure_type(diagram_from_perm(sigma)).type_vector
-
-
-def all_matchings(points) -> Iterator[tuple]:
-    """All perfect matchings of the given points, as sorted pair tuples."""
-    points = sorted(points)
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    rest = points[1:]
-    for i, partner in enumerate(rest):
-        for sub in all_matchings(rest[:i] + rest[i + 1 :]):
-            yield ((first, partner),) + sub
 
 
 def type_count_formula(k: int, type_vector) -> int:
@@ -186,19 +159,25 @@ def count_by_type(k: int) -> dict:
 
 
 def coset_reps(k: int) -> list:
-    """Lexicographically least sigma per diagram; (2k-1)!! of them."""
-    matchings = all_matchings(range(1, 2 * k + 1))
-    return sorted(Permutation([x for pair in pairs for x in pair]) for pairs in matchings)
+    """Lexicographically least sigma per diagram; (2k-1)!! of them, in lex order."""
+
+    def images(points: tuple) -> Iterator[tuple]:
+        # the least point pairs with each later one in turn, so images ascend
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        for i, partner in enumerate(rest):
+            for tail in images(rest[:i] + rest[i + 1 :]):
+                yield (first, partner) + tail
+
+    return [Permutation(img) for img in images(tuple(range(1, 2 * k + 1)))]
 
 
 def coset_canonical(sigma: Permutation) -> Permutation:
     """The lex-least member of sigma*H; constant on left cosets."""
-    d = diagram_from_perm(sigma)
-    img = []
-    for a, b in d.pairs:
-        img.append(a)
-        img.append(b)
-    return Permutation(img)
+    pairs = sorted((a, b) if a < b else (b, a) for a, b in _pairs(sigma))
+    return Permutation(x for pair in pairs for x in pair)
 
 
 def _circle_reflection(circle: tuple, k: int) -> Permutation:
@@ -218,10 +197,7 @@ def key_lemma_witness(sigma: Permutation) -> KeyLemmaWitness:
     sigma^{-1} a sigma = tau gbar lie in H.  It is returned as it is:
     ``witness_holds`` checks that sign(tau1) sign(g) sign(g1) = -1.
     """
-    if sigma.size % 2:
-        raise ValueError("need a permutation of an even number of points")
-    k = sigma.size // 2
-    a = _circle_reflection(closure_type(diagram_from_perm(sigma)).circles[0], k)
+    a = _circle_reflection(closure_type(sigma).circles[0], sigma.size // 2)
     fac1 = factor_H(a)
     fac = factor_H(sigma.inverse() * a * sigma)
     if fac1 is None or fac is None:
@@ -250,7 +226,7 @@ def double_coset_sizes(k: int) -> dict:
     """Observed |H sigma H| per type, by scanning all of S_2k."""
     sizes = {}
     for sigma in symmetric_group(2 * k):
-        t = perm_type(sigma)
+        t = closure_type(sigma).type_vector
         sizes[t] = sizes.get(t, 0) + 1
     return sizes
 

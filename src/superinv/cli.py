@@ -176,7 +176,7 @@ def cmd_keylemma(args, alg) -> tuple[dict, int]:
         # the first representative of each type
         first = {}
         for sig in br.coset_reps(k):
-            first.setdefault(br.perm_type(sig), sig)
+            first.setdefault(br.closure_type(sig).type_vector, sig)
         sigmas = list(first.values())
     else:
         sigmas = list(symmetric_group(2 * k))

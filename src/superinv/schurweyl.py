@@ -27,6 +27,8 @@ is the odd Clifford operator on V.
 
 from __future__ import annotations
 
+import functools
+
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
@@ -102,6 +104,12 @@ def _power(vec: VectorTensor, k: int) -> VectorTensor:
     return vec._of_degree(vec.k * k, entries)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairing_power(space: SuperSpace, k: int) -> VectorTensor:
+    """The k-th tensor power of the pairing vector, built once and never mutated."""
+    return _power(pairing_vector(space), k)
+
+
 # -- invariant tensors ------------------------------------------------------
 
 
@@ -117,7 +125,7 @@ def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
         return perm_operator(alg.space, sigma)
     if sigma.size % 2:
         raise ValueError("sigma must live in S_2k")
-    power = _power(pairing_vector(alg.space), sigma.size // 2)
+    power = _pairing_power(alg.space, sigma.size // 2)
     return dualize_even_slots(alg, permute_word(coset_canonical(sigma), power))
 
 

@@ -16,9 +16,8 @@ import math
 from superinv.algebras import LieElement
 from superinv.brauer import (
     MAX_COUNT_K,
-    BrauerDiagram,
-    all_matchings,
     closure_type,
+    coset_reps,
     overline_embed,
 )
 from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
@@ -188,13 +187,13 @@ def all_types(k):
 
 
 def count_by_type_reference(k: int) -> dict:
-    """Enumerate all (k,k)-diagrams and bucket them by closure type."""
+    """Walk all (k,k)-diagrams, one coset representative each, by closure type."""
     if k > MAX_COUNT_K:
         raise ValueError("k exceeds the bound %d" % MAX_COUNT_K)
     counts = {}
     total = 0
-    for pairs in all_matchings(range(1, 2 * k + 1)):
-        t = closure_type(BrauerDiagram(k, pairs)).type_vector
+    for sigma in coset_reps(k):
+        t = closure_type(sigma).type_vector
         counts[t] = counts.get(t, 0) + 1
         total += 1
     return {"counts": counts, "total": total}

@@ -14,13 +14,13 @@ from oracles import all_types, form_flip_tensor, p_exponent, super_transposition
 
 from superinv.algebras import build_algebra
 from superinv.brauer import (
+    closure_type,
     coset_reps,
     count_by_type,
     double_coset_size_formula,
     double_coset_sizes,
     double_factorial,
     key_lemma_witness,
-    perm_type,
     type_count_formula,
     witness_holds,
 )
@@ -183,7 +183,7 @@ def test_criterion_07_key_lemma():
             ok = ok and witness_holds(sigma, w)
     seen = set()
     for sigma in coset_reps(4):
-        t = perm_type(sigma)
+        t = closure_type(sigma).type_vector
         if t in seen:
             continue
         seen.add(t)

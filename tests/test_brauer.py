@@ -7,12 +7,10 @@ from oracles import all_types, count_by_type_reference, h_elements, pair_swaps
 from superinv import brauer
 from superinv.brauer import (
     KeyLemmaWitness,
-    all_matchings,
     closure_type,
     coset_canonical,
     coset_reps,
     count_by_type,
-    diagram_from_perm,
     double_coset_size_formula,
     double_coset_sizes,
     double_factorial,
@@ -20,19 +18,24 @@ from superinv.brauer import (
     intersection_order_formula,
     key_lemma_witness,
     overline_embed,
-    perm_type,
     type_count_formula,
     witness_holds,
 )
 from superinv.signs import Permutation, symmetric_group
 
 
+def diagram(sigma):
+    """sigma's matching {sigma(2s-1), sigma(2s)} as a set of unordered pairs."""
+    img = sigma.images
+    return frozenset(frozenset(img[i : i + 2]) for i in range(0, len(img), 2))
+
+
 def stabilizer_is_H(k):
     """Statement check: the stabilizer of the identity diagram is exactly H."""
-    d0 = diagram_from_perm(Permutation.identity(2 * k))
+    d0 = diagram(Permutation.identity(2 * k))
     h_set = set(h_elements(k))
     return all(
-        (diagram_from_perm(sigma) == d0) == (sigma in h_set)
+        (diagram(sigma) == d0) == (sigma in h_set)
         for sigma in symmetric_group(2 * k)
     )
 
@@ -102,34 +105,39 @@ def test_factor_H():
         assert len(seen) == 2**k * math.factorial(k)
 
 
-def test_diagram_from_perm():
-    d = diagram_from_perm(Permutation.identity(6))
-    assert d.pairs == ((1, 2), (3, 4), (5, 6))
+def test_coset_canonical():
+    assert coset_canonical(Permutation.identity(6)) == Permutation.identity(6)
     sigma = Permutation.from_cycles([(2, 6, 7, 4, 5, 3)], 8)
-    d = diagram_from_perm(sigma)
-    assert d.pairs == ((1, 6), (2, 5), (3, 7), (4, 8))
+    assert diagram(sigma) == {frozenset(p) for p in ((1, 6), (2, 5), (3, 7), (4, 8))}
+    assert coset_canonical(sigma) == Permutation((1, 6, 2, 5, 3, 7, 4, 8))
     # left-coset invariance
     rng = random.Random(1)
     for s in rng.sample(list(symmetric_group(4)), 8):
         for h in rng.sample(list(h_elements(2)), 4):
-            assert diagram_from_perm(s * h) == diagram_from_perm(s)
+            assert diagram(s * h) == diagram(s)
+            assert coset_canonical(s * h) == coset_canonical(s)
+
+
+@pytest.mark.parametrize("fn", [closure_type, coset_canonical, key_lemma_witness])
+def test_odd_size_sigma_is_refused(fn):
+    with pytest.raises(ValueError, match="even number of points"):
+        fn(Permutation((2, 3, 1)))
 
 
 def test_closure_type_examples():
-    d = diagram_from_perm(Permutation.identity(4))
-    assert closure_type(d).type_vector == (1, 1)
+    assert closure_type(Permutation.identity(4)).type_vector == (1, 1)
     sigma = Permutation.from_cycles([(2, 6, 7, 4, 5, 3)], 8)
-    ca = closure_type(diagram_from_perm(sigma))
+    ca = closure_type(sigma)
     assert sorted(frozenset(c) for c in ca.circles) == [
         frozenset({1, 2, 5, 6}),
         frozenset({3, 4, 7, 8}),
     ]
     assert ca.type_vector == (2, 2)
-    crossing = diagram_from_perm(Permutation.from_cycles([(2, 3)], 4))
+    crossing = Permutation.from_cycles([(2, 3)], 4)
     assert closure_type(crossing).type_vector == (2,)
     # circle lengths always sum to k
     for sigma in symmetric_group(4):
-        assert sum(perm_type(sigma)) == 2
+        assert sum(closure_type(sigma).type_vector) == 2
 
 
 def test_count_by_type():
@@ -163,7 +171,7 @@ def test_count_by_type_neither_enumerates_nor_reads_the_formula(monkeypatch):
         raise AssertionError("count_by_type must not call this")
 
     expected = {t: type_count_formula(8, t) for t in all_types(8)}
-    for name in ("all_matchings", "closure_type", "type_count_formula"):
+    for name in ("coset_reps", "closure_type", "type_count_formula"):
         monkeypatch.setattr(brauer, name, forbidden)
     res = count_by_type(8)
     assert res["counts"] == expected
@@ -174,19 +182,22 @@ def test_coset_reps():
     assert len(coset_reps(1)) == 1
     assert len(coset_reps(2)) == 3
     assert len(coset_reps(3)) == 15
-    # each rep is the lex-least member of its coset (exhaustive for k <= 2)
-    for k in (1, 2):
+    # each rep is the lex-least member of its coset, and coset_canonical
+    # finds it from every member (exhaustive for k <= 3)
+    for k in (1, 2, 3):
         by_diagram = {}
         for sigma in symmetric_group(2 * k):
-            d = diagram_from_perm(sigma)
+            d = diagram(sigma)
             if d not in by_diagram or sigma < by_diagram[d]:
                 by_diagram[d] = sigma
         assert sorted(by_diagram.values()) == coset_reps(k)
+        for sigma in symmetric_group(2 * k):
+            assert coset_canonical(sigma) == by_diagram[diagram(sigma)]
     # canonical reduction is constant on cosets and idempotent
     rng = random.Random(2)
     for sigma in rng.sample(list(symmetric_group(6)), 12):
         canon = coset_canonical(sigma)
-        assert diagram_from_perm(canon) == diagram_from_perm(sigma)
+        assert diagram(canon) == diagram(sigma)
         assert coset_canonical(canon) == canon
         for h in rng.sample(list(h_elements(3)), 3):
             assert coset_canonical(sigma * h) == canon
@@ -202,10 +213,10 @@ def test_type_constant_on_double_cosets():
     rng = random.Random(3)
     hs = list(h_elements(3))
     for sigma in rng.sample(list(symmetric_group(6)), 10):
-        t = perm_type(sigma)
+        t = closure_type(sigma).type_vector
         for _ in range(5):
             h1, h2 = rng.choice(hs), rng.choice(hs)
-            assert perm_type(h1 * sigma * h2) == t
+            assert closure_type(h1 * sigma * h2).type_vector == t
 
 
 def test_double_coset_sizes():
@@ -279,7 +290,7 @@ def test_partition_A0_A1_worked_example():
     sigma = Permutation.from_cycles([(2, 3), (4, 5)], 6)
     a0, a1 = partition_A0_A1(sigma)
     assert len(a0) == len(a1) == 3
-    order = intersection_order_formula(perm_type(sigma))
+    order = intersection_order_formula(closure_type(sigma).type_vector)
     assert len(a0) + len(a1) == order == 6
     listed = [
         Permutation.identity(6),
@@ -307,12 +318,17 @@ def test_partition_sizes_random():
     rng = random.Random(17)
     for sigma in rng.sample(list(symmetric_group(6)), 8):
         a0, a1 = partition_A0_A1(sigma)
-        order = intersection_order_formula(perm_type(sigma))
+        order = intersection_order_formula(closure_type(sigma).type_vector)
         assert len(a0) == len(a1) == order // 2
 
 
-def test_matching_enumeration():
-    assert len(list(all_matchings(range(1, 7)))) == 15
-    for pairs in all_matchings(range(1, 5)):
-        dots = sorted(d for p in pairs for d in p)
-        assert dots == [1, 2, 3, 4]
+@pytest.mark.parametrize("k", range(1, 6))
+def test_coset_reps_sorted_distinct_and_counted(k):
+    reps = coset_reps(k)
+    assert reps == sorted(reps)
+    assert len({diagram(sigma) for sigma in reps}) == len(reps) == double_factorial(2 * k - 1)
+    # lex-least in its coset: each pair ascends, and so do the pairs' first dots
+    for sigma in reps:
+        tops, bottoms = sigma.images[::2], sigma.images[1::2]
+        assert all(a < b for a, b in zip(tops, bottoms))
+        assert list(tops) == sorted(tops)
