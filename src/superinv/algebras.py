@@ -15,7 +15,9 @@ makes the Cartan projection a plain monomial filter.  Brackets between
 generators are tabulated once at build time from the matrix realization,
 re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
 H/2), tabulated as ``pi_table`` and verified to satisfy
-pi_tilde(iota(x)) = x on every generator.  The realization is the only
+pi_tilde(iota(x)) = x on every generator.  A small Lie-generating set for
+the centrality and invariance checks is read off the bracket table on
+first use (``Algebra.generating_set``).  The realization is the only
 per-family statement: pi_tilde, the parities and the Cartan variables are
 all read off its matrices.
 """
@@ -23,9 +25,10 @@ all read off its matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import ONE, Scalar, sign_scalar
-from .sparse import Sparse, add_terms
+from .sparse import Sparse, add_into, add_terms
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
 
@@ -58,6 +61,22 @@ class LieElement(Sparse):
         return " + ".join(
             "%r*%s" % (c, names[i]) for i, c in sorted(self.terms.items())
         )
+
+
+class GeneratingSet:
+    """Generators that Lie-generate g, split as centrality tests them.
+
+    ``cartan`` is the even Cartan h0 (the even generators of class C),
+    ``weights[g]`` the eigenvalues of h0 on generator g, and ``probes`` a
+    set S of generators such that h0 and S together Lie-generate g.
+    """
+
+    # a plain class: a NamedTuple class costs about 0.3 ms to create at
+    # import, which every command pays
+    __slots__ = ("cartan", "weights", "probes")
+
+    def __init__(self, cartan: tuple, weights: tuple, probes: tuple):
+        self.cartan, self.weights, self.probes = cartan, weights, probes
 
 
 class Algebra:
@@ -149,27 +168,81 @@ class Algebra:
         for u in range(self.dim):
             if self.tri_class[u] != "U":
                 continue
-            weight = self._weight_of(u)
+            weight = self._weight_of(u, self.cartan_vars)
             s = Fraction(1, 2) if self.parity[u] == 0 else Fraction(-1, 2)
             for c in range(nvars):
                 rho[c] += s * weight[c]
         self.rho_coords = tuple(rho)
 
-    def _weight_of(self, u: int):
-        """Eigenvalue vector of the Cartan generators on generator u."""
+    def _weight_of(self, u: int, cartan):
+        """Eigenvalue vector, in ints, of the Cartan generators ``cartan`` on generator u."""
         weight = []
-        for h in self.cartan_vars:
+        for h in cartan:
             br = self.bracket_table[(h, u)]
             if not br:
-                weight.append(Fraction(0))
+                weight.append(0)
                 continue
             if set(br) != {u}:
                 raise AssertionError("generator %s is not a weight vector" % self.gens[u])
             lam = br[u]
-            if lam.im:
-                raise AssertionError("non-rational weight")
-            weight.append(lam.re)
+            if lam.b or lam.d != 1:
+                raise AssertionError("non-integral weight")
+            weight.append(lam.a)
         return weight
+
+    # -- a small Lie-generating set ------------------------------------------
+
+    @cached_property
+    def generating_set(self) -> GeneratingSet:
+        """h0, the h0-weight of every generator, and a set S that with h0
+        Lie-generates g; built on first use, not with the algebra.
+
+        S starts as the simple root vectors: the raising and the lowering
+        generators outside the span of the brackets within their own
+        triangular class.  While the right-nested brackets of h0 and S do
+        not span g, the first generator outside their span joins S, odd
+        Cartan generators first (q(n) needs one).
+        """
+        gens = range(self.dim)
+        table = self.bracket_table
+        cartan = tuple(g for g in gens if self.tri_class[g] == "C" and not self.parity[g])
+        probes = []
+        for cls in "UL":
+            block = [g for g in gens if self.tri_class[g] == cls]
+            derived = {}
+            for x in block:
+                for y in block:
+                    _extend(derived, table[(x, y)])
+            probes += [g for g in block if _reduce(derived, {g: ONE})]
+        odd_cartan = [g for g in gens if self.tri_class[g] == "C" and self.parity[g]]
+        span = self._closure(cartan + tuple(probes))
+        for g in odd_cartan + list(gens):
+            if len(span) < self.dim and _reduce(span, {g: ONE}):
+                probes.append(g)
+                span = self._closure(cartan + tuple(probes))
+        weights = tuple(tuple(self._weight_of(g, cartan)) for g in gens)
+        return GeneratingSet(cartan, weights, tuple(probes))
+
+    def _closure(self, gens) -> dict:
+        """Echelon rows spanning the right-nested brackets [s1, [s2, .. sr]] of gens.
+
+        Each new row's bracket with every s is reduced in turn, so the rows
+        end closed under ad s and span the Lie subalgebra gens generate.
+        """
+        table = self.bracket_table
+        rows = {}
+        stack = [{g: ONE} for g in gens]
+        while stack and len(rows) < self.dim:
+            v = _extend(rows, stack.pop())
+            if not v:
+                continue
+            for s in gens:
+                w = {}
+                for g, c in v.items():
+                    for h, b in table[(s, g)].items():
+                        add_into(w, h, c * b)
+                stack.append(w)
+        return rows
 
     # -- small helpers ---------------------------------------------------------
 
@@ -188,6 +261,31 @@ class Algebra:
             self.n,
             self.dim,
         )
+
+
+def _reduce(rows: dict, v: dict) -> dict:
+    """v less its part in the span of rows, each row keyed by its least key,
+    where it holds 1; empty iff v lies in that span."""
+    v = dict(v)
+    while v:
+        pivot = min(v)
+        row = rows.get(pivot)
+        if row is None:
+            break
+        c = v[pivot]
+        for key, rc in row.items():
+            add_into(v, key, -(c * rc))
+    return v
+
+
+def _extend(rows: dict, v: dict) -> dict:
+    """Add v's part outside the span of rows to rows as a new row, and return that part."""
+    v = _reduce(rows, v)
+    if v:
+        pivot = min(v)
+        scale = v[pivot].inv()
+        rows[pivot] = {key: c * scale for key, c in v.items()}
+    return v
 
 
 def _tri(i: int, j: int) -> str:

@@ -110,28 +110,62 @@ def psi_map(s: SymElement) -> PBWElement:
 
 
 def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over the terms of a and b."""
+    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over the terms of a and b.
+
+    Bracketing is a superderivation in each argument, so for words
+    wa = x_1..x_p and wb = y_1..y_q
+
+        [wa, wb] = sum_j (-1)^{|wa||y_1..y_{j-1}|} y_1..y_{j-1} [wa, y_j] y_{j+1}..y_q,
+        [wa, y]  = sum_i (-1)^{|y||x_{i+1}..x_p|} x_1..x_{i-1} [x_i, y] x_{i+1}..x_p,
+
+    with [x_i, y] read from the bracket table.  The words wa wb and wb wa,
+    whose leading terms cancel, are never normalized: each word above is
+    one letter shorter, and equal words are summed before their one
+    normal form.
+    """
     a._check(b)
     alg = a.algebra
-    right = [(wb, cb, b.word_parity(wb)) for wb, cb in b.terms.items()]
-    out = {}
+    par, table = alg.parity, alg.bracket_table
+    words = {}
     for wa, ca in a.terms.items():
-        odd = a.word_parity(wa)
-        for wb, cb, odd_b in right:
+        odd_a = a.word_parity(wa)
+        for wb, cb in b.terms.items():
             c = ca * cb
-            add_terms(out, pbw_normalize(alg, wa + wb, c).terms)
-            add_terms(out, pbw_normalize(alg, wb + wa, c if odd and odd_b else -c).terms)
+            for j, y in enumerate(wb):
+                head, tail = wb[:j], wb[j + 1 :]
+                after = 0
+                for i in range(len(wa) - 1, -1, -1):
+                    x = wa[i]
+                    ci = -c if par[y] and after else c
+                    for g, cv in table[(x, y)].items():
+                        add_into(words, head + wa[:i] + (g,) + wa[i + 1 :] + tail, ci * cv)
+                    after ^= par[x]
+                if odd_a and par[y]:
+                    c = -c
+    out = {}
+    for w, c in words.items():
+        add_terms(out, pbw_normalize(alg, w, c).terms)
     return a._like(out)
 
 
 def is_central(u: PBWElement) -> bool:
-    """True iff u supercommutes with every canonical generator."""
+    """True iff u supercommutes with all of g.
+
+    Two checks, against ``Algebra.generating_set``.  u commutes with the
+    even Cartan h0 iff each of its PBW monomials has h0-weight zero, which
+    is read off the words with no product.  The generators u supercommutes
+    with span a Lie subalgebra (super-Jacobi), so the rest of g needs only
+    the supercommutators with the set S that, with h0, Lie-generates g.
+    """
     alg = u.algebra
-    for g in range(alg.dim):
-        x = PBWElement.generator(alg, g)
-        if not supercommutator(u, x).is_zero():
+    gens = alg.generating_set
+    for word in u.terms:
+        # the monomial's h0-weight, one coordinate at a time
+        if any(map(sum, zip(*(gens.weights[g] for g in word)))):
             return False
-    return True
+    return all(
+        supercommutator(u, PBWElement.generator(alg, x)).is_zero() for x in gens.probes
+    )
 
 
 # -- Cartan polynomials and the Harish-Chandra projection -------------------

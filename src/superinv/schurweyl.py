@@ -161,17 +161,24 @@ def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
 
 
 def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
-    """True iff t supercommutes with the action of every generator."""
-    return not _noncommuting_generators(alg, t, _actions(alg, t.k))
+    """True iff t supercommutes with the action of g.
+
+    The generators whose action t supercommutes with span a Lie
+    subalgebra, so the even Cartan and the set S of
+    ``Algebra.generating_set`` stand in for all of g.
+    """
+    gens = alg.generating_set
+    return not _noncommuting_generators(alg, t, _actions(alg, t.k, gens.cartan + gens.probes))
 
 
-def _actions(alg: Algebra, k: int) -> list:
-    """phi_k of every generator, in generator order."""
-    return [phi_k(alg, alg.unit(g), k) for g in range(alg.dim)]
+def _actions(alg: Algebra, k: int, gens) -> list:
+    """(g, phi_k of g) for each generator index g in gens."""
+    return [(g, phi_k(alg, alg.unit(g), k)) for g in gens]
 
 
 def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
-    """The generators g whose action does not supercommute with t.
+    """The generators g, of the (g, action) pairs, whose action does not
+    supercommute with t.
 
     An odd g passes t's odd keys with a sign, so the test is
     g t = t' g, where t' is t with its odd keys negated when g is odd.  t
@@ -182,7 +189,7 @@ def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
     )
     return [
         g
-        for g, action in enumerate(actions)
+        for g, action in actions
         if compose(action, t) != compose(twisted if alg.parity[g] else t, action)
     ]
 
@@ -438,7 +445,7 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
             holds = (_read_side(lhs, ops, ident) - _read_side(rhs, ops, ident)).is_zero()
         results.append({"name": name, "holds": holds})
 
-    actions = _actions(alg, k)
+    actions = _actions(alg, k, range(alg.dim))
     commute_failures = [
         [name, alg.gens[g]]
         for name, op in sorted(ops.items())

@@ -5,9 +5,10 @@ of a convention or a count (the sign p(x, y), basis vectors, the module
 action, the operator-to-tensor map on basis words, the place-permutation
 operator, the supertranspose, the flips of V x V, the Lie bracket, the
 group H, the Harish-Chandra predicates, the rho shift, the U(g) product,
-the supercommutator, the diagram count by closure type, the dualization
-of theta's even slots and the supercommutation test of an operator) that
-tests compare the package's own kernels against.
+the supercommutator, the full-basis centrality check, the diagram count
+by closure type, the dualization of theta's even slots and the
+supercommutation test of an operator) that tests compare the package's
+own kernels against.
 """
 
 import itertools
@@ -315,6 +316,16 @@ def supercommutator_reference(a, b):
     return result
 
 
+def is_central_reference(u):
+    """u supercommutes with every canonical generator, each supercommutator
+    from its two products."""
+    alg = u.algebra
+    return all(
+        supercommutator_reference(u, PBWElement.generator(alg, g)).is_zero()
+        for g in range(alg.dim)
+    )
+
+
 # -- the Schur-Weyl signs, family test per word and one check per parity ---
 
 
@@ -348,14 +359,14 @@ def dualize_even_slots_reference(alg, vec):
 
 
 def noncommuting_generators_reference(alg, t, actions):
-    """The generators whose action does not supercommute with t, checked on
-    each parity component of t on its own."""
+    """The generators g of the (g, action) pairs whose action does not
+    supercommute with t, checked on each parity component of t on its own."""
     even, odd = {}, {}
     for key, coeff in t.terms.items():
         (odd if t.key_parity(key) else even)[key] = coeff
     parts = [(Tensor(t.space, t.k, comp), p) for p, comp in enumerate((even, odd)) if comp]
     failures = []
-    for g, action in enumerate(actions):
+    for g, action in actions:
         for comp, p in parts:
             lhs = compose(action, comp)
             rhs = compose(comp, action)

@@ -267,3 +267,76 @@ def test_bracket_table_is_projected_supercommutator(family, m, n):
             br = compose(e[x], e[y]) - compose(e[y], e[x]).scale(sign)
             want = alg._project_matrix(br).terms
             assert list(alg.bracket_table[(x, y)].items()) == list(want.items())
+
+
+# |S| besides the even Cartan, as measured when generating-set centrality
+# was designed; q(n) adds one odd Cartan generator to its 2(n - 1) pairs
+GENERATING_SET_SIZES = [
+    ("gl", 3, 3, 10),
+    ("gl", 2, 1, 4),
+    ("osp", 3, 1, 4),
+    ("osp", 3, 2, 6),
+    ("osp", 2, 1, 4),
+    ("p", 0, 2, 4),
+    ("p", 0, 3, 6),
+    ("q", 0, 3, 9),
+]
+
+
+def _matrix_closure_dim(alg, gens):
+    """dim of the span of the right-nested brackets of gens, each bracket a
+    supercommutator of matrices in End(V), by exact elimination."""
+    pivots = {}
+
+    def reduce(vec):
+        while vec and min(vec) in pivots:
+            key = min(vec)
+            f = vec[key]
+            for k, c in pivots[key].items():
+                vec[k] = vec.get(k, 0) - f * c
+                if not vec[k]:
+                    del vec[k]
+        return vec
+
+    level = [(alg.embed[g], alg.parity[g]) for g in gens]
+    while level:
+        new = []
+        for mat, par in level:
+            vec = reduce({k: c.re for k, c in mat.terms.items()})
+            if vec:
+                lead = vec[min(vec)]
+                pivots[min(vec)] = {k: c / lead for k, c in vec.items()}
+                new.append((mat, par))
+        level = []
+        for s in gens:
+            for mat, par in new:
+                sign = MINUS_ONE if alg.parity[s] and par else ONE
+                br = compose(alg.embed[s], mat) - compose(mat, alg.embed[s]).scale(sign)
+                level.append((br, (alg.parity[s] + par) & 1))
+    return len(pivots)
+
+
+@pytest.mark.parametrize("family, m, n, size", GENERATING_SET_SIZES)
+def test_generating_set_spans_under_matrix_brackets(family, m, n, size):
+    alg = build_algebra(family, m, n)
+    assert "generating_set" not in vars(alg)  # built lazily, not with the algebra
+    gens = alg.generating_set
+    assert "generating_set" in vars(alg)
+    assert len(gens.probes) == size
+    odd_cartan = [g for g in gens.probes if alg.tri_class[g] == "C"]
+    assert [alg.parity[g] for g in odd_cartan] == ([1] if family == "q" else [])
+    assert _matrix_closure_dim(alg, gens.cartan + gens.probes) == alg.dim
+
+
+@pytest.mark.parametrize(
+    "family, m, n", SIZES + [("gl", 1, 0), ("osp", 1, 0), ("q", 0, 1), ("p", 0, 1)]
+)
+def test_generators_are_weight_vectors_of_the_even_cartan(family, m, n):
+    alg = build_algebra(family, m, n)
+    gens = alg.generating_set
+    assert all(alg.tri_class[h] == "C" and not alg.parity[h] for h in gens.cartan)
+    assert len(gens.cartan) == (m + n if family == "gl" else n + m // 2)
+    for g, mat in enumerate(alg.embed):
+        for h, weight in zip(gens.cartan, gens.weights[g], strict=True):
+            br = compose(alg.embed[h], mat) - compose(mat, alg.embed[h])
+            assert br == mat.scale(Scalar(weight)), (alg.gens[h], alg.gens[g])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    is_central_reference,
     is_J_poly_reference,
     is_Q_poly_reference,
     is_supersymmetric_reference,
@@ -34,7 +35,7 @@ from superinv.enveloping import (
 )
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor, sergeev_Z, str_gelfand, z_sigma
-from superinv.signs import symmetric_group
+from superinv.signs import Permutation, symmetric_group
 from superinv.tensoralg import TensorAlgebraElement, adjoint_act, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
@@ -229,6 +230,44 @@ def test_is_central_rejects_perturbed_central_elements(family, m, n):
     for y in range(alg.dim):
         if alg.parity[y]:
             assert not is_central(u + PBWElement.generator(alg, y)), alg.gens[y]
+
+
+def _verdict_inputs(alg):
+    """Central and non-central elements of U(g), the same on every run."""
+    rng = random.Random(19)
+    gens = [PBWElement.generator(alg, g) for g in range(alg.dim)]
+    odd = [x for g, x in enumerate(gens) if alg.parity[g]]
+    out = [PBWElement.unit(alg)] + gens
+    out += [rng.choice(gens) * rng.choice(gens) for _ in range(4 if gens else 0)]
+    if alg.family in ("gl", "q"):
+        sigmas = [Permutation((2, 1)), Permutation((2, 3, 1)), Permutation((1, 3, 2))]
+    else:
+        sigmas = [Permutation((2, 1)), Permutation((3, 4, 1, 2)), Permutation((2, 3, 4, 1))]
+    invariants = [z_sigma(alg, s) for s in sigmas] + [str_gelfand(alg, k) for k in (1, 2, 3)]
+    if alg.family == "q":
+        # Z_k is central for odd k only
+        invariants += [sergeev_Z(alg, k) for k in (1, 2, 3)]
+    for u in invariants:
+        out.append(u)
+        if gens:
+            out.append(u * rng.choice(gens) + u)
+        if odd:
+            out.append(u + rng.choice(odd))
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, m, n",
+    [("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2),
+     ("gl", 1, 0), ("osp", 1, 0), ("q", 0, 1), ("p", 0, 1)],
+)
+def test_is_central_matches_full_basis_reference(family, m, n):
+    alg = build_algebra(family, m, n)
+    verdicts = [is_central(u) for u in _verdict_inputs(alg)]
+    assert verdicts == [is_central_reference(u) for u in _verdict_inputs(alg)]
+    # both verdicts occur, except where every element is central
+    assert any(verdicts)
+    assert all(verdicts) == (alg.dim <= 1)
 
 
 def test_conjugacy_average_identity_small():

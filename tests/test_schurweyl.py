@@ -745,7 +745,7 @@ def test_noncommuting_generators_matches_reference(family, m, n):
     odd = alg.parity.index(1)
     failing = 0
     for k in (2, 3):
-        actions = _actions(alg, k)
+        actions = _actions(alg, k, range(alg.dim))
         ops = _generator_operators(alg, k)
         summands = [ops["s1"], phi_k(alg, alg.unit(odd), k)]
         if family == "q":
@@ -754,5 +754,7 @@ def test_noncommuting_generators_matches_reference(family, m, n):
             for t in [op] + [op + x for x in summands]:
                 got = _noncommuting_generators(alg, t, actions)
                 assert got == noncommuting_generators_reference(alg, t, actions)
+                # the generating set gives the full list's verdict
+                assert tensor_is_invariant(alg, t) == (not got)
                 failing += bool(got)
     assert failing
