@@ -51,6 +51,9 @@ from .tensoralg import MAX_DEGREE, eta, project_tensor
 
 # building an algebra tabulates dim(g)^2 ~ dim(V)^4 brackets
 MAX_DIM = 16
+# a product of MAX_DEGREE such shifts stays far below Python's 4300-digit
+# limit on printing an integer, and Fraction never sees a huge exponent
+MAX_SHIFT_CHARS = 100
 
 
 class UsageError(Exception):
@@ -102,6 +105,9 @@ def parse_shifts(text: str, k: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != k:
         raise UsageError("expected %d shift values, got %d" % (k, len(parts)))
+    if any(len(p) > MAX_SHIFT_CHARS or "e" in p.lower() for p in parts):
+        raise UsageError("shifts take at most %d characters each, with no exponent"
+                         % MAX_SHIFT_CHARS)
     try:
         return [Scalar(Fraction(p)) for p in parts]
     except (ValueError, ZeroDivisionError):
@@ -386,7 +392,7 @@ COMMANDS = {
         _SIZES, FAMILIES),
     # the words bound alone admits q(2) at k = 9, which ran past 120 s on a 2-core host
     "sergeev": Command(
-        cmd_sergeev, "the recursive q(n) trace element Z_k and its identities",
+        cmd_sergeev, "Sergeev's q(n) trace element Z_k and its identities",
         ("--n", "--k"), ("q",), k_max=7, words=6**7),
     # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
     "molev": Command(

@@ -31,10 +31,9 @@ import functools
 
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
-from .enveloping import PBWElement, eta_prime, psi_map, u_multiply
+from .enveloping import PBWElement, eta_prime, psi_map
 from .scalars import ONE, I, Scalar, promote, sign_scalar
 from .signs import Permutation
-from .sparse import add_terms
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
@@ -304,46 +303,27 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
 # -- the q(n) trace family -----------------------------------------------------
 
 
-def sergeev_elements(alg: Algebra, m: int):
-    """The recursively defined U(q_n) matrices (e^(m), f^(m)) as dicts."""
+def sergeev_elements(alg: Algebra, m: int) -> UValuedTensor:
+    """Sergeev's m-th U(q_n) matrices, as the rows i > 0 of X^m.
+
+    With X = ``generator_matrix``, e^(m)_ij is the (i, j) entry and
+    f^(m)_ij is minus the (i, -j) entry; the recursion's (-1)^(m-1) is
+    the Koszul sign of the product.
+    """
     if alg.family != "q":
         raise ValueError("q(n) only")
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = alg.n
-    e1 = {}
-    f1 = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, j))
-            f1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, -j))
-    e, f = e1, f1
-    for level in range(2, m + 1):
-        sign = sign_scalar(level - 1)
-        enew, fnew = {}, {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                acc_e = PBWElement(alg)
-                acc_f = PBWElement(alg)
-                for k_ in range(1, n + 1):
-                    x, y = e1[(i, k_)], f1[(i, k_)]
-                    # e' = e1 e + sign f1 f and f' = e1 f + sign f1 e, entry by entry
-                    for acc, u, v in ((acc_e, e, f), (acc_f, f, e)):
-                        add_terms(acc.terms, u_multiply(x, u[(k_, j)]).terms)
-                        add_terms(acc.terms, u_multiply(y, v[(k_, j)]).scale(sign).terms)
-                enew[(i, j)] = acc_e
-                fnew[(i, j)] = acc_f
-        e, f = enew, fnew
-    return e, f
+    x = generator_matrix(alg)
+    acc = x._like({key: v for key, v in x.terms.items() if key[0][0] > 0})
+    for _ in range(m - 1):
+        acc = acc * x
+    return acc
 
 
 def sergeev_Z(alg: Algebra, k: int) -> PBWElement:
-    """The trace of the k-th recursive matrix; central for odd k."""
-    e, _ = sergeev_elements(alg, k)
-    out = PBWElement(alg)
-    for i in range(1, alg.n + 1):
-        add_terms(out.terms, e[(i, i)].terms)
-    return out
+    """The trace of e^(k); its diagonal is even, so this is a supertrace.  Central for odd k."""
+    return full_supertrace(sergeev_elements(alg, k))
 
 
 # -- the duality relation report ------------------------------------------------

@@ -6,9 +6,9 @@ action, the operator-to-tensor map on basis words, the place-permutation
 operator, the supertranspose, the flips of V x V, the Lie bracket, the
 group H, the Harish-Chandra predicates, the rho shift, the U(g) product,
 the supercommutator, the full-basis centrality check, the diagram count
-by closure type, the dualization of theta's even slots and the
-supercommutation test of an operator) that tests compare the package's
-own kernels against.
+by closure type, the dualization of theta's even slots, the
+supercommutation test of an operator and Sergeev's recursion for the
+q(n) trace family) that tests compare the package's own kernels against.
 """
 
 import itertools
@@ -21,10 +21,10 @@ from superinv.brauer import (
     coset_reps,
     overline_embed,
 )
-from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize
-from superinv.scalars import ONE, Scalar, promote
+from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize, u_multiply
+from superinv.scalars import ONE, Scalar, promote, sign_scalar
 from superinv.signs import Permutation, symmetric_group
-from superinv.sparse import add_into
+from superinv.sparse import add_into, add_terms
 from superinv.tensoralg import SymElement, _sym_sort
 from superinv.tensors import Tensor, VectorTensor, compose, permute_word
 
@@ -374,3 +374,39 @@ def noncommuting_generators_reference(alg, t, actions):
                 failures.append(g)
                 break
     return failures
+
+
+# -- the q(n) trace family, by Sergeev's recursion ---------------------------
+
+
+def sergeev_elements_reference(alg, m):
+    """The recursively defined U(q_n) matrices (e^(m), f^(m)) as dicts."""
+    if alg.family != "q":
+        raise ValueError("q(n) only")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n = alg.n
+    e1 = {}
+    f1 = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            e1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, j))
+            f1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, -j))
+    e, f = e1, f1
+    for level in range(2, m + 1):
+        sign = sign_scalar(level - 1)
+        enew, fnew = {}, {}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                acc_e = PBWElement(alg)
+                acc_f = PBWElement(alg)
+                for k_ in range(1, n + 1):
+                    x, y = e1[(i, k_)], f1[(i, k_)]
+                    # e' = e1 e + sign f1 f and f' = e1 f + sign f1 e, entry by entry
+                    for acc, u, v in ((acc_e, e, f), (acc_f, f, e)):
+                        add_terms(acc.terms, u_multiply(x, u[(k_, j)]).terms)
+                        add_terms(acc.terms, u_multiply(y, v[(k_, j)]).scale(sign).terms)
+                enew[(i, j)] = acc_e
+                fnew[(i, j)] = acc_f
+        e, f = enew, fnew
+    return e, f

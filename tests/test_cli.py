@@ -12,6 +12,7 @@ from superinv import brauer
 from superinv.cli import (
     COMMANDS,
     MAX_DIM,
+    MAX_SHIFT_CHARS,
     admit,
     build_parser,
     main,
@@ -260,6 +261,9 @@ def test_out_file(tmp_path, capsys):
         ("--perm", "(1 2)("),
         ("--u", "1/0,1"),
         ("--u", "x,1"),
+        # exponents and long shifts stop before Fraction parses them
+        ("--u", "1e1000000,1"),
+        ("--u", "9" * 101 + ",1"),
     ],
 )
 def test_malformed_input_exits_2(capsys, flag, value):
@@ -268,6 +272,8 @@ def test_malformed_input_exits_2(capsys, flag, value):
     code, out, err = run_cli(capsys, *base, *extra, flag, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    if "e" in value or len(value) > MAX_SHIFT_CHARS:
+        assert "at most %d characters" % MAX_SHIFT_CHARS in err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from oracles import (
     omega_iso_reference,
     p_exponent,
     perm_operator_reference,
+    sergeev_elements_reference,
     super_transposition_tensor,
     supertranspose,
 )
@@ -501,14 +502,36 @@ def test_osp_gelfand_central():
 
 def test_sergeev_elements():
     q2 = build_algebra("q", 0, 2)
-    e1, f1 = sergeev_elements(q2, 1)
-    assert e1[(1, 2)] == PBWElement.generator(q2, "H[1,2]")
-    assert f1[(2, 1)] == PBWElement.generator(q2, "H[2,-1]")
+    x1 = sergeev_elements(q2, 1)
+    assert x1.coefficient(((1, 2),)) == PBWElement.generator(q2, "H[1,2]")
+    assert -x1.coefficient(((2, -1),)) == PBWElement.generator(q2, "H[2,-1]")
     z1 = sergeev_Z(q2, 1)
     assert z1 == z_sigma(q2, Permutation((1,)))
     z3 = sergeev_Z(q2, 3)
     assert is_central(z3)
     assert z3 == z_sigma(q2, Permutation((2, 3, 1))).scale(Scalar(4))
+
+
+@pytest.mark.parametrize("n, top", [(1, 6), (2, 6), (3, 4)])
+def test_sergeev_elements_are_the_positive_rows_of_the_generator_power(n, top):
+    # e^(m)_ij is the (i, j) entry and f^(m)_ij minus the (i, -j) entry;
+    # the negative rows complete X^m, whose supertrace is 2 Z_m or 0
+    q = build_algebra("q", 0, n)
+    x = generator_matrix(q)
+    power = x
+    for m in range(1, top + 1):
+        rows = sergeev_elements(q, m)
+        e, f = sergeev_elements_reference(q, m)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert rows.coefficient(((i, j),)) == e[(i, j)], (m, i, j)
+                assert -rows.coefficient(((i, -j),)) == f[(i, j)], (m, i, j)
+        assert all(key[0][0] > 0 for key in rows.terms)
+        z = sergeev_Z(q, m)
+        assert z == sum((e[(i, i)] for i in range(2, n + 1)), e[(1, 1)])
+        expected = z.scale(Scalar(2)) if m % 2 else PBWElement(q)
+        assert full_supertrace(power) == expected, m
+        power = power * x
 
 
 def test_matrix_presentation_identities():
