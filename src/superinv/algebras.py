@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import ONE, Scalar, sign_scalar
-from .sparse import Sparse, add_into, add_terms
+from .sparse import Sparse, add_into, add_terms, echelon_extend, echelon_reduce
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
 
@@ -129,8 +129,22 @@ class Algebra:
     def _project_matrix(self, mat: Tensor) -> LieElement:
         # a generator index has at most two preimages in pi_table, so a key
         # that cancels never comes back and the order is first appearance
-        hits = ((self.pi_table[pair], coeff) for (pair,), coeff in mat.terms.items())
-        return LieElement(self, ((hit[0], coeff * hit[1]) for hit, coeff in hits if hit))
+        return LieElement(self, ((g, c) for (g,), c in self._pi_tilde(mat.terms)))
+
+    def _pi_tilde(self, terms: dict):
+        """pi_tilde slot by slot on a tensor of End(V)^(x k): (generator word,
+        coefficient) per key, dropping a key at its first slot outside iota(g)."""
+        table = self.pi_table
+        for key, coeff in terms.items():
+            word = []
+            for pair in key:
+                hit = table[pair]
+                if hit is None:
+                    break
+                word.append(hit[0])
+                coeff = coeff * hit[1]
+            else:
+                yield tuple(word), coeff
 
     def _build_bracket_table(self):
         table = {}
@@ -212,12 +226,12 @@ class Algebra:
             derived = {}
             for x in block:
                 for y in block:
-                    _extend(derived, table[(x, y)])
-            probes += [g for g in block if _reduce(derived, {g: ONE})]
+                    echelon_extend(derived, table[(x, y)])
+            probes += [g for g in block if echelon_reduce(derived, {g: ONE})]
         odd_cartan = [g for g in gens if self.tri_class[g] == "C" and self.parity[g]]
         span = self._closure(cartan + tuple(probes))
         for g in odd_cartan + list(gens):
-            if len(span) < self.dim and _reduce(span, {g: ONE}):
+            if len(span) < self.dim and echelon_reduce(span, {g: ONE}):
                 probes.append(g)
                 span = self._closure(cartan + tuple(probes))
         weights = tuple(tuple(self._weight_of(g, cartan)) for g in gens)
@@ -233,7 +247,7 @@ class Algebra:
         rows = {}
         stack = [{g: ONE} for g in gens]
         while stack and len(rows) < self.dim:
-            v = _extend(rows, stack.pop())
+            v = echelon_extend(rows, stack.pop())
             if not v:
                 continue
             for s in gens:
@@ -261,31 +275,6 @@ class Algebra:
             self.n,
             self.dim,
         )
-
-
-def _reduce(rows: dict, v: dict) -> dict:
-    """v less its part in the span of rows, each row keyed by its least key,
-    where it holds 1; empty iff v lies in that span."""
-    v = dict(v)
-    while v:
-        pivot = min(v)
-        row = rows.get(pivot)
-        if row is None:
-            break
-        c = v[pivot]
-        for key, rc in row.items():
-            add_into(v, key, -(c * rc))
-    return v
-
-
-def _extend(rows: dict, v: dict) -> dict:
-    """Add v's part outside the span of rows to rows as a new row, and return that part."""
-    v = _reduce(rows, v)
-    if v:
-        pivot = min(v)
-        scale = v[pivot].inv()
-        rows[pivot] = {key: c * scale for key, c in v.items()}
-    return v
 
 
 def _tri(i: int, j: int) -> str:

@@ -23,7 +23,7 @@ import math
 from .algebras import Algebra
 from .scalars import HALF, ONE, Scalar, promote
 from .sparse import Sparse, add_into, add_terms
-from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
+from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, _ad_word, symmetrize
 
 
 class PBWElement(_WordMap):
@@ -112,20 +112,16 @@ def psi_map(s: SymElement) -> PBWElement:
 def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
     """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over the terms of a and b.
 
-    Bracketing is a superderivation in each argument, so for words
-    wa = x_1..x_p and wb = y_1..y_q
-
-        [wa, wb] = sum_j (-1)^{|wa||y_1..y_{j-1}|} y_1..y_{j-1} [wa, y_j] y_{j+1}..y_q,
-        [wa, y]  = sum_i (-1)^{|y||x_{i+1}..x_p|} x_1..x_{i-1} [x_i, y] x_{i+1}..x_p,
-
-    with [x_i, y] read from the bracket table.  The words wa wb and wb wa,
-    whose leading terms cancel, are never normalized: each word above is
-    one letter shorter, and equal words are summed before their one
-    normal form.
+    Bracketing is a superderivation in each argument: [wa, wb] brackets wa
+    with one letter y of wb at a time, past the letters before y with the
+    Koszul sign, and [wa, y] = -(-1)^{|wa||y|} ad_y(wa) brackets one letter
+    of wa at a time (``_ad_word``).  The words wa wb and wb wa, whose leading
+    terms cancel, are never normalized: each word is one letter shorter,
+    and equal words are summed before their one normal form.
     """
     a._check(b)
     alg = a.algebra
-    par, table = alg.parity, alg.bracket_table
+    par = alg.parity
     words = {}
     for wa, ca in a.terms.items():
         odd_a = a.word_parity(wa)
@@ -133,13 +129,9 @@ def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
             c = ca * cb
             for j, y in enumerate(wb):
                 head, tail = wb[:j], wb[j + 1 :]
-                after = 0
-                for i in range(len(wa) - 1, -1, -1):
-                    x = wa[i]
-                    ci = -c if par[y] and after else c
-                    for g, cv in table[(x, y)].items():
-                        add_into(words, head + wa[:i] + (g,) + wa[i + 1 :] + tail, ci * cv)
-                    after ^= par[x]
+                cy = c if odd_a and par[y] else -c
+                for w, cv in _ad_word(alg, y, wa):
+                    add_into(words, head + w + tail, cy * cv)
                 if odd_a and par[y]:
                     c = -c
     out = {}

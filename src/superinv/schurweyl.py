@@ -32,8 +32,9 @@ import functools
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
 from .enveloping import PBWElement, eta_prime, psi_map
-from .scalars import ONE, I, Scalar, promote, sign_scalar
+from .scalars import ONE, ZERO, I, Scalar, promote, sign_scalar
 from .signs import Permutation
+from .sparse import echelon_extend, echelon_reduce
 from .spaces import SuperSpace
 from .tensoralg import eta, project_tensor
 from .tensors import (
@@ -456,9 +457,9 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
 
 
 def _measure_multiple(a: Tensor, b: Tensor):
-    """The scalar c with a == c*b, or None."""
-    if b.is_zero():
+    """The scalar c with a == c*b, or None: elimination against the one row b."""
+    row = {}
+    if not echelon_extend(row, b.terms) or echelon_reduce(row, a.terms):
         return None
-    key, coeff = next(iter(b.terms.items()))
-    c = a.terms.get(key, Scalar(0)) / coeff
-    return c if (a - b.scale(c)).is_zero() else None
+    (pivot,) = row
+    return a.terms.get(pivot, ZERO) / b.terms[pivot]

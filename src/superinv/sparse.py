@@ -4,7 +4,8 @@ Each element of the package (tensors, Lie, T(g), S(g) and U(g) elements,
 Cartan polynomials, U(g)-valued tensors) is a dict ``terms`` from keys to
 nonzero coefficients, plus a few context attributes naming the space it
 lives in.  ``Sparse`` owns the linear structure over that dict; subclasses
-add the keys' meaning and their products.
+add the keys' meaning and their products.  Exact elimination over such
+dicts is ``echelon_reduce``/``echelon_extend``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,31 @@ def add_terms(data: dict, terms: dict):
     """data += terms, one add_into per key, so cancelled keys are dropped."""
     for key, coeff in terms.items():
         add_into(data, key, coeff)
+
+
+def echelon_reduce(rows: dict, v: dict) -> dict:
+    """v less its part in the span of rows, each row keyed by its least key,
+    where it holds 1; empty iff v lies in that span."""
+    v = dict(v)
+    while v:
+        pivot = min(v)
+        row = rows.get(pivot)
+        if row is None:
+            break
+        c = v[pivot]
+        for key, rc in row.items():
+            add_into(v, key, -(c * rc))
+    return v
+
+
+def echelon_extend(rows: dict, v: dict) -> dict:
+    """Add v's part outside the span of rows to rows as a new row, and return that part."""
+    v = echelon_reduce(rows, v)
+    if v:
+        pivot = min(v)
+        scale = v[pivot].inv()
+        rows[pivot] = {key: c * scale for key, c in v.items()}
+    return v
 
 
 class Sparse:

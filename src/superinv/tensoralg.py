@@ -150,58 +150,49 @@ def omega_k(s: SymElement, k: int) -> TensorAlgebraElement:
     return symmetrize(s)
 
 
+def _ad_word(alg: Algebra, y: int, word):
+    """The terms (word, coefficient) of ad_y on ``word`` = w, y a generator index.
+
+    ad_y is a superderivation, so with [y, w_i] read from the bracket table
+
+        ad_y(w) = sum_i (-1)^{|y||w_1..w_{i-1}|} w_1..w_{i-1} [y, w_i] w_{i+1}..w_k.
+    """
+    par, table = alg.parity, alg.bracket_table
+    sign = 0
+    for i, x in enumerate(word):
+        for g, c in table[(y, x)].items():
+            yield word[:i] + (g,) + word[i + 1 :], -c if sign else c
+        sign ^= par[y] & par[x]
+
+
 def adjoint_act(x: LieElement, t):
     """The adjoint action of x as a super-derivation of T(g) or S(g)."""
     alg = t.algebra
     if x.algebra is not alg:
         raise ValueError("algebra mismatch")
-    par = alg.parity
-    table = alg.bracket_table
     terms = {}
     for g, cg in x.terms.items():
-        pg = par[g]
         for word, coeff in t.terms.items():
-            prefix_parity = 0
-            for i, xi in enumerate(word):
-                for h, ch in table[(g, xi)].items():
-                    v = coeff * ch * cg
-                    if pg and prefix_parity:
-                        v = -v
-                    add_into(terms, word[:i] + (h,) + word[i + 1 :], v)
-                prefix_parity ^= par[xi]
+            for w, cv in _ad_word(alg, g, word):
+                add_into(terms, w, coeff * cg * cv)
     out = TensorAlgebraElement(alg, terms)
     # on S(g) the derivation of T(g) passes to the quotient
     return eta(out) if isinstance(t, SymElement) else out
 
 
 def is_invariant(t) -> bool:
-    """True iff every canonical generator acts by zero."""
+    """True iff g acts by zero; the generators that do span a Lie subalgebra,
+    so the even Cartan and the set S of ``Algebra.generating_set`` stand in for g."""
     alg = t.algebra
-    for g in range(alg.dim):
-        if not adjoint_act(alg.unit(g), t).is_zero():
-            return False
-    return True
+    gens = alg.generating_set
+    return all(adjoint_act(alg.unit(g), t).is_zero() for g in gens.cartan + gens.probes)
 
 
 def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:
     """pi = pi_tilde^(x k): push End(V)^(x k) down to T(g)."""
     if tensor.space != alg.space:
         raise ValueError("space mismatch")
-    table = alg.pi_table
     out = {}
-    for key, coeff in tensor.terms.items():
-        word = []
-        c = coeff
-        dead = False
-        for r, col in key:
-            hit = table[(r, col)]
-            if hit is None:
-                dead = True
-                break
-            idx, factor = hit
-            word.append(idx)
-            c = c * factor
-        if dead or not c:
-            continue
-        add_into(out, tuple(word), c)
+    for word, c in alg._pi_tilde(tensor.terms):
+        add_into(out, word, c)
     return TensorAlgebraElement(alg, out)

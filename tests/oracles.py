@@ -4,11 +4,12 @@ None of these is on a path the CLI runs: each is an independent statement
 of a convention or a count (the sign p(x, y), basis vectors, the module
 action, the operator-to-tensor map on basis words, the place-permutation
 operator, the supertranspose, the flips of V x V, the Lie bracket, the
-group H, the Harish-Chandra predicates, the rho shift, the U(g) product,
-the supercommutator, the full-basis centrality check, the diagram count
-by closure type, the dualization of theta's even slots, the
-supercommutation test of an operator and Sergeev's recursion for the
-q(n) trace family) that tests compare the package's own kernels against.
+rank of a dense matrix, the group H, the Harish-Chandra predicates, the
+rho shift, the U(g) product, the supercommutator, the full-basis
+centrality and invariance checks, the diagram count by closure type, the
+dualization of theta's even slots, the supercommutation test of an
+operator and Sergeev's recursion for the q(n) trace family) that tests
+compare the package's own kernels against.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize, u_m
 from superinv.scalars import ONE, Scalar, promote, sign_scalar
 from superinv.signs import Permutation, symmetric_group
 from superinv.sparse import add_into, add_terms
-from superinv.tensoralg import SymElement, _sym_sort
+from superinv.tensoralg import SymElement, _sym_sort, adjoint_act
 from superinv.tensors import Tensor, VectorTensor, compose, permute_word
 
 
@@ -153,6 +154,30 @@ def bracket(x, y):
             for g, c in alg.bracket_table[(i, j)].items():
                 add_into(out, g, ci * cj * c)
     return LieElement(alg, out)
+
+
+def row_reduce_rank(rows):
+    """The rank of a dense matrix, by Gauss-Jordan elimination over its
+    own entries (Fractions)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def pair_swaps(mask, k):
@@ -324,6 +349,12 @@ def is_central_reference(u):
         supercommutator_reference(u, PBWElement.generator(alg, g)).is_zero()
         for g in range(alg.dim)
     )
+
+
+def is_invariant_reference(t):
+    """Every canonical generator acts on the T(g) or S(g) element t by zero."""
+    alg = t.algebra
+    return all(adjoint_act(alg.unit(g), t).is_zero() for g in range(alg.dim))
 
 
 # -- the Schur-Weyl signs, family test per word and one check per parity ---

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import apply, basis_vector, bracket, supertranspose
+from oracles import apply, basis_vector, bracket, row_reduce_rank, supertranspose
 
 from superinv.algebras import LieElement, build_algebra, phi_k
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
@@ -28,28 +28,6 @@ def expected_dim(family, m, n):
     if family == "osp":
         return m * (m - 1) // 2 + n * (2 * n + 1) + 2 * m * n
     return 2 * n * n  # p and q
-
-
-def row_reduce_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 @pytest.mark.parametrize("family,m,n", SIZES)

@@ -25,6 +25,7 @@ from superinv.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from superinv.schurweyl import (
     _actions,
     _generator_operators,
+    _measure_multiple,
     _noncommuting_generators,
     _power,
     _read_side,
@@ -611,6 +612,28 @@ def test_relation_reports():
     assert rep["all_relations_hold"] and rep["supercommutes_with_action"]
     names = {r["name"] for r in rep["relations"]}
     assert "e1 e2 e1 = -e1" in names and "s1 e1 = -e1" in names
+
+
+def test_measure_multiple():
+    space = GL11.space
+
+    def tensor(terms):
+        return Tensor(space, 1, {(pair,): c for pair, c in terms})
+
+    # b's first-inserted key (2, 2) is not its least key (1, 2)
+    b = tensor([((2, 2), Scalar(3)), ((1, 2), Scalar(-6))])
+    c = Scalar(Fraction(-2, 5), 1)
+    assert _measure_multiple(b.scale(c), b) == c
+    assert _measure_multiple(b, b) == ONE
+    # not a multiple: the ratio differs between the keys, or a key is extra
+    assert _measure_multiple(tensor([((2, 2), ONE), ((1, 2), ONE)]), b) is None
+    assert _measure_multiple(b + tensor([((2, 1), ONE)]), b) is None
+    # a key below b's pivot
+    assert _measure_multiple(b + tensor([((1, 1), ONE)]), b) is None
+    assert _measure_multiple(b, Tensor(space, 1)) is None
+    assert _measure_multiple(Tensor(space, 1), Tensor(space, 1)) is None
+    zero = _measure_multiple(Tensor(space, 1), b)
+    assert zero == ZERO and zero is not None
 
 
 @pytest.mark.parametrize(

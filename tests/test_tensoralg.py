@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from oracles import bracket, sym_monomial
+from oracles import bracket, is_invariant_reference, sym_monomial
 
 from superinv import tensoralg
 from superinv.algebras import build_algebra
+from superinv.brauer import coset_reps
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor
 from superinv.signs import Permutation, symmetric_group
@@ -117,6 +118,26 @@ def test_is_invariant():
             t = project_tensor(GL11, invariant_tensor(GL11, sigma))
             assert is_invariant(t), sigma
             assert is_invariant(eta(t)), sigma
+
+
+@pytest.mark.parametrize(
+    "family,m,n", [("gl", 1, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+)
+def test_is_invariant_matches_full_basis_reference(family, m, n):
+    # h0 and S stand in for g: the verdict is the full basis's
+    alg = build_algebra(family, m, n)
+    if family in ("gl", "q"):
+        sigmas = [s for k in (1, 2, 3) for s in symmetric_group(k)]
+    else:
+        sigmas = [s for k in (1, 2) for s in coset_reps(k)]
+    for i, sigma in enumerate(sigmas):
+        t = project_tensor(alg, invariant_tensor(alg, sigma))
+        for inv in (t, eta(t)):
+            # no single generator is central, so adding one breaks invariance
+            plus_gen = inv + inv._like({(i % alg.dim,): ONE})
+            for x, want in ((inv, True), (plus_gen, False)):
+                assert is_invariant_reference(x) is want, (sigma, x)
+                assert is_invariant(x) is want, (sigma, x)
 
 
 def test_cycle_factorization_of_invariants():
