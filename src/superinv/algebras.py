@@ -78,6 +78,10 @@ class GeneratingSet:
     def __init__(self, cartan: tuple, weights: tuple, probes: tuple):
         self.cartan, self.weights, self.probes = cartan, weights, probes
 
+    def weight_zero(self, word) -> bool:
+        """True iff the generator word has h0-weight zero, i.e. h0 kills it."""
+        return not any(map(sum, zip(*(self.weights[g] for g in word))))
+
 
 class Algebra:
     """A realized classical Lie superalgebra with all derived tables."""
@@ -240,10 +244,9 @@ class Algebra:
     def _closure(self, gens) -> dict:
         """Echelon rows spanning the right-nested brackets [s1, [s2, .. sr]] of gens.
 
-        Each new row's bracket with every s is reduced in turn, so the rows
-        end closed under ad s and span the Lie subalgebra gens generate.
+        Each new row's bracket with every s (ad_s on one-letter words) is reduced
+        in turn, so the rows end closed under ad s and span the Lie subalgebra.
         """
-        table = self.bracket_table
         rows = {}
         stack = [{g: ONE} for g in gens]
         while stack and len(rows) < self.dim:
@@ -253,7 +256,7 @@ class Algebra:
             for s in gens:
                 w = {}
                 for g, c in v.items():
-                    for h, b in table[(s, g)].items():
+                    for (h,), b in _ad_word(self, s, (g,)):
                         add_into(w, h, c * b)
                 stack.append(w)
         return rows
@@ -323,6 +326,21 @@ def _enumerate_generators(space: SuperSpace):
 def build_algebra(family: str, m: int = 0, n: int = 0) -> Algebra:
     """Realize one of gl(m|n), osp(m|2n), q(n), p(n)."""
     return Algebra(family, m, n)
+
+
+def _ad_word(alg: Algebra, y: int, word):
+    """The terms (word, coefficient) of ad_y on ``word`` = w, y a generator index.
+
+    ad_y is a superderivation, so with [y, w_i] read from the bracket table
+
+        ad_y(w) = sum_i (-1)^{|y||w_1..w_{i-1}|} w_1..w_{i-1} [y, w_i] w_{i+1}..w_k.
+    """
+    par, table = alg.parity, alg.bracket_table
+    sign = 0
+    for i, x in enumerate(word):
+        for g, c in table[(y, x)].items():
+            yield word[:i] + (g,) + word[i + 1 :], -c if sign else c
+        sign ^= par[y] & par[x]
 
 
 def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 
-from .algebras import Algebra
+from .algebras import Algebra, _ad_word
 from .scalars import HALF, ONE, Scalar, promote
 from .sparse import Sparse, add_into, add_terms
-from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, _ad_word, symmetrize
+from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
 
 
 class PBWElement(_WordMap):
@@ -115,9 +115,9 @@ def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
     Bracketing is a superderivation in each argument: [wa, wb] brackets wa
     with one letter y of wb at a time, past the letters before y with the
     Koszul sign, and [wa, y] = -(-1)^{|wa||y|} ad_y(wa) brackets one letter
-    of wa at a time (``_ad_word``).  The words wa wb and wb wa, whose leading
-    terms cancel, are never normalized: each word is one letter shorter,
-    and equal words are summed before their one normal form.
+    of wa at a time (``algebras._ad_word``).  The words wa wb and wb wa,
+    whose leading terms cancel, are never normalized: each word is one
+    letter shorter, and equal words are summed before their one normal form.
     """
     a._check(b)
     alg = a.algebra
@@ -151,11 +151,7 @@ def is_central(u: PBWElement) -> bool:
     """
     alg = u.algebra
     gens = alg.generating_set
-    for word in u.terms:
-        # the monomial's h0-weight, one coordinate at a time
-        if any(map(sum, zip(*(gens.weights[g] for g in word)))):
-            return False
-    return all(
+    return all(map(gens.weight_zero, u.terms)) and all(
         supercommutator(u, PBWElement.generator(alg, x)).is_zero() for x in gens.probes
     )
 

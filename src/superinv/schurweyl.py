@@ -167,13 +167,13 @@ def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
     subalgebra, so the even Cartan and the set S of
     ``Algebra.generating_set`` stand in for all of g.
     """
+    return not _noncommuting_generators(alg, t, _actions(alg, t.k))
+
+
+def _actions(alg: Algebra, k: int) -> list:
+    """(g, phi_k of g) for each g of h0 and the set S, in generator order."""
     gens = alg.generating_set
-    return not _noncommuting_generators(alg, t, _actions(alg, t.k, gens.cartan + gens.probes))
-
-
-def _actions(alg: Algebra, k: int, gens) -> list:
-    """(g, phi_k of g) for each generator index g in gens."""
-    return [(g, phi_k(alg, alg.unit(g), k)) for g in gens]
+    return [(g, phi_k(alg, alg.unit(g), k)) for g in sorted(gens.cartan + gens.probes)]
 
 
 def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
@@ -408,7 +408,8 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
     """Verify the defining relations of the centralizer algebra on V^(x k),
     and supercommutation of every generator operator with the action.
 
-    Each relation is checked as the operator identity its name states.
+    Each relation is checked as the operator identity its name states, and
+    the action on h0 and the set S, as in ``tensor_is_invariant``.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -426,7 +427,7 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
             holds = (_read_side(lhs, ops, ident) - _read_side(rhs, ops, ident)).is_zero()
         results.append({"name": name, "holds": holds})
 
-    actions = _actions(alg, k, range(alg.dim))
+    actions = _actions(alg, k)
     commute_failures = [
         [name, alg.gens[g]]
         for name, op in sorted(ops.items())

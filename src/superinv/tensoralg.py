@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebras import Algebra, LieElement
+from .algebras import Algebra, LieElement, _ad_word
 from .scalars import Scalar
 from .signs import gamma_exponent, symmetric_group
 from .sparse import Sparse, add_into
@@ -150,21 +150,6 @@ def omega_k(s: SymElement, k: int) -> TensorAlgebraElement:
     return symmetrize(s)
 
 
-def _ad_word(alg: Algebra, y: int, word):
-    """The terms (word, coefficient) of ad_y on ``word`` = w, y a generator index.
-
-    ad_y is a superderivation, so with [y, w_i] read from the bracket table
-
-        ad_y(w) = sum_i (-1)^{|y||w_1..w_{i-1}|} w_1..w_{i-1} [y, w_i] w_{i+1}..w_k.
-    """
-    par, table = alg.parity, alg.bracket_table
-    sign = 0
-    for i, x in enumerate(word):
-        for g, c in table[(y, x)].items():
-            yield word[:i] + (g,) + word[i + 1 :], -c if sign else c
-        sign ^= par[y] & par[x]
-
-
 def adjoint_act(x: LieElement, t):
     """The adjoint action of x as a super-derivation of T(g) or S(g)."""
     alg = t.algebra
@@ -181,11 +166,13 @@ def adjoint_act(x: LieElement, t):
 
 
 def is_invariant(t) -> bool:
-    """True iff g acts by zero; the generators that do span a Lie subalgebra,
-    so the even Cartan and the set S of ``Algebra.generating_set`` stand in for g."""
+    """True iff g acts by zero; the generators that do span a Lie subalgebra, so
+    h0 (by weight) and the set S of ``Algebra.generating_set`` stand in for g."""
     alg = t.algebra
     gens = alg.generating_set
-    return all(adjoint_act(alg.unit(g), t).is_zero() for g in gens.cartan + gens.probes)
+    return all(map(gens.weight_zero, t.terms)) and all(
+        adjoint_act(alg.unit(g), t).is_zero() for g in gens.probes
+    )
 
 
 def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:

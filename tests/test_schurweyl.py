@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -18,12 +19,13 @@ from oracles import (
     supertranspose,
 )
 
+from superinv import schurweyl
 from superinv.algebras import build_algebra, phi_k
+from superinv.cli import main
 from superinv.enveloping import PBWElement, eta_prime, is_central
 from superinv.scalars import I as IMAG
 from superinv.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from superinv.schurweyl import (
-    _actions,
     _generator_operators,
     _measure_multiple,
     _noncommuting_generators,
@@ -53,6 +55,7 @@ from superinv.tensors import (
     compose,
     full_supertrace,
     identity_tensor,
+    matrix_unit,
     partial_supertrace,
     permute_word,
 )
@@ -791,7 +794,7 @@ def test_noncommuting_generators_matches_reference(family, m, n):
     odd = alg.parity.index(1)
     failing = 0
     for k in (2, 3):
-        actions = _actions(alg, k, range(alg.dim))
+        actions = [(g, phi_k(alg, alg.unit(g), k)) for g in range(alg.dim)]
         ops = _generator_operators(alg, k)
         summands = [ops["s1"], phi_k(alg, alg.unit(odd), k)]
         if family == "q":
@@ -804,3 +807,38 @@ def test_noncommuting_generators_matches_reference(family, m, n):
                 assert tensor_is_invariant(alg, t) == (not got)
                 failing += bool(got)
     assert failing
+
+
+@pytest.mark.parametrize(
+    "family, m, n", [("gl", 1, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+)
+def test_relations_names_the_generators_a_stray_operator_fails_on(
+    capsys, monkeypatch, family, m, n
+):
+    # e_12 on the first slot joins the centralizer generators; it does not
+    # supercommute with g, and the report names the members of h0 and S it
+    # fails on, each also failing over the full basis
+    k = 2
+    generator_operators = schurweyl._generator_operators
+
+    def with_stray(alg, k):
+        stray = slot_embed(matrix_unit(alg.space, 1, 2), 1, k)
+        return dict(generator_operators(alg, k), x1=stray)
+
+    monkeypatch.setattr(schurweyl, "_generator_operators", with_stray)
+    argv = ["relations", "--family", family, "--m", str(m), "--n", str(n), "--k", str(k)]
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["supercommutes_with_action"] is False
+    assert doc["all_relations_hold"] is True
+    alg = build_algebra(family, m, n)
+    gens = alg.generating_set
+    tested = sorted(gens.cartan + gens.probes)
+    full = [(g, phi_k(alg, alg.unit(g), k)) for g in range(alg.dim)]
+    want = []
+    for name, op in sorted(with_stray(alg, k).items()):
+        failing = noncommuting_generators_reference(alg, op, full)
+        assert bool(failing) is (name == "x1"), name
+        want += [[name, alg.gens[g]] for g in tested if g in failing]
+    assert doc["supercommute_failures"] == want

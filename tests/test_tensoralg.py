@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import bracket, is_invariant_reference, sym_monomial
 
 from superinv import tensoralg
@@ -138,6 +141,46 @@ def test_is_invariant_matches_full_basis_reference(family, m, n):
             for x, want in ((inv, True), (plus_gen, False)):
                 assert is_invariant_reference(x) is want, (sigma, x)
                 assert is_invariant(x) is want, (sigma, x)
+
+
+def test_is_invariant_tests_the_even_cartan_by_weight():
+    # x = E12 I - I E12, I = E11 + E22: the probes E12, E21 kill it, h0 does not
+    x = t_elem(GL11, {(E12, E11): ONE, (E12, E22): ONE, (E11, E12): MINUS_ONE,
+                      (E22, E12): MINUS_ONE})
+    assert all(adjoint_act(GL11.unit(g), x).is_zero() for g in GL11.generating_set.probes)
+    assert not is_invariant(x)
+    assert not is_invariant_reference(x)
+
+
+WEIGHT_ALGEBRAS = [build_algebra(*size) for size in
+                   (("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2))]
+
+
+def _killed_by_h0(alg, word):
+    t = t_elem(alg, {word: ONE})
+    return all(adjoint_act(alg.unit(h), t).is_zero() for h in alg.generating_set.cartan)
+
+
+@pytest.mark.parametrize(
+    "alg", WEIGHT_ALGEBRAS, ids=lambda alg: "%s-%d-%d" % (alg.family, alg.m, alg.n)
+)
+def test_weight_zero_is_the_h0_kernel_on_short_words(alg):
+    gens = alg.generating_set
+    killed = 0
+    for length in (0, 1, 2):
+        for word in itertools.product(range(alg.dim), repeat=length):
+            assert gens.weight_zero(word) is _killed_by_h0(alg, word), word
+            killed += gens.weight_zero(word)
+    # the empty word, the even Cartan and the pairs of opposite weights
+    assert 1 + len(gens.cartan) < killed < 1 + alg.dim + alg.dim**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weight_zero_is_the_h0_kernel_on_drawn_words(data):
+    alg = data.draw(st.sampled_from(WEIGHT_ALGEBRAS))
+    word = tuple(data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=4)))
+    assert alg.generating_set.weight_zero(word) is _killed_by_h0(alg, word)
 
 
 def test_cycle_factorization_of_invariants():
