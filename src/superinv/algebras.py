@@ -17,9 +17,11 @@ re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
 H/2), tabulated as ``pi_table`` and verified to satisfy
 pi_tilde(iota(x)) = x on every generator.  A small Lie-generating set for
 the centrality and invariance checks is read off the bracket table on
-first use (``Algebra.generating_set``).  The realization is the only
-per-family statement: pi_tilde, the parities and the Cartan variables are
-all read off its matrices.
+first use (``Algebra.generating_set``), with the even Cartan h0 and the
+weight of every generator; the Cartan variables, their names and the Weyl
+vector rho are read off that one weight table, also on first use and for
+every family (rho = 0 for q(n)).  The realization is the only per-family
+statement: pi_tilde, the parities and h0 are all read off its matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import ONE, Scalar, sign_scalar
+from .scalars import ONE, ZERO, Scalar, sign_scalar
 from .sparse import Sparse, add_into, add_terms, echelon_extend, echelon_reduce
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
@@ -106,7 +108,6 @@ class Algebra:
         self._build_pi_table()
         self._verify_split()
         self._build_bracket_table()
-        self._build_cartan_data()
 
     # -- split projection --------------------------------------------------
 
@@ -165,48 +166,33 @@ class Algebra:
                 table[(y, x)] = self._project_matrix(yx - xy.scale(sign)).terms
         self.bracket_table = table
 
-    # -- Cartan data / Weyl vector -------------------------------------------
+    # -- Cartan variables / Weyl vector, read off h0 on first use -------------
 
-    def _build_cartan_data(self):
-        if self.family in ("p", "q"):
-            self.cartan_vars = self.var_names = self.rho_coords = None
-            return
-        # the diagonal generators, even indices first, each in increasing i
+    @cached_property
+    def cartan_vars(self) -> tuple:
+        """h0 as Cartan variables: even indices first, each in increasing i."""
+        par, pairs = self.space._parity, self.gen_pairs
+        return tuple(sorted(self.generating_set.cartan, key=lambda h: par[pairs[h][0]]))
+
+    @cached_property
+    def var_names(self) -> tuple:
         par = self.space._parity
-        diag = [(i, g) for g, (i, j) in enumerate(self.gen_pairs) if i == j]
-        even = [g for i, g in diag if not par[i]]
-        odd = [g for i, g in diag if par[i]]
-        self.cartan_vars = tuple(even + odd)
-        self.var_names = tuple(
-            ["h%d" % (c + 1) for c in range(len(even))]
-            + ["h'%d" % (c + 1) for c in range(len(odd))]
+        odd = sum(par[self.gen_pairs[h][0]] for h in self.cartan_vars)
+        even = len(self.cartan_vars) - odd
+        return tuple(
+            ["h%d" % c for c in range(1, even + 1)] + ["h'%d" % c for c in range(1, odd + 1)]
         )
-        nvars = len(self.cartan_vars)
-        rho = [Fraction(0)] * nvars
-        for u in range(self.dim):
-            if self.tri_class[u] != "U":
-                continue
-            weight = self._weight_of(u, self.cartan_vars)
-            s = Fraction(1, 2) if self.parity[u] == 0 else Fraction(-1, 2)
-            for c in range(nvars):
-                rho[c] += s * weight[c]
-        self.rho_coords = tuple(rho)
 
-    def _weight_of(self, u: int, cartan):
-        """Eigenvalue vector, in ints, of the Cartan generators ``cartan`` on generator u."""
-        weight = []
-        for h in cartan:
-            br = self.bracket_table[(h, u)]
-            if not br:
-                weight.append(0)
-                continue
-            if set(br) != {u}:
-                raise AssertionError("generator %s is not a weight vector" % self.gens[u])
-            lam = br[u]
-            if lam.b or lam.d != 1:
-                raise AssertionError("non-integral weight")
-            weight.append(lam.a)
-        return weight
+    @cached_property
+    def rho_coords(self) -> tuple:
+        """rho = 1/2 sum over the raising generators u of (-1)^|u| weight(u)."""
+        gens = self.generating_set
+        rho = dict.fromkeys(gens.cartan, Fraction(0))
+        for u in range(self.dim):
+            if self.tri_class[u] == "U":
+                for h, w in zip(gens.cartan, gens.weights[u]):
+                    rho[h] += Fraction(-w if self.parity[u] else w, 2)
+        return tuple(rho[h] for h in self.cartan_vars)
 
     # -- a small Lie-generating set ------------------------------------------
 
@@ -238,8 +224,16 @@ class Algebra:
             if len(span) < self.dim and echelon_reduce(span, {g: ONE}):
                 probes.append(g)
                 span = self._closure(cartan + tuple(probes))
-        weights = tuple(tuple(self._weight_of(g, cartan)) for g in gens)
-        return GeneratingSet(cartan, weights, tuple(probes))
+        weights = []
+        for g in gens:
+            brackets = [table[(h, g)] for h in cartan]
+            if any(br and set(br) != {g} for br in brackets):
+                raise AssertionError("generator %s is not a weight vector" % self.gens[g])
+            lams = [br.get(g, ZERO) for br in brackets]
+            if any(lam.b or lam.d != 1 for lam in lams):
+                raise AssertionError("non-integral weight")
+            weights.append(tuple(lam.a for lam in lams))
+        return GeneratingSet(cartan, tuple(weights), tuple(probes))
 
     def _closure(self, gens) -> dict:
         """Echelon rows spanning the right-nested brackets [s1, [s2, .. sr]] of gens.

@@ -253,8 +253,8 @@ def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
 def generator_matrix(alg: Algebra) -> UValuedTensor:
     """The U(g)-valued matrix with (i,j) entry the spanning element X_ij.
 
-    Stored in supermatrix form: sum (-1)^{|i||j|+|i|+|j|} e_ij x X_ij with
-    X = E, F, G, H according to the family.
+    Stored in supermatrix form: sum (-1)^{|i||j|+|i|+|j|} e_ij x X_ij, where
+    X_ij is pi_tilde of the unit e_ij, doubled outside gl (X = E, F, G, H).
     """
     space = alg.space
     par = space._parity
@@ -262,15 +262,9 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
     entries = {}
     for i in space.indices:
         for j in space.indices:
-            hit = alg.pi_table[(i, j)]
-            if hit is None:
-                continue
-            idx, c = hit
-            exp = (par[i] * par[j] + par[i] + par[j]) & 1
-            coeff = c * factor
-            if exp:
-                coeff = -coeff
-            entries[((i, j),)] = PBWElement(alg, {(idx,): coeff})
+            sign = (par[i] * par[j] + par[i] + par[j]) & 1
+            for word, c in alg._pi_tilde({((i, j),): -factor if sign else factor}):
+                entries[((i, j),)] = PBWElement(alg, {word: c})
     return UValuedTensor(alg, 1, entries)
 
 

@@ -8,12 +8,14 @@ rank of a dense matrix, the group H, the Harish-Chandra predicates, the
 rho shift, the U(g) product, the supercommutator, the full-basis
 centrality and invariance checks, the diagram count by closure type, the
 dualization of theta's even slots, the supercommutation test of an
-operator and Sergeev's recursion for the q(n) trace family) that tests
-compare the package's own kernels against.
+operator, Sergeev's recursion for the q(n) trace family and the
+Harish-Chandra images of the gl(m|n) trace family from a product formula)
+that tests compare the package's own kernels against.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from superinv.algebras import LieElement
 from superinv.brauer import (
@@ -303,6 +305,40 @@ def rho_shift_reference(p, alg):
                 shifted = shifted + CartanPolynomial(p.names, {tuple(base): c})
         p = shifted
     return p
+
+
+def gl_trace_images_closed_form(m, n, kmax):
+    """HC(Str X^k) on gl(m|n) for k = 0..kmax, from the product formula
+
+        1 - sum_{k>=0} HC(Str X^k) u^(-k-1)
+            = prod_i (u - l_i - 1)/(u - l_i) * prod_j (u - l'_j + 1)/(u - l'_j)
+
+    with l_i = h_i + c, l'_j = -h'_j + c + 1 and c = (m - n - 1)/2 (after
+    Perelomov-Popov; Molev, Yangians and Classical Lie Algebras, ch. 7).
+    A factor is 1 -+ 1/(u - l) = 1 -+ sum_r l^r u^(-r-1); the product is
+    expanded as exact polynomial coefficients of u^-1, not at points.
+    """
+    names = ["h%d" % i for i in range(1, m + 1)] + ["h'%d" % j for j in range(1, n + 1)]
+    zero = (0,) * (m + n)
+
+    def affine(v, sign, const):
+        unit = tuple(int(w == v) for w in range(m + n))
+        return CartanPolynomial(names, {unit: Scalar(sign), zero: Scalar(const)})
+
+    c = Fraction(m - n - 1, 2)
+    roots = [(affine(i, 1, c), -1) for i in range(m)]
+    roots += [(affine(m + j, -1, c + 1), 1) for j in range(n)]
+    one = CartanPolynomial(names, {zero: ONE})
+    series = [one] + [CartanPolynomial(names)] * (kmax + 1)  # coefficients of u^0..u^-(kmax+1)
+    for root, sign in roots:
+        factor = [one, one.scale(sign)]
+        while len(factor) < kmax + 2:
+            factor.append(factor[-1] * root)
+        series = [
+            sum((series[a] * factor[d - a] for a in range(d + 1)), CartanPolynomial(names))
+            for d in range(kmax + 2)
+        ]
+    return [-series[k + 1] for k in range(kmax + 1)]
 
 
 # -- the U(g) product and supercommutator, one rebuilt sum per term ---------

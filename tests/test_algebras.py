@@ -208,12 +208,38 @@ def test_phi_k_is_lie_homomorphism():
             assert lhs == rhs
 
 
+def _matrix_weight(alg, h, u):
+    """lambda with [iota(h), iota(u)] = lambda iota(u), read off the matrices."""
+    mat = alg.embed[u]
+    br = compose(alg.embed[h], mat) - compose(mat, alg.embed[h])
+    key, coeff = next(iter(mat.terms.items()))
+    lam = br.terms.get(key, Scalar(0)) / coeff
+    assert br == mat.scale(lam)
+    return lam.re
+
+
 def test_rho_values():
     assert build_algebra("gl", 1, 1).rho_coords == (Fraction(-1, 2), Fraction(1, 2))
     assert build_algebra("gl", 2, 0).rho_coords == (Fraction(1, 2), Fraction(-1, 2))
-    # no Harish-Chandra data for q and p
-    assert build_algebra("q", 0, 3).rho_coords is None
-    assert build_algebra("p", 0, 2).rho_coords is None
+    # each raising H[i,j] of q(n) has an odd twin H[i,-j] of the same weight
+    for n in (1, 2, 3):
+        assert build_algebra("q", 0, n).rho_coords == (0,) * n
+    for family, m, n in SIZES:
+        alg = build_algebra(family, m, n)
+        # rho = 1/2 sum over raising u of (-1)^|u| weight(u), weights from matrices
+        rho = [Fraction(0)] * len(alg.cartan_vars)
+        for u in range(alg.dim):
+            if alg.tri_class[u] == "U":
+                sign = Fraction(-1 if alg.parity[u] else 1, 2)
+                for c, h in enumerate(alg.cartan_vars):
+                    rho[c] += sign * _matrix_weight(alg, h, u)
+        assert alg.rho_coords == tuple(rho), (family, m, n)
+        # the variables: even indices first, each in increasing i, named h1.. then h'1..
+        rows = [alg.gen_pairs[h][0] for h in alg.cartan_vars]
+        assert rows == sorted(rows, key=lambda i: (alg.space.parity(i), i))
+        odd = sum(alg.space.parity(i) for i in rows)
+        names = ["h%d" % c for c in range(1, len(rows) - odd + 1)]
+        assert alg.var_names == tuple(names + ["h'%d" % c for c in range(1, odd + 1)])
 
 
 def test_q_block_bijection():
@@ -297,7 +323,9 @@ def _matrix_closure_dim(alg, gens):
 @pytest.mark.parametrize("family, m, n, size", GENERATING_SET_SIZES)
 def test_generating_set_spans_under_matrix_brackets(family, m, n, size):
     alg = build_algebra(family, m, n)
-    assert "generating_set" not in vars(alg)  # built lazily, not with the algebra
+    # built lazily, not with the algebra, and so are the Cartan data read off it
+    lazy = {"generating_set", "cartan_vars", "var_names", "rho_coords"}
+    assert not lazy & set(vars(alg))
     gens = alg.generating_set
     assert "generating_set" in vars(alg)
     assert len(gens.probes) == size

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    gl_trace_images_closed_form,
     is_central_reference,
     is_J_poly_reference,
     is_Q_poly_reference,
@@ -450,6 +451,20 @@ def test_hc_image_matches_reference(family, m, n):
             assert is_supersymmetric(image, m, n) is is_supersymmetric_reference(image, m, n)
         else:
             assert is_J_poly(image, m // 2, n) is is_J_poly_reference(image, m // 2, n)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(1, 0), (2, 0), (3, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (3, 3)],
+)
+def test_hc_image_of_traces_matches_closed_form(m, n):
+    # the product formula shares no code with the Cartan projection, the rho
+    # shift or the PBW layer, so it checks both against the U(g) computation
+    closed = gl_trace_images_closed_form(m, n, 5)
+    assert closed[0] == CartanPolynomial(closed[0].names, {(0,) * (m + n): Scalar(m - n)})
+    alg = build_algebra("gl", m, n)
+    for k in range(1, 6):
+        assert harish_chandra_image(str_gelfand(alg, k)) == closed[k], k
 
 
 def test_pbw_json_graded_lex():
