@@ -67,7 +67,9 @@ def parse_permutation(text: str, size: int) -> Permutation:
     if text.startswith("["):
         try:
             images = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # an entry past the int digit limit raises a plain ValueError, and
+        # deep nesting a RecursionError
+        except (ValueError, RecursionError) as exc:
             raise UsageError("bad one-line permutation: %s" % exc) from None
         if any(type(p) is not int for p in images):
             raise UsageError("one-line permutation entries must be integers: %r" % text)
@@ -504,10 +506,13 @@ def main(argv=None) -> int:
         try:
             print(text)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout: point fd 1 at devnull so that the
-            # interpreter's exit flush does not raise again
+        except OSError as exc:
+            # point fd 1 at devnull so that the interpreter's exit flush does
+            # not raise again; a reader that closed stdout is a quiet exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                print("error: cannot write stdout: %s" % exc.strerror, file=sys.stderr)
+                return 2
     return code
 
 

@@ -7,8 +7,12 @@ Conventions used throughout the package:
   inversions i < j, s(i) > s(j); it is the Koszul sign of reordering a
   supercommutative word x1...xk into x_{s(1)}...x_{s(k)}.
   ``gamma_exponent`` returns it as an exponent mod 2, so (-1)**exponent is
-  the sign.  ``tensors.permute_word`` applies it, and
-  ``schurweyl.perm_operator`` needs no other sign.
+  the sign.  ``_reorder`` is the one reordering of a word: it reads the
+  word in sigma's order and takes the sign from ``gamma_exponent``.  Its
+  three callers are ``tensors.permute_word`` (the place permutation, with
+  sigma^-1), ``tensoralg.symmetrize`` (each sigma in S_k) and
+  ``tensoralg.eta`` (the stable sort into S(g)); ``schurweyl.perm_operator``
+  needs no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py
   (``p_exponent``), beside the references that use it.
@@ -39,6 +43,12 @@ def gamma_exponent(x: Sequence[int], sigma: "Permutation") -> int:
             if si > sj and x[sj - 1]:
                 total ^= 1
     return total
+
+
+def _reorder(word: Sequence, parities: Sequence[int], sigma: "Permutation"):
+    """word read in sigma's order, x_{s(1)}...x_{s(k)}, and the exponent of
+    gamma(parities, sigma), its Koszul sign."""
+    return tuple(word[i - 1] for i in sigma.images), gamma_exponent(parities, sigma)
 
 
 class Permutation:

@@ -3,9 +3,9 @@
 Elements are sparse maps from generator words to Scalars.  A word is a
 tuple of generator indices into the algebra's canonical ordered basis;
 mixed degrees are allowed in T(g).  In S(g) every stored monomial is
-sorted into the global generator order, with one factor (-1) absorbed per
-odd-odd transposition performed during sorting, and any monomial
-containing an odd generator twice is zero.
+sorted stably into the global generator order, signed by the Koszul sign
+gamma of that reordering (``signs._reorder``), and any monomial containing
+an odd generator twice is zero.
 
 Operations that expand over S_k (symmetrize, hence omega_k and psi in the
 enveloping module) refuse to run past the degree cap MAX_DEGREE.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebras import Algebra, LieElement, _ad_word
 from .scalars import Scalar
-from .signs import gamma_exponent, symmetric_group
+from .signs import Permutation, _reorder, symmetric_group
 from .sparse import Sparse, add_into
 from .tensors import Tensor
 
@@ -89,37 +89,17 @@ class SymElement(_WordMap):
         return eta(TensorAlgebraElement.__mul__(self, other))
 
 
-def _sym_sort(word, par):
-    """Sort a word into the global order; None when an odd square appears.
-
-    Returns (sorted word, sign exponent), one unit of sign per odd-odd
-    transposition: this is exactly the supersymmetric quotient relation.
-    """
-    w = list(word)
-    exp = 0
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            if par[w[j - 1]] and par[w[j]]:
-                exp ^= 1
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-    for i in range(1, len(w)):
-        if w[i - 1] == w[i] and par[w[i]]:
-            return None
-    return tuple(w), exp
-
-
 def eta(t: TensorAlgebraElement) -> SymElement:
     """The quotient map T(g) -> S(g)."""
     alg = t.algebra
     par = alg.parity
     out = {}
     for word, coeff in t.terms.items():
-        res = _sym_sort(word, par)
-        if res is None:
+        order = sorted(range(len(word)), key=word.__getitem__)
+        w, exp = _reorder(word, [par[g] for g in word], Permutation(i + 1 for i in order))
+        # an odd letter squares to zero
+        if any(a == b and par[a] for a, b in zip(w, w[1:])):
             continue
-        w, exp = res
         add_into(out, w, coeff if not exp else -coeff)
     return SymElement(alg, out)
 
@@ -137,8 +117,7 @@ def symmetrize(s: SymElement) -> TensorAlgebraElement:
         parities = tuple(par[g] for g in word)
         base = coeff * Scalar(Fraction(1, math.factorial(k)))
         for sigma in groups[k]:
-            exp = gamma_exponent(parities, sigma)
-            new_word = tuple(word[sigma(t) - 1] for t in range(1, k + 1))
+            new_word, exp = _reorder(word, parities, sigma)
             add_into(out, new_word, base if not exp else -base)
     return TensorAlgebraElement(s.algebra, out)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .scalars import ONE, ZERO, Scalar
-from .signs import Permutation, gamma_exponent
+from .signs import Permutation, _reorder
 from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 
@@ -184,8 +184,8 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
     parities = w.space._parity
     out = {}
     for key, coeff in w.terms.items():
-        exp = gamma_exponent(tuple(parities[i] for i in key), inv)
-        add_into(out, tuple(key[i - 1] for i in inv.images), -coeff if exp else coeff)
+        new_key, exp = _reorder(key, [parities[i] for i in key], inv)
+        add_into(out, new_key, -coeff if exp else coeff)
     return w._like(out)
 
 

@@ -6,10 +6,11 @@ action, the operator-to-tensor map on basis words, the place-permutation
 operator, the supertranspose, the flips of V x V, the Lie bracket, the
 rank of a dense matrix, the group H, the Harish-Chandra predicates, the
 rho shift, the U(g) product, the supercommutator, the full-basis
-centrality and invariance checks, the diagram count by closure type, the
-dualization of theta's even slots, the supercommutation test of an
-operator, Sergeev's recursion for the q(n) trace family and the
-Harish-Chandra images of the gl(m|n) trace family from a product formula)
+centrality and invariance checks, the S(g) monomial sorted by adjacent
+swaps, the diagram count by closure type, the dualization of theta's even
+slots, the supercommutation test of an operator, Sergeev's recursion for
+the q(n) trace family and the Harish-Chandra images of the gl(m|n) trace
+family from a product formula)
 that tests compare the package's own kernels against.
 """
 
@@ -28,7 +29,7 @@ from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize, u_m
 from superinv.scalars import ONE, Scalar, promote, sign_scalar
 from superinv.signs import Permutation, symmetric_group
 from superinv.sparse import add_into, add_terms
-from superinv.tensoralg import SymElement, _sym_sort, adjoint_act
+from superinv.tensoralg import SymElement, adjoint_act
 from superinv.tensors import Tensor, VectorTensor, compose, permute_word
 
 
@@ -228,13 +229,23 @@ def count_by_type_reference(k: int) -> dict:
 
 
 def sym_monomial(alg, word, coeff=ONE):
-    """The monomial of S(g) on word: sorted, signed, zero on an odd square."""
-    res = _sym_sort(tuple(word), alg.parity)
-    if res is None:
-        return SymElement(alg)
-    w, exp = res
+    """The monomial of S(g) on word: sorted, signed, zero on an odd square.
+
+    A bubble sort by adjacent swaps, each swap of two odd letters flipping
+    the sign: the supercommutation rule of S(g) applied one step at a time.
+    """
+    par = alg.parity
+    w = list(word)
     coeff = promote(coeff)
-    return SymElement(alg, {w: coeff if not exp else -coeff})
+    for end in range(len(w) - 1, 0, -1):
+        for i in range(end):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                if par[w[i]] and par[w[i + 1]]:
+                    coeff = -coeff
+    if any(a == b and par[a] for a, b in zip(w, w[1:])):
+        return SymElement(alg)
+    return SymElement(alg, {tuple(w): coeff})
 
 
 # -- the Harish-Chandra predicates and the rho shift, one step at a time ----

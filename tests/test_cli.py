@@ -259,6 +259,9 @@ def test_out_file(tmp_path, capsys):
         ("--perm", "(1 2) junk"),
         ("--perm", "x(1 2)"),
         ("--perm", "(1 2)("),
+        # past the int digit limit, and nested past the recursion limit
+        pytest.param("--perm", "[1, %s]" % ("9" * 4301), id="--perm-4301-digits"),
+        pytest.param("--perm", "[" * 50000, id="--perm-50000-brackets"),
         ("--u", "1/0,1"),
         ("--u", "x,1"),
         # exponents and long shifts stop before Fraction parses them
@@ -272,7 +275,7 @@ def test_malformed_input_exits_2(capsys, flag, value):
     code, out, err = run_cli(capsys, *base, *extra, flag, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
-    if "e" in value or len(value) > MAX_SHIFT_CHARS:
+    if flag == "--u" and ("e" in value or len(value) > MAX_SHIFT_CHARS):
         assert "at most %d characters" % MAX_SHIFT_CHARS in err
 
 
@@ -352,6 +355,25 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait() == 0
     for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
         assert marker not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2():
+    # every write to /dev/full fails with ENOSPC: stdout is then treated like
+    # an unwritable --out
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superinv.cli", "brauer", "--k", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    for marker in ("Traceback", "Exception ignored"):
+        assert marker not in proc.stderr
 
 
 # One argv just past each bound of the COMMANDS table, and the words of the

@@ -51,6 +51,28 @@ def test_eta_sorting_sign():
     )
 
 
+SORT_ALGEBRAS = [
+    build_algebra(*spec) for spec in (("gl", 1, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eta_matches_adjacent_swap_oracle(data):
+    # sym_monomial sorts by adjacent swaps, one sign per odd-odd swap; eta
+    # reads the stable argsort's gamma, so the two share no sorting code
+    alg = data.draw(st.sampled_from(SORT_ALGEBRAS), label="algebra")
+    words = data.draw(
+        st.lists(st.lists(st.integers(0, alg.dim - 1), max_size=5), min_size=1, max_size=3)
+    )
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(words), max_size=len(words)))
+    t, expected = TensorAlgebraElement(alg), SymElement(alg)
+    for word, c in zip(words, coeffs):
+        t = t + t_elem(alg, {tuple(word): Scalar(c)})
+        expected = expected + sym_monomial(alg, word, Scalar(c))
+    assert eta(t) == expected
+
+
 def test_omega_examples():
     s = sym_monomial(GL11, (E11,))
     assert omega_k(s, 1) == t_elem(GL11, {(E11,): ONE})
