@@ -19,7 +19,6 @@ from .enveloping import (
     is_Q_poly,
     is_supersymmetric,
     pbw_normalize,
-    psi_map,
     rho_shift,
     u_multiply,
     zeta_project,
@@ -30,10 +29,7 @@ from .spaces import SuperSpace
 from .tensoralg import (
     SymElement,
     TensorAlgebraElement,
-    adjoint_act,
     eta,
-    is_invariant,
-    omega_k,
     project_tensor,
 )
 from .tensors import (

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .signs import Permutation, symmetric_group
@@ -144,14 +145,13 @@ def count_by_type(k: int) -> dict:
         if not strands:
             return {(): 1}
         *rest, a = strands
-        out = {}
+        out = Counter()
         for t, n in closings(tuple(rest)).items():
-            key = tuple(sorted(t + (a,)))
-            out[key] = out.get(key, 0) + n
+            out[tuple(sorted(t + (a,)))] += n
         for i, b in enumerate(rest):
             joined = tuple(sorted(rest[:i] + rest[i + 1 :] + [a + b]))
             for t, n in closings(joined).items():
-                out[t] = out.get(t, 0) + 2 * n
+                out[t] += 2 * n
         return out
 
     counts = closings((1,) * k)
@@ -213,22 +213,15 @@ def witness_holds(sigma: Permutation, w: KeyLemmaWitness) -> bool:
 
 def intersection_order_formula(type_vector) -> int:
     """prod (2i)^{lambda_i} lambda_i!, the order of H intersect sigma H sigma^{-1}."""
-    counts = {}
-    for length in type_vector:
-        counts[length] = counts.get(length, 0) + 1
     out = 1
-    for length, mult in counts.items():
+    for length, mult in Counter(type_vector).items():
         out *= (2 * length) ** mult * math.factorial(mult)
     return out
 
 
 def double_coset_sizes(k: int) -> dict:
     """Observed |H sigma H| per type, by scanning all of S_2k."""
-    sizes = {}
-    for sigma in symmetric_group(2 * k):
-        t = closure_type(sigma).type_vector
-        sizes[t] = sizes.get(t, 0) + 1
-    return sizes
+    return Counter(closure_type(sigma).type_vector for sigma in symmetric_group(2 * k))
 
 
 def double_coset_size_formula(k: int, type_vector) -> int:

@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -47,12 +48,13 @@ from .schurweyl import (
     z_sigma,
 )
 from .spaces import FAMILIES, SuperSpace, dimension
-from .tensoralg import MAX_DEGREE, eta, project_tensor
+from .tensoralg import eta, project_tensor
 
 # building an algebra tabulates dim(g)^2 ~ dim(V)^4 brackets
 MAX_DIM = 16
-# a product of MAX_DEGREE such shifts stays far below Python's 4300-digit
-# limit on printing an integer, and Fraction never sees a huge exponent
+# a product of molev's at most 8 such shifts stays far below Python's
+# 4300-digit limit on printing an integer, and Fraction never sees a huge
+# exponent
 MAX_SHIFT_CHARS = 100
 
 
@@ -117,9 +119,7 @@ def parse_shifts(text: str, k: int):
 
 
 def type_label(type_vector) -> str:
-    counts = {}
-    for length in type_vector:
-        counts[length] = counts.get(length, 0) + 1
+    counts = Counter(type_vector)
     return " ".join("%d^%d" % (l, counts[l]) for l in sorted(counts))
 
 
@@ -275,7 +275,7 @@ def cmd_sweep(args, alg) -> tuple[dict, int]:
     rows = []
     ok = True
     for k in range(1, kmax + 1):
-        print("sweep: degree %d/%d" % (k, kmax), file=sys.stderr)
+        _stderr("sweep: degree %d/%d" % (k, kmax))
         deg = degree(k)
         if command == "hc":
             element = "str_gelfand(%d)" % deg
@@ -342,11 +342,20 @@ def cmd_molev(args, alg) -> tuple[dict, int]:
     return doc, 0 if central else 1
 
 
+def _stderr(line):
+    """Print one line to stderr, if it can be written: a failed write there
+    leaves the command's stdout and exit code as they are."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _map_with_progress(fn, items, label):
     out = []
     for i, item in enumerate(items):
         if len(items) > 100 and i % 100 == 0:
-            print("%s: %d/%d" % (label, i, len(items)), file=sys.stderr)
+            _stderr("%s: %d/%d" % (label, i, len(items)))
         out.append(fn(item))
     return out
 
@@ -396,10 +405,10 @@ COMMANDS = {
     "sergeev": Command(
         cmd_sergeev, "Sergeev's q(n) trace element Z_k and its identities",
         ("--n", "--k"), ("q",), k_max=7, words=6**7),
-    # the molev element's cost grows steeply with k; stop at T(g)'s degree cap
+    # the molev element's cost grows steeply with k
     "molev": Command(
         cmd_molev, "shifted-trace central element built from an invariant tensor",
-        _SIZES + ("--perm", "--u"), ("gl", "osp"), k_max=MAX_DEGREE, words=256),
+        _SIZES + ("--perm", "--u"), ("gl", "osp"), k_max=8, words=256),
 }
 # --per-type walks the (2k-1)!! coset representatives with no tensor work:
 # 135,135 at k = 7 take a few seconds, 2,027,025 at k = 8 are too many
@@ -489,10 +498,10 @@ def main(argv=None) -> int:
         alg = build_algebra(space.family, space.m, space.n) if space else None
         doc, code = COMMANDS[args.command].handler(args, alg)
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _stderr("error: %s" % exc)
         return 2
     except Exception as exc:  # internal failure
-        print("internal error: %r" % exc, file=sys.stderr)
+        _stderr("internal error: %r" % exc)
         return 3
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -500,7 +509,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+            _stderr("error: cannot write %s: %s" % (args.out, exc.strerror))
             return 2
     else:
         try:
@@ -511,7 +520,7 @@ def main(argv=None) -> int:
             # not raise again; a reader that closed stdout is a quiet exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if not isinstance(exc, BrokenPipeError):
-                print("error: cannot write stdout: %s" % exc.strerror, file=sys.stderr)
+                _stderr("error: cannot write stdout: %s" % exc.strerror)
                 return 2
     return code
 

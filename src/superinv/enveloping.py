@@ -23,7 +23,7 @@ import math
 from .algebras import Algebra, _ad_word
 from .scalars import HALF, ONE, Scalar, promote
 from .sparse import Sparse, add_into, add_terms
-from .tensoralg import SymElement, TensorAlgebraElement, _WordMap, symmetrize
+from .tensoralg import TensorAlgebraElement, _WordMap
 
 
 class PBWElement(_WordMap):
@@ -102,11 +102,6 @@ def eta_prime(t: TensorAlgebraElement) -> PBWElement:
     for word, coeff in t.terms.items():
         out = out + pbw_normalize(alg, word, coeff)
     return out
-
-
-def psi_map(s: SymElement) -> PBWElement:
-    """Supersymmetrization S(g) -> U(g), eta' o symmetrize; a module isomorphism."""
-    return eta_prime(symmetrize(s))
 
 
 def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:

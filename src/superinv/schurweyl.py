@@ -31,12 +31,12 @@ import functools
 
 from .algebras import Algebra, phi_k
 from .brauer import coset_canonical
-from .enveloping import PBWElement, eta_prime, psi_map
+from .enveloping import PBWElement, eta_prime
 from .scalars import ONE, ZERO, I, Scalar, promote, sign_scalar
 from .signs import Permutation
 from .sparse import echelon_extend, echelon_reduce
 from .spaces import SuperSpace
-from .tensoralg import eta, project_tensor
+from .tensoralg import project_tensor
 from .tensors import (
     Tensor,
     VectorTensor,
@@ -200,11 +200,6 @@ def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:
 def z_sigma(alg: Algebra, sigma: Permutation) -> PBWElement:
     """eta' o pi of the invariant tensor of sigma; a central element."""
     return eta_prime(project_tensor(alg, invariant_tensor(alg, sigma)))
-
-
-def psi_eta_pi(alg: Algebra, t: Tensor) -> PBWElement:
-    """psi o eta o pi applied to an invariant tensor."""
-    return psi_map(eta(project_tensor(alg, t)))
 
 
 # -- U(g)-valued tensors ------------------------------------------------------

@@ -9,10 +9,9 @@ Conventions used throughout the package:
   ``gamma_exponent`` returns it as an exponent mod 2, so (-1)**exponent is
   the sign.  ``_reorder`` is the one reordering of a word: it reads the
   word in sigma's order and takes the sign from ``gamma_exponent``.  Its
-  three callers are ``tensors.permute_word`` (the place permutation, with
-  sigma^-1), ``tensoralg.symmetrize`` (each sigma in S_k) and
-  ``tensoralg.eta`` (the stable sort into S(g)); ``schurweyl.perm_operator``
-  needs no other sign.
+  two callers are ``tensors.permute_word`` (the place permutation, with
+  sigma^-1) and ``tensoralg.eta`` (the stable sort into S(g));
+  ``schurweyl.perm_operator`` needs no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py
   (``p_exponent``), beside the references that use it.

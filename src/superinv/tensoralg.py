@@ -7,32 +7,18 @@ sorted stably into the global generator order, signed by the Koszul sign
 gamma of that reordering (``signs._reorder``), and any monomial containing
 an odd generator twice is zero.
 
-Operations that expand over S_k (symmetrize, hence omega_k and psi in the
-enveloping module) refuse to run past the degree cap MAX_DEGREE.
+The commands need only the projection pi of an End(V)^(x k) tensor to
+T(g) and the quotient eta to S(g).  Symmetrization back to T(g), the
+adjoint action and the invariance test, which no command runs, are test
+references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .algebras import Algebra, LieElement, _ad_word
-from .scalars import Scalar
-from .signs import Permutation, _reorder, symmetric_group
+from .algebras import Algebra
+from .signs import Permutation, _reorder
 from .sparse import Sparse, add_into
 from .tensors import Tensor
-
-
-MAX_DEGREE = 8
-
-
-class DegreeCapExceeded(ValueError):
-    pass
-
-
-def check_degree(k: int):
-    if k > MAX_DEGREE:
-        raise DegreeCapExceeded("degree %d exceeds the cap %d" % (k, MAX_DEGREE))
 
 
 class _WordMap(Sparse):
@@ -102,56 +88,6 @@ def eta(t: TensorAlgebraElement) -> SymElement:
             continue
         add_into(out, w, coeff if not exp else -coeff)
     return SymElement(alg, out)
-
-
-def symmetrize(s: SymElement) -> TensorAlgebraElement:
-    """Each degree-d word w -> (1/d!) sum over S_d of gamma(w, sigma) sigma.w."""
-    par = s.algebra.parity
-    groups = {}  # degree -> all of S_k
-    out = {}
-    for word, coeff in s.terms.items():
-        k = len(word)
-        if k not in groups:
-            check_degree(k)
-            groups[k] = list(symmetric_group(k))
-        parities = tuple(par[g] for g in word)
-        base = coeff * Scalar(Fraction(1, math.factorial(k)))
-        for sigma in groups[k]:
-            new_word, exp = _reorder(word, parities, sigma)
-            add_into(out, new_word, base if not exp else -base)
-    return TensorAlgebraElement(s.algebra, out)
-
-
-def omega_k(s: SymElement, k: int) -> TensorAlgebraElement:
-    """The symmetrizing section S^k(g) -> g^(x k); eta o omega_k = id."""
-    if any(len(w) != k for w in s.terms):
-        raise ValueError("omega_k needs a homogeneous element of degree %d" % k)
-    return symmetrize(s)
-
-
-def adjoint_act(x: LieElement, t):
-    """The adjoint action of x as a super-derivation of T(g) or S(g)."""
-    alg = t.algebra
-    if x.algebra is not alg:
-        raise ValueError("algebra mismatch")
-    terms = {}
-    for g, cg in x.terms.items():
-        for word, coeff in t.terms.items():
-            for w, cv in _ad_word(alg, g, word):
-                add_into(terms, w, coeff * cg * cv)
-    out = TensorAlgebraElement(alg, terms)
-    # on S(g) the derivation of T(g) passes to the quotient
-    return eta(out) if isinstance(t, SymElement) else out
-
-
-def is_invariant(t) -> bool:
-    """True iff g acts by zero; the generators that do span a Lie subalgebra, so
-    h0 (by weight) and the set S of ``Algebra.generating_set`` stand in for g."""
-    alg = t.algebra
-    gens = alg.generating_set
-    return all(map(gens.weight_zero, t.terms)) and all(
-        adjoint_act(alg.unit(g), t).is_zero() for g in gens.probes
-    )
 
 
 def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:

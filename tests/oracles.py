@@ -12,6 +12,12 @@ slots, the supercommutation test of an operator, Sergeev's recursion for
 the q(n) trace family and the Harish-Chandra images of the gl(m|n) trace
 family from a product formula)
 that tests compare the package's own kernels against.
+
+The paper's T(g)^g and S(g)^g levels live here too, since no command
+checks them: the symmetrizing section S(g) -> T(g) under its degree cap
+``MAX_DEGREE``, the supersymmetrization psi: S(g) -> U(g) and psi eta pi,
+the adjoint action of g on T(g) and S(g), and the invariance test that
+reads h0 by weight and the rest of g from the set S.
 """
 
 import itertools
@@ -25,11 +31,17 @@ from superinv.brauer import (
     coset_reps,
     overline_embed,
 )
-from superinv.enveloping import CartanPolynomial, PBWElement, pbw_normalize, u_multiply
+from superinv.enveloping import (
+    CartanPolynomial,
+    PBWElement,
+    eta_prime,
+    pbw_normalize,
+    u_multiply,
+)
 from superinv.scalars import ONE, Scalar, promote, sign_scalar
-from superinv.signs import Permutation, symmetric_group
+from superinv.signs import Permutation, gamma_exponent, symmetric_group
 from superinv.sparse import add_into, add_terms
-from superinv.tensoralg import SymElement, adjoint_act
+from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
 from superinv.tensors import Tensor, VectorTensor, compose, permute_word
 
 
@@ -402,6 +414,87 @@ def is_invariant_reference(t):
     """Every canonical generator acts on the T(g) or S(g) element t by zero."""
     alg = t.algebra
     return all(adjoint_act(alg.unit(g), t).is_zero() for g in range(alg.dim))
+
+
+# -- T(g)^g, S(g)^g and the supersymmetrization psi: S(g) -> U(g) ------------
+
+# the degree past which symmetrize refuses to expand over S_k
+MAX_DEGREE = 8
+
+
+class DegreeCapExceeded(ValueError):
+    pass
+
+
+def symmetrize(s):
+    """Each degree-d word w -> (1/d!) sum over S_d of gamma(w, sigma) sigma.w."""
+    par = s.algebra.parity
+    groups = {}  # degree -> all of S_k
+    out = {}
+    for word, coeff in s.terms.items():
+        k = len(word)
+        if k not in groups:
+            if k > MAX_DEGREE:
+                raise DegreeCapExceeded("degree %d exceeds the cap %d" % (k, MAX_DEGREE))
+            groups[k] = list(symmetric_group(k))
+        parities = tuple(par[g] for g in word)
+        base = coeff * Scalar(Fraction(1, math.factorial(k)))
+        for sigma in groups[k]:
+            new_word = tuple(word[i - 1] for i in sigma.images)
+            add_into(out, new_word, -base if gamma_exponent(parities, sigma) else base)
+    return TensorAlgebraElement(s.algebra, out)
+
+
+def omega_k(s, k):
+    """The symmetrizing section S^k(g) -> g^(x k); eta o omega_k = id."""
+    if any(len(w) != k for w in s.terms):
+        raise ValueError("omega_k needs a homogeneous element of degree %d" % k)
+    return symmetrize(s)
+
+
+def psi_map(s):
+    """Supersymmetrization S(g) -> U(g), eta' o symmetrize; a module isomorphism."""
+    return eta_prime(symmetrize(s))
+
+
+def psi_eta_pi(alg, t):
+    """psi o eta o pi applied to an invariant tensor."""
+    return psi_map(eta(project_tensor(alg, t)))
+
+
+def adjoint_act(x, t):
+    """The adjoint action of the Lie element x on a T(g) or S(g) element t.
+
+    A super-derivation: each letter of a word is bracketed with a generator
+    of x in turn, with the Koszul sign of moving that generator past the
+    letters before it.
+    """
+    alg = t.algebra
+    if x.algebra is not alg:
+        raise ValueError("algebra mismatch")
+    par = alg.parity
+    terms = {}
+    for g, cg in x.terms.items():
+        for word, coeff in t.terms.items():
+            c = coeff * cg
+            for i, letter in enumerate(word):
+                for h, ch in alg.bracket_table[(g, letter)].items():
+                    add_into(terms, word[:i] + (h,) + word[i + 1 :], c * ch)
+                if par[g] and par[letter]:
+                    c = -c
+    out = TensorAlgebraElement(alg, terms)
+    # on S(g) the derivation of T(g) passes to the quotient
+    return eta(out) if isinstance(t, SymElement) else out
+
+
+def is_invariant(t):
+    """True iff g acts by zero; the generators that do span a Lie subalgebra, so
+    h0 (by weight) and the set S of ``Algebra.generating_set`` stand in for g."""
+    alg = t.algebra
+    gens = alg.generating_set
+    return all(map(gens.weight_zero, t.terms)) and all(
+        adjoint_act(alg.unit(g), t).is_zero() for g in gens.probes
+    )
 
 
 # -- the Schur-Weyl signs, family test per word and one check per parity ---

@@ -10,7 +10,13 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import all_types, form_flip_tensor, p_exponent, super_transposition_tensor
+from oracles import (
+    all_types,
+    form_flip_tensor,
+    p_exponent,
+    psi_map,
+    super_transposition_tensor,
+)
 
 from superinv.algebras import build_algebra
 from superinv.brauer import (
@@ -51,7 +57,6 @@ from superinv.signs import (
 )
 from superinv.tensoralg import eta, project_tensor
 from superinv.brauer import overline_embed
-from superinv.enveloping import psi_map
 
 
 def report(number, label, ok):

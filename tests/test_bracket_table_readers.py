@@ -2,8 +2,8 @@
 split projection in one loop.
 
 ``algebras._ad_word`` is the one derivation ad_y of a word: the Lie
-closure of the generating set, the adjoint action on T(g) and S(g) and the
-U(g) supercommutator all bracket through it.  Outside ``algebras.py`` the
+closure of the generating set and the U(g) supercommutator both bracket
+through it.  Outside ``algebras.py`` the
 only other reader of ``Algebra.bracket_table`` is the PBW rewrite
 x y -> (-1)^{|x||y|} y x + [x, y] of ``enveloping.pbw_normalize``.
 ``Algebra.pi_table`` has no reader outside ``algebras.py``: the bracket

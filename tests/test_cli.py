@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -21,9 +22,9 @@ from superinv.cli import (
     type_label,
 )
 from superinv.signs import Permutation
-from superinv.tensoralg import MAX_DEGREE
 
 MAX_RELATION_WORDS = COMMANDS["relations"].words
+MOLEV_K_MAX = COMMANDS["molev"].k_max
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,39 @@ def test_sweep_p_rows_repeat_pn_trivial(capsys):
         assert row["element"] == "eta_pi_theta over %d reps" % pn["reps"]
 
 
+def test_sweep_osp_rows_repeat_hc(capsys):
+    # row k gates on the verdicts hc --k 2k reports
+    osp11 = ("--family", "osp", "--m", "1", "--n", "1")
+    code, out, _ = run_cli(capsys, "sweep", *osp11, "--k", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["k"] for row in rows] == [1, 2]
+    verdicts = ("central", "J", "poly")
+    for row in rows:
+        degree = str(2 * row["k"])
+        _, hc_out, _ = run_cli(capsys, "hc", *osp11, "--k", degree)
+        hc = json.loads(hc_out)
+        assert [row[v] for v in verdicts] == [hc[v] for v in verdicts]
+        assert set(row) == {"k", "element", *verdicts}
+        assert row["element"] == "str_gelfand(%s)" % degree
+
+
+def test_sweep_q_rows_repeat_sergeev(capsys):
+    # row k gates on the verdicts sergeev --k 2k-1 reports
+    code, out, _ = run_cli(capsys, "sweep", "--family", "q", "--n", "1", "--k", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["k"] for row in rows] == [1, 2]
+    verdicts = ("central", "matches_2^(k-1)_z_cycle")
+    for row in rows:
+        degree = str(2 * row["k"] - 1)
+        _, sergeev_out, _ = run_cli(capsys, "sergeev", "--n", "1", "--k", degree)
+        sergeev = json.loads(sergeev_out)
+        assert [row[v] for v in verdicts] == [sergeev[v] for v in verdicts]
+        assert set(row) == {"k", "element", *verdicts}
+        assert row["element"] == "sergeev_Z(%s)" % degree
+
+
 def test_deterministic_output(capsys):
     args = ["invariant", "--family", "q", "--n", "2", "--k", "2", "--perm", "(1 2)"]
     _, out1, _ = run_cli(capsys, *args)
@@ -322,10 +356,10 @@ def test_relations_word_bound_message_names_the_applied_bound(capsys):
 
 def test_molev_degree_bound_exits_2(capsys):
     code, out, err = run_cli(
-        capsys, "molev", "--family", "gl", "--m", "1", "--n", "1", "--k", str(MAX_DEGREE + 1)
+        capsys, "molev", "--family", "gl", "--m", "1", "--n", "1", "--k", str(MOLEV_K_MAX + 1)
     )
     assert code == 2 and out == ""
-    assert "--k must be in 1..%d" % MAX_DEGREE in err
+    assert "--k must be in 1..%d" % MOLEV_K_MAX in err
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
@@ -374,6 +408,47 @@ def test_full_stdout_exits_2():
     assert proc.stderr.startswith("error: cannot write stdout: ")
     for marker in ("Traceback", "Exception ignored"):
         assert marker not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stderr_keeps_stdout_and_exit_code():
+    # progress and error lines are best-effort: with every stderr write
+    # failing, keylemma --k 3 (which reports progress) still prints its golden
+    # document and exits 0, and a usage error still exits 2
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def run(argv):
+        with open("/dev/full", "w") as full:
+            return subprocess.run(
+                [sys.executable, "-m", "superinv.cli", *argv.split()],
+                stdout=subprocess.PIPE,
+                stderr=full,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
+            )
+
+    proc = run("keylemma --k 3")
+    assert proc.returncode == GOLDEN["keylemma --k 3"]["exit"] == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["keylemma --k 3"]["sha256"]
+    proc = run("relations --family gl --m 1 --k 1")
+    assert proc.returncode == 2 and proc.stdout == b""
+
+
+class _FullStream:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_unwritable_stderr_keeps_internal_error_exit_3(capsys, monkeypatch):
+    def crash(k):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(brauer, "count_by_type", crash)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(["brauer", "--k", "2"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 # One argv just past each bound of the COMMANDS table, and the words of the

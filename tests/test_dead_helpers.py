@@ -20,9 +20,6 @@ SRC = TESTS.parent / "src" / "superinv"
 # name -> why it stays without a caller
 ALLOWED = {
     "is_Q_poly": "the q(n) Harish-Chandra verdict in hc will call it (ROADMAP item 8)",
-    "psi_eta_pi": "the S(g) -> U(g) verdict of span will call it (ROADMAP items 5 and 7)",
-    "omega_k": "the T(g)/S(g) verdicts of span will call it (ROADMAP items 5 and 7)",
-    "is_invariant": "the T(g)^g, S(g)^g verdicts of span will call it (ROADMAP items 5 and 7)",
 }
 
 

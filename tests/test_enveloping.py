@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    adjoint_act,
     gl_trace_images_closed_form,
     is_central_reference,
     is_J_poly_reference,
     is_Q_poly_reference,
     is_supersymmetric_reference,
+    psi_map,
     rho_shift_reference,
     supercommutator_reference,
     sym_monomial,
@@ -28,7 +30,6 @@ from superinv.enveloping import (
     is_Q_poly,
     is_supersymmetric,
     pbw_normalize,
-    psi_map,
     rho_shift,
     supercommutator,
     u_multiply,
@@ -37,7 +38,7 @@ from superinv.enveloping import (
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor, sergeev_Z, str_gelfand, z_sigma
 from superinv.signs import Permutation, symmetric_group
-from superinv.tensoralg import TensorAlgebraElement, adjoint_act, eta, project_tensor
+from superinv.tensoralg import TensorAlgebraElement, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
 IX = GL11.gen_index

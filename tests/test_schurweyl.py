@@ -470,7 +470,7 @@ def test_p_averaging_collapses_to_zero():
     import math
 
     from superinv.brauer import overline_embed
-    from superinv.schurweyl import psi_eta_pi
+    from oracles import psi_eta_pi
 
     p2 = build_algebra("p", 0, 2)
     bars = [overline_embed(t) for t in symmetric_group(2)]
