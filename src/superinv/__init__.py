@@ -36,7 +36,6 @@ from .tensors import (
     Tensor,
     VectorTensor,
     compose,
-    partial_supertrace,
     permute_word,
 )
 from .schurweyl import (

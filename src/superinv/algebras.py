@@ -257,12 +257,7 @@ class Algebra:
 
     # -- small helpers ---------------------------------------------------------
 
-    def unit(self, name_or_idx) -> LieElement:
-        idx = (
-            name_or_idx
-            if isinstance(name_or_idx, int)
-            else self.gen_index[name_or_idx]
-        )
+    def unit(self, idx: int) -> LieElement:
         return LieElement(self, {idx: ONE})
 
     def __repr__(self):

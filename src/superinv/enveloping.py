@@ -37,12 +37,7 @@ class PBWElement(_WordMap):
         return cls(algebra, {(): coeff} if coeff else {})
 
     @classmethod
-    def generator(cls, algebra, name_or_idx):
-        idx = (
-            name_or_idx
-            if isinstance(name_or_idx, int)
-            else algebra.gen_index[name_or_idx]
-        )
+    def generator(cls, algebra, idx: int):
         return cls(algebra, {(idx,): ONE})
 
     # defined here, not inherited, so that it stays an attribute of this class

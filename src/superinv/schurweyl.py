@@ -283,10 +283,9 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
     if not tensor_is_invariant(alg, s):
         raise ValueError("input tensor is not invariant")
     x = generator_matrix(alg)
-    one = scalar_tensor(alg, identity_tensor(alg.space, k))
     prod = scalar_tensor(alg, s)
     for a in range(k, 0, -1):
-        prod = (slot_embed(x, a, k) + one.scale(shifts[a - 1])) * prod
+        prod = slot_embed(x, a, k) * prod + prod.scale(shifts[a - 1])
     return full_supertrace(prod)
 
 

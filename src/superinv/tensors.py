@@ -155,25 +155,14 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     return a._like(out)
 
 
-def partial_supertrace(a: Tensor, pos: int) -> Tensor:
-    """Supertrace on the pos-th factor (1-based), identity on the rest."""
-    if not 1 <= pos <= a.k:
-        raise ValueError("position out of range")
+def full_supertrace(a: Tensor):
+    """Str_{1..k} in one pass over the diagonal keys, each negated if its row word is odd."""
     par = a.space._parity
     out = {}
     for key, coeff in a.terms.items():
-        r, c = key[pos - 1]
-        if r == c:
-            add_into(out, key[: pos - 1] + key[pos:], coeff if par[r] == 0 else -coeff)
-    return a._of_degree(a.k - 1, out)
-
-
-def full_supertrace(a: Tensor):
-    """Str_{1..k}: iterate the partial supertrace over every position."""
-    t = a
-    while t.k > 0:
-        t = partial_supertrace(t, t.k)
-    return t.coefficient(())
+        if all(r == c for r, c in key):
+            add_into(out, (), -coeff if sum(par[r] for r, _ in key) & 1 else coeff)
+    return a._of_degree(0, out).coefficient(())
 
 
 def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:

@@ -3,14 +3,14 @@
 None of these is on a path the CLI runs: each is an independent statement
 of a convention or a count (the sign p(x, y), basis vectors, the module
 action, the operator-to-tensor map on basis words, the place-permutation
-operator, the supertranspose, the flips of V x V, the Lie bracket, the
-rank of a dense matrix, the group H, the Harish-Chandra predicates, the
-rho shift, the U(g) product, the supercommutator, the full-basis
-centrality and invariance checks, the S(g) monomial sorted by adjacent
-swaps, the diagram count by closure type, the dualization of theta's even
-slots, the supercommutation test of an operator, Sergeev's recursion for
-the q(n) trace family and the Harish-Chandra images of the gl(m|n) trace
-family from a product formula)
+operator, the supertranspose, the partial supertrace, the flips of V x V,
+the Lie bracket, the rank of a dense matrix, the group H, the
+Harish-Chandra predicates, the rho shift, the U(g) product, the
+supercommutator, the full-basis centrality and invariance checks, the S(g)
+monomial sorted by adjacent swaps, the diagram count by closure type, the
+dualization of theta's even slots, the supercommutation test of an
+operator, Sergeev's recursion for the q(n) trace family and the
+Harish-Chandra images of the gl(m|n) trace family from a product formula)
 that tests compare the package's own kernels against.
 
 The paper's T(g)^g and S(g)^g levels live here too, since no command
@@ -131,6 +131,19 @@ def supertranspose(a):
             new_key.append((c, r))
         out[tuple(new_key)] = coeff if not exp else -coeff
     return Tensor(a.space, a.k, out)
+
+
+def partial_supertrace(a: Tensor, pos: int) -> Tensor:
+    """Supertrace on the pos-th factor (1-based), identity on the rest."""
+    if not 1 <= pos <= a.k:
+        raise ValueError("position out of range")
+    par = a.space._parity
+    out = {}
+    for key, coeff in a.terms.items():
+        r, c = key[pos - 1]
+        if r == c:
+            add_into(out, key[: pos - 1] + key[pos:], coeff if par[r] == 0 else -coeff)
+    return a._of_degree(a.k - 1, out)
 
 
 def super_transposition_tensor(space):
@@ -561,8 +574,8 @@ def sergeev_elements_reference(alg, m):
     f1 = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            e1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, j))
-            f1[(i, j)] = PBWElement.generator(alg, "H[%d,%d]" % (i, -j))
+            e1[(i, j)] = PBWElement.generator(alg, alg.gen_index["H[%d,%d]" % (i, j)])
+            f1[(i, j)] = PBWElement.generator(alg, alg.gen_index["H[%d,%d]" % (i, -j)])
     e, f = e1, f1
     for level in range(2, m + 1):
         sign = sign_scalar(level - 1)

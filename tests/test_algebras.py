@@ -107,8 +107,9 @@ def test_graded_jacobi_exhaustive(family, m, n):
 
 def test_gl_bracket_examples():
     g = build_algebra("gl", 1, 1)
-    e12, e21 = g.unit("E[1,2]"), g.unit("E[2,1]")
-    e11, e22 = g.unit("E[1,1]"), g.unit("E[2,2]")
+    idx = g.gen_index
+    e12, e21 = g.unit(idx["E[1,2]"]), g.unit(idx["E[2,1]"])
+    e11, e22 = g.unit(idx["E[1,1]"]), g.unit(idx["E[2,2]"])
     assert bracket(e12, e21) == e11 + e22
     assert bracket(e11, e12) == e12
     assert bracket(e11, e11).is_zero()
@@ -184,7 +185,7 @@ def test_cartan_is_abelian_for_gl_osp():
 
 def test_phi_k():
     g = build_algebra("gl", 1, 1)
-    x = g.unit("E[1,1]")
+    x = g.unit(g.gen_index["E[1,1]"])
     assert phi_k(g, x, 1) == x.matrix()
     act = phi_k(g, x, 2)
     v = basis_vector(g.space, (1, 2))

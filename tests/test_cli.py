@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,12 +10,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv import brauer
 from superinv.cli import (
     COMMANDS,
+    FLAGS,
     MAX_DIM,
     MAX_SHIFT_CHARS,
+    UsageError,
+    _perm_degree,
     admit,
     build_parser,
     main,
@@ -22,6 +29,7 @@ from superinv.cli import (
     type_label,
 )
 from superinv.signs import Permutation
+from superinv.spaces import FAMILIES, SuperSpace
 
 MAX_RELATION_WORDS = COMMANDS["relations"].words
 MOLEV_K_MAX = COMMANDS["molev"].k_max
@@ -208,6 +216,26 @@ def test_molev_command(capsys):
     doc = json.loads(out)
     assert doc["central"] is True
     assert doc["shifts"] == ["1", "1/2"]
+
+
+# molev has no golden job; these are the sha256 of its stdout
+MOLEV_PINS = {
+    'molev --family gl --m 1 --n 1 --k 2 --perm "(1 2)" --u "1,1/2"':
+        "960cce325ac93d79879b479e827ee80f0dcfa3f0baa26cc80b64a5fa97070556",
+    'molev --family gl --m 2 --n 1 --k 3 --perm "[2,3,1]" --u "1,-1/2,2"':
+        "7abc5412903e65745d50f75fc7671a63c0218d6c939ed7526dff3ca07d173330",
+    'molev --family osp --m 1 --n 1 --k 2 --perm "[1,3,2,4]" --u "1,1/2"':
+        "980879bccfb57addef03eb03b67a815a01988c20190f1ef60a0b96a167d91826",
+    'molev --family osp --m 3 --n 0 --k 2 --perm "[1,4,2,3]" --u "1,1/2"':
+        "415b48eeb0dff17ed67342e461376c6fcc25723c412f2bc490fa4cd44cc4353e",
+}
+
+
+@pytest.mark.parametrize("job", sorted(MOLEV_PINS))
+def test_molev_stdout_is_pinned(capsys, job):
+    code, out, _ = run_cli(capsys, *shlex.split(job))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MOLEV_PINS[job]
 
 
 def test_sweep_command(capsys):
@@ -588,3 +616,140 @@ def test_readme_bound_table_matches_commands():
         assert words.split()[:1] == ([str(cmd.words)] if cmd.words else [])
     assert "`--per-type` `1..%d`" % COMMANDS["keylemma --per-type"].k_max in README
     assert "`dim V <= %d`" % MAX_DIM in README
+
+
+# -- the exit-code contract as one property over argv --------------------------
+
+# every k bound of COMMANDS and one past it, and for each words bound the
+# last k that a two-dimensional V fits and the first that it does not
+K_EDGES = sorted(
+    {k for cmd in COMMANDS.values() for k in (cmd.k_min - 1, cmd.k_min)}
+    | {k for cmd in COMMANDS.values() if cmd.k_max for k in (cmd.k_max, cmd.k_max + 1)}
+    | {k for cmd in COMMANDS.values() if cmd.words
+       for k in (cmd.words.bit_length() - 1, cmd.words.bit_length())}
+)
+# fullwidth and Arabic-Indic two, which int() reads as 2
+UNICODE_INTS = ["２", "٢"]
+# m and n reach dim V = MAX_DIM and one past it in every family
+SIZES = st.sampled_from(["0", "1", "2"]) | st.sampled_from(
+    ["3", "8", "9", "16", "17"] + UNICODE_INTS
+)
+WELL_FORMED = {
+    "--family": st.sampled_from(FAMILIES),
+    "--m": SIZES,
+    "--n": SIZES,
+    "--k": st.sampled_from(["1", "2", "3"])
+    | st.sampled_from([str(k) for k in K_EDGES] + UNICODE_INTS),
+    "--perm": st.sampled_from(
+        ["()", "(1 2)", "(1 2)(3 4)", "[1]", "[2,1]", "[2,3,1]", "[1,3,2,4]", "[2,1,4,3]",
+         "(１ ２)", "(٢ ١)"]
+    ),
+    "--u": st.sampled_from(["", "1", "1/3", "1,1/2", "١,2", "-1/2,2", "1,-1/2,2"]),
+}
+# negatives, past the int digit limit, an exponent, a float, hexadecimal, empty
+BAD_INTS = st.sampled_from(["-1", "-7", "9" * 5000, "1e3", "2.0", "0x2", ""])
+MALFORMED = {
+    "--family": st.sampled_from(["sp", "GL", ""]),
+    "--m": BAD_INTS,
+    "--n": BAD_INTS,
+    "--k": BAD_INTS,
+    # nested and unbalanced brackets, out-of-range points, huge entries
+    "--perm": st.sampled_from(
+        ["[[1],2]", "[1,[2,[3,[4]]]]", "[" * 50, "]", "((1 2)", "(1 2", "(1 2))", "[1,2",
+         "[-1,2]", "(0 1)", "(1 -2)", "[2,1e3]", "[%s]" % ("9" * 5000), "(1 %s)" % ("9" * 5000)]
+    ),
+    "--u": st.sampled_from(
+        ["1e3,1", "1E-3,1", "1/0,1", "9" * 5000 + ",1", "x,1", "1,,2", "(1),2", "1,2,3"]
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with most of its own flags, now and then one it does not
+    read, and now and then one malformed value."""
+    name = draw(st.sampled_from([c for c in COMMANDS if " " not in c]))
+    flags = [f for f in COMMANDS[name].flags if draw(st.integers(0, 7))]
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(set(FLAGS) - {"--out"}))))
+    bad = draw(st.sampled_from([None] + flags))
+    argv = [name]
+    for flag in flags:
+        if flag == "--per-type":
+            argv.append(flag)
+        else:
+            argv += [flag, draw((MALFORMED if flag == bad else WELL_FORMED)[flag])]
+    return argv
+
+
+def _texts_parse(args, space):
+    """Whether the --perm and --u texts, which admit does not read, parse;
+    a text that does not parse raises UsageError and nothing else."""
+    try:
+        if getattr(args, "perm", None) is not None:
+            parse_permutation(args.perm, _perm_degree(space, args.k))
+        if getattr(args, "u", None) is not None:
+            parse_shifts(args.u, args.k)
+    except UsageError:
+        return False
+    return True
+
+
+def _check_exit_code_contract(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    try:
+        space = admit(args)
+    except UsageError:
+        return
+    assert space is None or isinstance(space, SuperSpace)
+    parses = _texts_parse(args, space)
+    if space is None and args.k > 3:
+        return
+    if space is not None and (args.k > 2 or max(space.dim, 2) ** args.k > 16):
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "internal error" not in err.getvalue()
+    if parses:
+        assert code in (0, 1) and json.loads(out.getvalue())
+    else:
+        assert code == 2 and out.getvalue() == ""
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_exit_code_contract(argv):
+    _check_exit_code_contract(argv)
+
+
+# each subcommand runs at least once on a small admitted argv, and each
+# text that admit does not read fails once to parse
+@pytest.mark.parametrize("line", [
+    "invariant --family osp --m 1 --n 1 --k 1 --perm '(1 2)'",
+    "invariant --family gl --m 1 --n 1 --k 2 --perm [1,2",
+    "hc --family gl --m 1 --n 1 --k 2",
+    "keylemma --k 3 --per-type",
+    "brauer --k 3",
+    "pn-trivial --n 1 --k 2",
+    "relations --family q --n 1 --k 2",
+    "sweep --family p --n 2 --k 2",
+    "sergeev --n 2 --k 1",
+    "molev --family gl --m 1 --n 1 --k 2 --perm [2,1] --u ١,2",
+    "molev --family osp --m 1 --n 1 --k 1 --perm [2,1] --u 1e3",
+])
+def test_exit_code_contract_on_small_runs(line):
+    _check_exit_code_contract(shlex.split(line))
+
+
+def test_unicode_digits_are_accepted(capsys):
+    # int() and Fraction read every Unicode decimal digit: these run as (1 2) and 1,2
+    base = ["molev", "--family", "gl", "--m", "1", "--n", "1", "--k", "2"]
+    plain = run_cli(capsys, *base, "--perm", "(1 2)", "--u", "1,2")
+    wide = run_cli(capsys, *base, "--perm", "(１ ２)", "--u", "١,2")
+    assert plain[0] == 0 and wide == plain

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import apply, basis_vector, supertranspose
+from oracles import apply, basis_vector, partial_supertrace, supertranspose
 
 from superinv.algebras import build_algebra
+from superinv.enveloping import PBWElement
 from superinv.scalars import MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import generator_matrix
 from superinv.signs import Permutation, symmetric_group
@@ -18,7 +19,6 @@ from superinv.tensors import (
     full_supertrace,
     identity_tensor,
     matrix_unit,
-    partial_supertrace,
     permute_word,
     slot_embed,
 )
@@ -104,6 +104,36 @@ def test_supertrace():
         space = SuperSpace("gl", m, n)
         for k in (1, 2):
             assert full_supertrace(identity_tensor(space, k)) == Scalar((m - n) ** k)
+
+
+def _trace_by_partials(t):
+    while t.k:
+        t = partial_supertrace(t, 1)
+    return t.coefficient(())
+
+
+def test_full_supertrace_is_the_iterated_partial_trace():
+    # every diagonal word is present with a positive coefficient, so a
+    # dropped sign on an odd row changes the trace
+    rng = random.Random(11)
+    for space in (GL11, SuperSpace("gl", 2, 1)):
+        for k in range(4):
+            for _ in range(4):
+                diag = Tensor(space, k, {
+                    tuple((d, d) for d in word): Scalar(rng.randint(1, 5))
+                    for word in itertools.product(space.indices, repeat=k)
+                })
+                t = diag + rand_tensor(space, k, rng)
+                trace = full_supertrace(t)
+                assert isinstance(trace, Scalar)
+                assert trace == _trace_by_partials(t), (space, k)
+    for alg in (build_algebra("gl", 1, 1), build_algebra("q", 0, 1)):
+        x = generator_matrix(alg)
+        x1, x2 = slot_embed(x, 1, 2), slot_embed(x, 2, 2)
+        for t in (x, x * x, x1 * x2, x2 * x1 * x2):
+            trace = full_supertrace(t)
+            assert isinstance(trace, PBWElement)
+            assert trace == _trace_by_partials(t), (alg, t.k)
 
 
 def test_partial_supertrace():
