@@ -45,7 +45,6 @@ from .schurweyl import (
     invariant_tensor,
     molev_element,
     omega_iso,
-    perm_operator,
     sergeev_Z,
     sergeev_elements,
     str_gelfand,

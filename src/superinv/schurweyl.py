@@ -8,21 +8,22 @@ action.
 
 Every invariant tensor theta comes from ``invariant_tensor``, one
 recipe for all four families: a permutation acts, with its Koszul sign,
-on the k-th power of an invariant vector of V x V, and each slot pair is
-read back as a matrix unit.  For gl and q the vector is the identity
-sum_i e_i x e_i, sigma in S_k moves only the first slot of each pair, and
-``omega_iso`` reads the pair (a, b) as e_ab: theta is the signed place
-permutation ``perm_operator``.  For osp and p the vector is the invariant
-pairing, sigma ranges over S_2k, and ``dualize_even_slots`` reads the pair
-as e_ab' with the family's sign.  Permutation inputs for osp/p are
-reduced to the lexicographically least member of their coset modulo the
-pair-block subgroup H first, so equal cosets give identical output.
+on the k-th power of the invariant vector of V x V (``invariant_vector``),
+and ``omega_iso`` reads each slot pair back as a matrix unit.  For gl and
+q the vector is the identity sum_i e_i x e_i, sigma in S_k moves only the
+first slot of each pair, the pair (a, b) is read as e_ab, and theta is the
+signed place permutation of sigma.  For osp and p the vector is the
+invariant pairing, sigma ranges over S_2k, and the pair is read as e_ab'
+with the family's sign.  Permutation inputs for osp/p are reduced to the
+lexicographically least member of their coset modulo the pair-block
+subgroup H first, so equal cosets give identical output.
 
 The centralizer generators act on one or two adjacent slots, so each is
 one local tensor that ``slot_embed`` places on slots i.. of V^(x k), as
-phi_k places the action of g: s_i is the signed swap of V x V, e_i (osp,
-p) is theta of the cup-cap diagram pairing {1,3} and {2,4}, and c_i (q)
-is the odd Clifford operator on V.
+phi_k places the action of g: s_i is theta of the swap (the signed swap
+of V x V; for p, minus theta of the swap diagram), e_i (osp, p) is theta
+of the cup-cap diagram pairing {1,3} and {2,4}, and c_i (q) is the odd
+Clifford operator on V.
 """
 
 from __future__ import annotations
@@ -52,44 +53,51 @@ from .tensors import (
 
 
 def omega_iso(vec: VectorTensor) -> Tensor:
-    """V^(x 2k) -> End(V)^(x k): the slot pair (a, b) becomes e_ab, with no sign.
+    """V^(x 2k) -> End(V)^(x k), the fixed linear map of the construction.
 
-    Read off the k-th power of the identity vector after a place
-    permutation, this is the operator of that permutation (perm_operator).
+    For gl and q the pair (a, b) on slots 2s+1, 2s+2 becomes e_ab on slot
+    s+1, with no sign.  For osp and p it becomes e_{a b'}, and the family
+    picks a sign flip at each slot s (counted from 0): for osp where
+    epsilon(b) = -1, for p by |a| + (k-1-s)(|a|+|b|) mod 2, the closed form
+    of sum_s |a_s| plus p((1,...,1), pair parities).
     """
+    space = vec.space
     if vec.k % 2:
         raise ValueError("even total degree required")
-    out = Tensor(vec.space, vec.k // 2)
+    k = vec.k // 2
+    out = Tensor(space, k)
+    if space.family in ("gl", "q"):
+        for word, coeff in vec.terms.items():
+            out.terms[tuple(zip(word[::2], word[1::2]))] = coeff
+        return out
+    par, prime = space._parity, space.prime
+    if space.family == "osp":
+        def flip(s, a, b):
+            return space.epsilon(b) < 0
+    else:
+        def flip(s, a, b):
+            return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
+    # prime is a bijection, so distinct words give distinct keys
     for word, coeff in vec.terms.items():
-        out.terms[tuple(zip(word[::2], word[1::2]))] = coeff
+        key = []
+        for s, (a, b) in enumerate(zip(word[::2], word[1::2])):
+            key.append((a, prime(b)))
+            if flip(s, a, b):
+                coeff = -coeff
+        out.terms[tuple(key)] = coeff
     return out
 
 
-def perm_operator(space: SuperSpace, sigma: Permutation) -> Tensor:
-    """The signed place-permutation operator for sigma on V^(x k), k = sigma.size.
-
-    sigma, lifted to S_2k so that it moves only the V slots 2s-1 of
-    (V x V)^(x k), acts on the k-th power of sum_i e_i x e_i; the Koszul
-    sign of that action is the operator's.
-    """
-    k = sigma.size
-    lifted = Permutation(x for s in range(1, k + 1) for x in (2 * sigma(s) - 1, 2 * s))
-    ident = VectorTensor(space, 2, {(i, i): ONE for i in space.indices})
-    return omega_iso(permute_word(lifted, _power(ident, k)))
-
-
-def pairing_vector(space: SuperSpace) -> VectorTensor:
-    """The invariant vector in V x V for osp and p."""
-    entries = {}
+def invariant_vector(space: SuperSpace) -> VectorTensor:
+    """The invariant vector in V x V: sum_i e_i x e_i for gl and q, the
+    pairing for osp and p."""
+    if space.family in ("gl", "q"):
+        return VectorTensor(space, 2, {(i, i): ONE for i in space.indices})
     if space.family == "osp":
-        for i in space.indices:
-            entries[(i, space.prime(i))] = Scalar(space.epsilon(space.prime(i)))
-    elif space.family == "p":
-        for i in space.indices:
-            entries[(i, space.prime(i))] = sign_scalar(space.parity(i))
+        coeff = lambda i: Scalar(space.epsilon(space.prime(i)))
     else:
-        raise ValueError("pairing vector exists for osp and p only")
-    return VectorTensor(space, 2, entries)
+        coeff = lambda i: sign_scalar(space.parity(i))
+    return VectorTensor(space, 2, {(i, space.prime(i)): coeff(i) for i in space.indices})
 
 
 def _power(vec: VectorTensor, k: int) -> VectorTensor:
@@ -106,8 +114,8 @@ def _power(vec: VectorTensor, k: int) -> VectorTensor:
 
 @functools.lru_cache(maxsize=None)
 def _pairing_power(space: SuperSpace, k: int) -> VectorTensor:
-    """The k-th tensor power of the pairing vector, built once and never mutated."""
-    return _power(pairing_vector(space), k)
+    """The k-th tensor power of the osp/p pairing, built once and never mutated."""
+    return _power(invariant_vector(space), k)
 
 
 # -- invariant tensors ------------------------------------------------------
@@ -116,48 +124,21 @@ def _pairing_power(space: SuperSpace, k: int) -> VectorTensor:
 def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
     """The invariant theta of End(V)^(x k) attached to sigma.
 
-    gl, q: sigma in S_k, and theta is its signed place permutation.  osp, p:
-    sigma in S_2k, replaced by the canonical representative of sigma*H,
-    acts on the k-th power of the pairing vector; the even slots are then
-    dualized.
+    gl, q: sigma in S_k, lifted to S_2k so that it moves only the slots
+    2s-1, acts on the k-th power of the identity vector: theta is the
+    signed place permutation of sigma.  osp, p: sigma in S_2k, replaced by
+    the canonical representative of sigma*H, acts on the k-th power of the
+    pairing.
     """
     if alg.family in ("gl", "q"):
-        return perm_operator(alg.space, sigma)
+        k = sigma.size
+        # the identity power is a temporary: omega_iso's result alone is kept
+        lifted = Permutation(x for s in range(1, k + 1) for x in (2 * sigma(s) - 1, 2 * s))
+        return omega_iso(permute_word(lifted, _power(invariant_vector(alg.space), k)))
     if sigma.size % 2:
         raise ValueError("sigma must live in S_2k")
     power = _pairing_power(alg.space, sigma.size // 2)
-    return dualize_even_slots(alg, permute_word(coset_canonical(sigma), power))
-
-
-def dualize_even_slots(alg: Algebra, vec: VectorTensor) -> Tensor:
-    """The fixed linear map V^(x 2k) -> End(V)^(x k) of the construction.
-
-    The pair (a, b) on slots 2s+1, 2s+2 becomes e_{a b'} on slot s+1, and
-    the family picks a sign flip at each slot s (counted from 0): for osp
-    where epsilon(b) = -1, for p by |a| + (k-1-s)(|a|+|b|) mod 2, the
-    closed form of sum_s |a_s| plus p((1,...,1), pair parities).
-    """
-    space = alg.space
-    if vec.k % 2:
-        raise ValueError("even total degree required")
-    k = vec.k // 2
-    par, prime = space._parity, space.prime
-    if space.family == "osp":
-        def flip(s, a, b):
-            return space.epsilon(b) < 0
-    else:
-        def flip(s, a, b):
-            return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
-    # prime is a bijection, so distinct words give distinct keys
-    out = Tensor(space, k)
-    for word, coeff in vec.terms.items():
-        key = []
-        for s, (a, b) in enumerate(zip(word[::2], word[1::2])):
-            key.append((a, prime(b)))
-            if flip(s, a, b):
-                coeff = -coeff
-        out.terms[tuple(key)] = coeff
-    return out
+    return omega_iso(permute_word(coset_canonical(sigma), power))
 
 
 def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
@@ -360,11 +341,14 @@ def _relation_names(family: str, k: int) -> list:
 def _generator_operators(alg: Algebra, k: int) -> dict:
     """The centralizer generators on V^(x k) by name: sI, plus eI (osp, p) or cI (q).
 
-    Each is one local tensor placed on slots I.. by ``slot_embed``.  s is the
-    signed swap and not theta of the swap diagram: for p(n) theta carries a
-    sign, sending the swap diagram to -s and the identity diagram to -1.
+    Each is one local tensor placed on slots I.. by ``slot_embed``.  s is
+    theta of the swap: of (2 1) for gl and q, of the swap diagram for osp,
+    and minus it for p, where theta carries a sign, sending the swap
+    diagram to -s and the identity diagram to -1.
     """
-    local = {"s": perm_operator(alg.space, Permutation((2, 1)))}
+    swap = Permutation((2, 1) if alg.family in ("gl", "q") else (1, 4, 2, 3))
+    s = invariant_tensor(alg, swap)
+    local = {"s": -s if alg.family == "p" else s}
     if alg.family in ("osp", "p"):
         local["e"] = invariant_tensor(alg, Permutation((1, 3, 2, 4)))
     elif alg.family == "q":

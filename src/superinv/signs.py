@@ -10,8 +10,8 @@ Conventions used throughout the package:
   the sign.  ``_reorder`` is the one reordering of a word: it reads the
   word in sigma's order and takes the sign from ``gamma_exponent``.  Its
   two callers are ``tensors.permute_word`` (the place permutation, with
-  sigma^-1) and ``tensoralg.eta`` (the stable sort into S(g));
-  ``schurweyl.perm_operator`` needs no other sign.
+  sigma^-1) and ``tensoralg.eta`` (the stable sort into S(g)); the gl/q
+  place permutation of ``schurweyl.invariant_tensor`` needs no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py
   (``p_exponent``), beside the references that use it.

@@ -218,8 +218,9 @@ def test_molev_command(capsys):
     assert doc["shifts"] == ["1", "1/2"]
 
 
-# molev has no golden job; these are the sha256 of its stdout
-MOLEV_PINS = {
+# sha256 of stdout on jobs no golden job covers: molev, and the relations
+# and invariant jobs whose operators invariant_tensor builds for every family
+STDOUT_PINS = {
     'molev --family gl --m 1 --n 1 --k 2 --perm "(1 2)" --u "1,1/2"':
         "960cce325ac93d79879b479e827ee80f0dcfa3f0baa26cc80b64a5fa97070556",
     'molev --family gl --m 2 --n 1 --k 3 --perm "[2,3,1]" --u "1,-1/2,2"':
@@ -228,14 +229,30 @@ MOLEV_PINS = {
         "980879bccfb57addef03eb03b67a815a01988c20190f1ef60a0b96a167d91826",
     'molev --family osp --m 3 --n 0 --k 2 --perm "[1,4,2,3]" --u "1,1/2"':
         "415b48eeb0dff17ed67342e461376c6fcc25723c412f2bc490fa4cd44cc4353e",
+    "relations --family p --n 1 --k 4":
+        "21bdfed1eb2d270679ff697c915bbc258b433d11ee005516ccd2d39050524e2f",
+    "relations --family osp --m 1 --n 1 --k 4":
+        "668d61bc095d70d246ff8768ab46e35413ef5bdfe2fb42aeaa3d20e2699d0115",
+    "relations --family osp --m 2 --n 1 --k 3":
+        "4b2dd3d3c031866a2442d1dd5c4d94ba646166708acd25cb01b7965a57f0647e",
+    "relations --family gl --m 2 --n 1 --k 3":
+        "753b9796354777ce4afbb7030050e99aec3c22fc7cd6ee549b589ca814c9d09c",
+    "relations --family q --n 1 --k 4":
+        "1b28ccb1c61a8b9893d00dedc2b03528a3deae3e41623713b6d6be932725954a",
+    'invariant --family q --n 2 --k 3 --perm "[2,3,1]"':
+        "d56bd338986ff1affbb348d66f738e95fd11ad5af1891b8fc734edb7d2fd85f0",
+    'invariant --family osp --m 1 --n 1 --k 2 --perm "[1,4,2,3]"':
+        "3dd0e67724f459640563ecccd0863e0ad65015e731420182615ee15d2877e38a",
+    'invariant --family p --n 1 --k 2 --perm "[1,4,2,3]"':
+        "15f52ab721bbee0078f8d0a4feda3fa8c5851a7746ef5b84cd73c4b0a9add08e",
 }
 
 
-@pytest.mark.parametrize("job", sorted(MOLEV_PINS))
-def test_molev_stdout_is_pinned(capsys, job):
+@pytest.mark.parametrize("job", sorted(STDOUT_PINS))
+def test_stdout_is_pinned(capsys, job):
     code, out, _ = run_cli(capsys, *shlex.split(job))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MOLEV_PINS[job]
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[job]
 
 
 def test_sweep_command(capsys):

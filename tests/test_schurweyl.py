@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -33,13 +34,11 @@ from superinv.schurweyl import (
     _power,
     _read_side,
     check_duality_relations,
-    dualize_even_slots,
     generator_matrix,
     invariant_tensor,
+    invariant_vector,
     molev_element,
     omega_iso,
-    pairing_vector,
-    perm_operator,
     scalar_tensor,
     sergeev_Z,
     sergeev_elements,
@@ -63,29 +62,29 @@ from superinv.tensors import (
 GL11 = build_algebra("gl", 1, 1)
 
 
-def test_perm_operator_examples():
+def test_theta_of_permutation_examples():
     sp = GL11.space
-    assert perm_operator(sp, Permutation.identity(2)) == identity_tensor(sp, 2)
-    s = perm_operator(sp, Permutation((2, 1)))
+    assert invariant_tensor(GL11, Permutation.identity(2)) == identity_tensor(sp, 2)
+    s = invariant_tensor(GL11, Permutation((2, 1)))
     assert apply(s, basis_vector(sp, (2, 2))) == basis_vector(sp, (2, 2)).scale(
         MINUS_ONE
     )
     assert compose(s, s) == identity_tensor(sp, 2)
 
 
-def test_perm_operator_represents_group():
-    sp = build_algebra("gl", 2, 1).space
+def test_theta_of_permutations_represents_group():
+    g21 = build_algebra("gl", 2, 1)
     for a in symmetric_group(3):
         for b in symmetric_group(3):
-            assert compose(perm_operator(sp, a), perm_operator(sp, b)) == perm_operator(
-                sp, a * b
+            assert compose(invariant_tensor(g21, a), invariant_tensor(g21, b)) == (
+                invariant_tensor(g21, a * b)
             )
 
 
-def test_perm_operator_commutes_with_action():
+def test_theta_of_permutations_commutes_with_action():
     for alg in (GL11, build_algebra("q", 0, 2)):
         for sigma in symmetric_group(2):
-            op = perm_operator(alg.space, sigma)
+            op = invariant_tensor(alg, sigma)
             assert tensor_is_invariant(alg, op)
 
 
@@ -181,14 +180,32 @@ PERM_OPERATOR_GRID = [
 ]
 
 
+# theta of a permutation's diagram against the signed place permutation, in
+# symmetric_group order: for p(n), theta carries these signs (measured)
+P_DIAGRAM_SIGNS = {1: "+", 2: "--", 3: "-----+", 4: "+++++-+++++-++---++--+-+"}
+
+
+def _diagram(sigma):
+    """sigma in S_k as a (k,k)-diagram in S_2k: the points 2sigma(s)-1 and 2s pair up."""
+    return Permutation(
+        x for s in range(1, sigma.size + 1) for x in (2 * sigma(s) - 1, 2 * s)
+    )
+
+
 @pytest.mark.parametrize("family, m, n, k_max", PERM_OPERATOR_GRID)
-def test_perm_operator_matches_reference_in_key_order(family, m, n, k_max):
-    space = build_algebra(family, m, n).space
+def test_theta_of_permutations_matches_reference(family, m, n, k_max):
+    # gl, q: equal in key order; osp, p: key order differs, so by value
+    alg = build_algebra(family, m, n)
     for k in range(1, k_max + 1):
-        for sigma in symmetric_group(k):
-            got = perm_operator(space, sigma).terms.items()
-            want = perm_operator_reference(space, sigma).terms.items()
-            assert list(got) == list(want), sigma
+        signs = P_DIAGRAM_SIGNS[k] if family == "p" else "+" * math.factorial(k)
+        for sigma, sign in zip(symmetric_group(k), signs, strict=True):
+            want = perm_operator_reference(alg.space, sigma)
+            if family in ("gl", "q"):
+                got = invariant_tensor(alg, sigma)
+                assert list(got.terms.items()) == list(want.terms.items()), sigma
+            else:
+                got = invariant_tensor(alg, _diagram(sigma))
+                assert got == (want if sign == "+" else -want), sigma
 
 
 def test_theta_glq_closed_formula():
@@ -278,11 +295,13 @@ def test_pairing_vector_and_contraction():
     p2 = build_algebra("p", 0, 2)
     f1 = _generator_operators(p2, 2)["e1"]
     assert compose(f1, f1).is_zero()
-    s1 = perm_operator(p2.space, Permutation((2, 1)))
+    s1 = _generator_operators(p2, 2)["s1"]
     assert compose(s1, f1) == f1.scale(MINUS_ONE)
     assert compose(f1, s1) == f1
-    with pytest.raises(ValueError):
-        pairing_vector(GL11.space)
+    # gl's invariant vector is the identity sum_i e_i x e_i
+    assert invariant_vector(GL11.space) == VectorTensor(
+        GL11.space, 2, {(1, 1): ONE, (2, 2): ONE}
+    )
 
 
 def test_contraction_commutes_with_action():
@@ -308,7 +327,7 @@ def test_clifford_examples():
     assert compose(c1, c1) == ident
     assert (compose(c1, c2) + compose(c2, c1)).is_zero()
     # sigma c_i = c_{sigma(i)} sigma
-    s = perm_operator(q2.space, Permutation((2, 1)))
+    s = ops["s1"]
     assert compose(s, c1) == compose(c2, s)
     assert sorted(_generator_operators(GL11, 2)) == ["s1"]
 
@@ -396,8 +415,8 @@ def test_theta_brauer_matches_two_step_construction():
 
         for sigma in rng.sample(list(symmetric_group(4)), 8):
             canon = coset_canonical(sigma)
-            vec = permute_word(canon, _power(pairing_vector(alg.space), 2))
-            assert invariant_tensor(alg, sigma) == dualize_even_slots(alg, vec)
+            vec = permute_word(canon, _power(invariant_vector(alg.space), 2))
+            assert invariant_tensor(alg, sigma) == dualize_even_slots_reference(alg, vec)
 
 
 def test_p2_crossing_invariant_frozen_formula():
@@ -687,7 +706,7 @@ def _form(space, i, j):
 def _contraction_reference(alg, i, k):
     """e_i sends v_i x v_{i+1} to B(v_i, v_{i+1}) times the pairing vector."""
     space = alg.space
-    pair = pairing_vector(space)
+    pair = invariant_vector(space)
 
     def fn(word):
         coeff = Scalar(_form(space, word[i - 1], word[i]))
@@ -718,7 +737,7 @@ def _clifford_reference(alg, i, k):
 def _generator_reference(alg, name, k):
     kind, i = name[0], int(name[1:])
     if kind == "s":
-        return perm_operator(alg.space, Permutation.from_cycles([(i, i + 1)], k))
+        return perm_operator_reference(alg.space, Permutation.from_cycles([(i, i + 1)], k))
     if kind == "e":
         return _contraction_reference(alg, i, k)
     return _clifford_reference(alg, i, k)
@@ -748,9 +767,7 @@ def test_generator_operators_match_word_by_word_references(family, m, n):
 @pytest.mark.parametrize("family,m,n", GENERATOR_ALGEBRAS)
 def test_flip_formulas_match_the_generators(family, m, n):
     alg = build_algebra(family, m, n)
-    assert super_transposition_tensor(alg.space) == perm_operator(
-        alg.space, Permutation((2, 1))
-    )
+    assert super_transposition_tensor(alg.space) == _generator_operators(alg, 2)["s1"]
     if family == "osp":
         assert form_flip_tensor(alg.space) == _generator_operators(alg, 2)["e1"]
 
@@ -771,13 +788,13 @@ def test_generator_positions_out_of_range_raise():
     [("osp", 1, 1), ("osp", 2, 1), ("osp", 3, 1), ("osp", 2, 0),
      ("p", 0, 1), ("p", 0, 2), ("p", 0, 3)],
 )
-def test_dualize_even_slots_matches_reference_in_key_order(family, m, n):
+def test_omega_iso_matches_dualize_reference_in_key_order(family, m, n):
     alg = build_algebra(family, m, n)
     for k in (1, 2, 3):
-        power = _power(pairing_vector(alg.space), k)
+        power = _power(invariant_vector(alg.space), k)
         for sigma in symmetric_group(2 * k):
             vec = permute_word(sigma, power)
-            got = dualize_even_slots(alg, vec).terms.items()
+            got = omega_iso(vec).terms.items()
             want = dualize_even_slots_reference(alg, vec).terms.items()
             assert list(got) == list(want), sigma
 
