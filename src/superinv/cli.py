@@ -6,11 +6,14 @@ row of COMMANDS, which holds every family, degree and size bound, before it
 runs.  It writes one JSON document to stdout (or --out), and streams
 progress for long sweeps to stderr.  Output is byte-deterministic for a
 fixed configuration: keys are sorted and all scalars are canonical exact
-rationals.
+rationals.  Each handler returns its document and whether its verdicts
+hold, and each sweep row reruns the handler of the command it repeats
+(SWEEP_ROWS), so a verdict is computed in one place.
 
-Exit codes: 0 success; 1 a verified property failed (a theorem check came
-back false); 2 usage error; 3 internal error.  A reader that closes stdout
-early ends the run quietly with the command's own code.
+Exit codes, set by ``main`` alone: 0 success; 1 a verified property failed
+(a theorem check came back false); 2 usage error; 3 internal error.  A
+reader that closes stdout early ends the run quietly with the command's
+own code.
 
 Permutations are accepted in cycle notation "(2 3)(4 5)" (cycles applied
 rightmost first) or one-line form "[1,3,2,5,4,6]" (1-based images).
@@ -127,9 +130,9 @@ def _perm_degree(alg, k):
     return 2 * k if alg.family in ("osp", "p") else k
 
 
-def cmd_invariant(args, alg) -> tuple[dict, int]:
+def cmd_invariant(args, alg) -> tuple[dict, bool]:
     k = args.k
-    sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
+    sigma = parse_permutation(args.perm, _perm_degree(alg, k))
     theta = invariant_tensor(alg, sigma)
     z = z_sigma(alg, sigma)
     central = is_central(z)
@@ -144,13 +147,19 @@ def cmd_invariant(args, alg) -> tuple[dict, int]:
         "central": central,
         "z_is_scalar": z.is_scalar(),
     }
-    return doc, 0 if central else 1
+    return doc, central
 
 
-def cmd_hc(args, alg) -> tuple[dict, int]:
+def cmd_hc(args, alg) -> tuple[dict, bool]:
+    """Str X^k must be central, and its image supersymmetric for gl or in J for osp."""
     k = args.k
     u = str_gelfand(alg, k)
-    image, verdicts, ok = _hc_verdicts(alg, u)
+    image = harish_chandra_image(u)
+    if alg.family == "gl":
+        name, holds = "supersymmetric", is_supersymmetric(image, alg.m, alg.n)
+    else:
+        name, holds = "J", is_J_poly(image, alg.m // 2, alg.n)
+    central = is_central(u)
     doc = {
         "family": alg.family,
         "m": alg.m,
@@ -159,26 +168,14 @@ def cmd_hc(args, alg) -> tuple[dict, int]:
         "element": "str_gelfand",
         "image": image.to_json(),
         "unshifted": zeta_project(u).to_json(),
-        **verdicts,
+        "central": central,
+        "poly": image.render(),
+        name: holds,
     }
-    return doc, 0 if ok else 1
+    return doc, central and holds
 
 
-def _hc_verdicts(alg, u):
-    """(HC image, verdict fields, whether all hold) for a gl or osp element u.
-
-    u must be central, and its image supersymmetric for gl or in J for osp.
-    """
-    image = harish_chandra_image(u)
-    if alg.family == "gl":
-        name, holds = "supersymmetric", is_supersymmetric(image, alg.m, alg.n)
-    else:
-        name, holds = "J", is_J_poly(image, alg.m // 2, alg.n)
-    central = is_central(u)
-    return image, {"central": central, "poly": image.render(), name: holds}, central and holds
-
-
-def cmd_keylemma(args, alg) -> tuple[dict, int]:
+def cmd_keylemma(args, alg) -> tuple[dict, bool]:
     k = args.k
     if args.per_type:
         # the first representative of each type
@@ -191,24 +188,20 @@ def cmd_keylemma(args, alg) -> tuple[dict, int]:
 
     def work(sig):
         w = br.key_lemma_witness(sig)
-        return sig, w, br.witness_holds(sig, w)
+        return {"sigma": sig.to_json(), **w.to_json(), "verified": br.witness_holds(sig, w)}
 
-    rows = _map_with_progress(work, sigmas, "keylemma")
-    witnesses = []
-    all_ok = True
-    for sig, w, ok in rows:
-        all_ok = all_ok and ok
-        witnesses.append({"sigma": sig.to_json(), **w.to_json(), "verified": ok})
+    witnesses = _map_with_progress(work, sigmas, "keylemma")
+    all_ok = all(w["verified"] for w in witnesses)
     doc = {
         "k": k,
         "count": len(witnesses),
         "all_sign_products_minus_one": all_ok,
         "witnesses": witnesses,
     }
-    return doc, 0 if all_ok else 1
+    return doc, all_ok
 
 
-def cmd_brauer(args, alg) -> tuple[dict, int]:
+def cmd_brauer(args, alg) -> tuple[dict, bool]:
     k = args.k
     res = br.count_by_type(k)
     doc = {}
@@ -228,103 +221,80 @@ def cmd_brauer(args, alg) -> tuple[dict, int]:
         doc["double_coset_sizes"] = {type_label(t): sizes[t] for t in sorted(sizes)}
         doc["double_cosets_match_formula"] = dc_ok
         ok = ok and dc_ok
-    return doc, 0 if ok else 1
+    return doc, ok
 
 
-def cmd_pn_trivial(args, alg) -> tuple[dict, int]:
-    reps, verdicts = _pn_trivial_verdicts(alg, args.k)
-    doc = {"family": "p", "n": args.n, "k": args.k, "reps": reps, **verdicts}
-    return doc, 0 if all(verdicts.values()) else 1
-
-
-def _pn_trivial_verdicts(alg, k) -> tuple[int, dict]:
-    """The number of coset representatives of degree k, and whether every
-    eta pi theta vanishes in S(g) and every eta' pi theta is a scalar in U(g)."""
-    reps = br.coset_reps(k)
+def cmd_pn_trivial(args, alg) -> tuple[dict, bool]:
+    """Every eta pi theta over the coset representatives of degree k must
+    vanish in S(g), and every eta' pi theta be a scalar in U(g)."""
+    reps = br.coset_reps(args.k)
 
     def work(sig):
         pt = project_tensor(alg, invariant_tensor(alg, sig))
         return eta(pt).is_zero(), eta_prime(pt).is_scalar()
 
     rows = _map_with_progress(work, reps, "pn-trivial")
-    verdicts = {
-        "all_zero": all(z for z, _ in rows),
-        "all_scalar": all(s for _, s in rows),
-    }
-    return len(reps), verdicts
+    doc = {"family": "p", "n": args.n, "k": args.k, "reps": len(reps),
+           "all_zero": all(z for z, _ in rows), "all_scalar": all(s for _, s in rows)}
+    return doc, doc["all_zero"] and doc["all_scalar"]
 
 
-def cmd_relations(args, alg) -> tuple[dict, int]:
+def cmd_relations(args, alg) -> tuple[dict, bool]:
     report = check_duality_relations(alg, args.k)
-    ok = report["all_relations_hold"] and report["supercommutes_with_action"]
-    return report, 0 if ok else 1
+    return report, report["all_relations_hold"] and report["supercommutes_with_action"]
 
 
-# sweep's row k repeats this command at this degree, by family
+# sweep's row k repeats this command at --k degree(k), labels its element
+# from the command's document, and keeps these fields of it, by family
 SWEEP_ROWS = {
-    "gl": ("hc", lambda k: k),
-    "osp": ("hc", lambda k: 2 * k),
-    "q": ("sergeev", lambda k: 2 * k - 1),
-    "p": ("pn-trivial", lambda k: k),
+    "gl": ("hc", lambda k: k, "str_gelfand(%(k)d)", ("central", "poly", "supersymmetric")),
+    "osp": ("hc", lambda k: 2 * k, "str_gelfand(%(k)d)", ("central", "poly", "J")),
+    "q": ("sergeev", lambda k: 2 * k - 1, "sergeev_Z(%(k)d)",
+          ("central", "matches_2^(k-1)_z_cycle")),
+    "p": ("pn-trivial", lambda k: k, "eta_pi_theta over %(reps)d reps",
+          ("all_zero", "all_scalar")),
 }
 
 
-def cmd_sweep(args, alg) -> tuple[dict, int]:
+def cmd_sweep(args, alg) -> tuple[dict, bool]:
     kmax = args.k
-    command, degree = SWEEP_ROWS[alg.family]
+    command, degree, element, fields = SWEEP_ROWS[alg.family]
     rows = []
-    ok = True
+    all_pass = True
     for k in range(1, kmax + 1):
         _stderr("sweep: degree %d/%d" % (k, kmax))
-        deg = degree(k)
-        if command == "hc":
-            element = "str_gelfand(%d)" % deg
-            _, verdicts, holds = _hc_verdicts(alg, str_gelfand(alg, deg))
-        elif command == "sergeev":
-            element = "sergeev_Z(%d)" % deg
-            verdicts = _sergeev_verdicts(alg, sergeev_Z(alg, deg), deg)
-            holds = all(verdicts.values())
-        else:
-            reps, verdicts = _pn_trivial_verdicts(alg, deg)
-            element = "eta_pi_theta over %d reps" % reps
-            holds = all(verdicts.values())
-        rows.append({"k": k, "element": element, **verdicts})
-        ok = ok and holds
+        row_args = argparse.Namespace(**{**vars(args), "k": degree(k)})
+        row, ok = COMMANDS[command].handler(row_args, alg)
+        rows.append({"k": k, "element": element % row, **{f: row[f] for f in fields}})
+        all_pass = all_pass and ok
     doc = {
         "family": alg.family,
         "m": alg.m,
         "n": alg.n,
         "max_k": kmax,
         "rows": rows,
-        "all_pass": ok,
+        "all_pass": all_pass,
     }
-    return doc, 0 if ok else 1
+    return doc, all_pass
 
 
-def cmd_sergeev(args, alg) -> tuple[dict, int]:
+def cmd_sergeev(args, alg) -> tuple[dict, bool]:
+    """Z_k for odd k must be central and equal 2^(k-1) z_sigma of the k-cycle."""
     k = args.k
     z = sergeev_Z(alg, k)
     doc = {"family": "q", "n": args.n, "k": k, "Z": z.to_json()}
-    ok = True
-    if k % 2 == 1:
-        verdicts = _sergeev_verdicts(alg, z, k)
-        doc.update(verdicts)
-        ok = all(verdicts.values())
-    return doc, 0 if ok else 1
-
-
-def _sergeev_verdicts(alg, z, k) -> dict:
-    """Centrality of Z_k, and the identity Z_k = 2^(k-1) z_sigma of the k-cycle."""
+    if k % 2 == 0:
+        return doc, True
     cycle = Permutation(tuple(range(2, k + 1)) + (1,))
-    return {
-        "central": is_central(z),
-        "matches_2^(k-1)_z_cycle": z == z_sigma(alg, cycle).scale(Scalar(2 ** (k - 1))),
-    }
+    central = is_central(z)
+    matches = z == z_sigma(alg, cycle).scale(Scalar(2 ** (k - 1)))
+    doc.update({"central": central, "matches_2^(k-1)_z_cycle": matches})
+    return doc, central and matches
 
 
-def cmd_molev(args, alg) -> tuple[dict, int]:
+def cmd_molev(args, alg) -> tuple[dict, bool]:
     k = args.k
-    sigma = parse_permutation(args.perm or "()", _perm_degree(alg, k))
+    sigma = parse_permutation(args.perm, _perm_degree(alg, k))
     s = invariant_tensor(alg, sigma)
     shifts = parse_shifts(args.u, s.k)
     elem = molev_element(alg, s, shifts)
@@ -339,7 +309,7 @@ def cmd_molev(args, alg) -> tuple[dict, int]:
         "element": elem.to_json(),
         "central": central,
     }
-    return doc, 0 if central else 1
+    return doc, central
 
 
 def _stderr(line):
@@ -450,7 +420,7 @@ def admit(args) -> Optional[SuperSpace]:
         space = SuperSpace(family, getattr(args, "m", 0), args.n)
     _check(label, cmd, args.k, space)
     if label == "sweep":
-        row, degree = SWEEP_ROWS[space.family]
+        row, degree = SWEEP_ROWS[space.family][:2]
         deg = degree(args.k)
         _check("sweep --k %d (%s --k %d)" % (args.k, row, deg), COMMANDS[row], deg, space)
     return space
@@ -496,7 +466,7 @@ def main(argv=None) -> int:
     try:
         space = admit(args)
         alg = build_algebra(space.family, space.m, space.n) if space else None
-        doc, code = COMMANDS[args.command].handler(args, alg)
+        doc, ok = COMMANDS[args.command].handler(args, alg)
     except UsageError as exc:
         _stderr("error: %s" % exc)
         return 2
@@ -522,7 +492,7 @@ def main(argv=None) -> int:
             if not isinstance(exc, BrokenPipeError):
                 _stderr("error: cannot write stdout: %s" % exc.strerror)
                 return 2
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

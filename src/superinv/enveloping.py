@@ -280,6 +280,8 @@ def is_J_poly(p: CartanPolynomial, m: int, n: int) -> bool:
     substitution square to the same value.  Under this test the images of
     the even-degree traces (top degree 2 sum h^2k - 2 sum h'^2k) pass.
     """
+    if m + n != len(p.names):
+        raise ValueError("block sizes do not cover the variables")
     if any(e % 2 for exp in p.terms for e in exp):
         return False
     halved = {tuple(e // 2 for e in exp): c for exp, c in p.terms.items()}

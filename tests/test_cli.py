@@ -218,8 +218,10 @@ def test_molev_command(capsys):
     assert doc["shifts"] == ["1", "1/2"]
 
 
-# sha256 of stdout on jobs no golden job covers: molev, and the relations
-# and invariant jobs whose operators invariant_tensor builds for every family
+# sha256 of stdout on jobs no golden job covers: molev; the relations and
+# invariant jobs whose operators invariant_tensor builds for every family;
+# sweep on each family, whose rows rerun the commands they repeat; and
+# sergeev at an even k, which reports Z_k with no verdicts
 STDOUT_PINS = {
     'molev --family gl --m 1 --n 1 --k 2 --perm "(1 2)" --u "1,1/2"':
         "960cce325ac93d79879b479e827ee80f0dcfa3f0baa26cc80b64a5fa97070556",
@@ -245,6 +247,16 @@ STDOUT_PINS = {
         "3dd0e67724f459640563ecccd0863e0ad65015e731420182615ee15d2877e38a",
     'invariant --family p --n 1 --k 2 --perm "[1,4,2,3]"':
         "15f52ab721bbee0078f8d0a4feda3fa8c5851a7746ef5b84cd73c4b0a9add08e",
+    "sweep --family gl --m 1 --n 1 --k 3":
+        "53793e65a2aee7a9f1df9a8b76e628803d5e3ebf75008a33588f4b8b6006114f",
+    "sweep --family osp --m 1 --n 1 --k 2":
+        "e89f59b0376dc7065750a6518b46fc09d6a0d786662a8b66aee7bb7b9ef13f5e",
+    "sweep --family q --n 1 --k 2":
+        "09ad6ae065c70077cf6eeb253cbf7f2dc8018f491a01e6fb33cebbf05d4bd400",
+    "sweep --family p --n 1 --k 3":
+        "a4367bea3ad185ec215965f84f5c9a7995268b4451951914e8a6b5b82094f934",
+    "sergeev --n 2 --k 4":
+        "479bd2292995f6944cbfccdb2bbc1a9589bad321100a3d3c2964b2dd499ee4cc",
 }
 
 
@@ -310,6 +322,39 @@ def test_sweep_q_rows_repeat_sergeev(capsys):
         assert [row[v] for v in verdicts] == [sergeev[v] for v in verdicts]
         assert set(row) == {"k", "element", *verdicts}
         assert row["element"] == "sergeev_Z(%s)" % degree
+
+
+@pytest.mark.parametrize("job", [
+    "sweep --family gl --m 1 --n 1 --k 2",
+    "sweep --family osp --m 1 --n 1 --k 1",
+    "sweep --family q --n 1 --k 2",
+    "hc --family gl --m 1 --n 1 --k 2",
+    "sergeev --n 1 --k 3",
+])
+def test_a_non_central_element_fails_its_command_and_sweep_rows(capsys, monkeypatch, job):
+    monkeypatch.setattr("superinv.cli.is_central", lambda u: False)
+    code, out, _ = run_cli(capsys, *job.split())
+    assert code == 1
+    doc = json.loads(out)
+    if job.startswith("sweep"):
+        assert doc["all_pass"] is False
+        assert [row["central"] for row in doc["rows"]] == [False] * len(doc["rows"])
+    else:
+        assert doc["central"] is False
+
+
+@pytest.mark.parametrize("job", ["pn-trivial --n 2 --k 3", "sweep --family p --n 2 --k 3"])
+def test_a_nonzero_projection_fails_pn_trivial_and_its_sweep_rows(capsys, monkeypatch, job):
+    # at p(1), k = 3 every projection is already zero, so p(2) shows the failure
+    monkeypatch.setattr("superinv.cli.eta", lambda pt: pt)
+    code, out, _ = run_cli(capsys, *job.split())
+    assert code == 1
+    doc = json.loads(out)
+    if job.startswith("sweep"):
+        assert doc["all_pass"] is False
+        assert doc["rows"][-1]["all_zero"] is False
+    else:
+        assert doc["all_zero"] is False
 
 
 def test_deterministic_output(capsys):

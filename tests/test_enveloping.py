@@ -351,6 +351,16 @@ def test_J_predicate():
     assert is_J_poly(cartan_const(names, ONE), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "predicate,sizes",
+    [(is_supersymmetric, (1, 0)), (is_J_poly, (1, 0)), (is_J_poly, (0, 0)), (is_Q_poly, (1,))],
+)
+def test_predicates_reject_sizes_that_do_not_cover_the_variables(predicate, sizes):
+    h, _ = cartan_vars(("h1", "h'1"))
+    with pytest.raises(ValueError):
+        predicate(h * h, *sizes)
+
+
 def test_Q_predicate():
     names = ("h1", "h2")
     x1, x2 = cartan_vars(names)
