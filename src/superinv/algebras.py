@@ -194,6 +194,15 @@ class Algebra:
                     rho[h] += Fraction(-w if self.parity[u] else w, 2)
         return tuple(rho[h] for h in self.cartan_vars)
 
+    # -- normal forms of T(g) words, filled by enveloping.eta_prime ----------
+
+    @cached_property
+    def normal_forms(self) -> dict:
+        """Generator word -> its PBW normal form with coefficient one, or
+        None for a word that eta_prime has met once; empty until eta_prime
+        first runs.  A stored form is never mutated."""
+        return {}
+
     # -- a small Lie-generating set ------------------------------------------
 
     @cached_property

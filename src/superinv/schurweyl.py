@@ -77,14 +77,22 @@ def omega_iso(vec: VectorTensor) -> Tensor:
     else:
         def flip(s, a, b):
             return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
+    # per slot, (a, b) -> ((a, b'), flip): each word is then k lookups and
+    # at most one negation
+    indices = space.indices
+    tables = [
+        {(a, b): ((a, prime(b)), flip(s, a, b)) for a in indices for b in indices}
+        for s in range(k)
+    ]
     # prime is a bijection, so distinct words give distinct keys
     for word, coeff in vec.terms.items():
         key = []
-        for s, (a, b) in enumerate(zip(word[::2], word[1::2])):
-            key.append((a, prime(b)))
-            if flip(s, a, b):
-                coeff = -coeff
-        out.terms[tuple(key)] = coeff
+        odd = 0
+        for table, pair in zip(tables, zip(word[::2], word[1::2])):
+            unit, f = table[pair]
+            key.append(unit)
+            odd ^= f
+        out.terms[tuple(key)] = -coeff if odd else coeff
     return out
 
 

@@ -9,9 +9,11 @@ Conventions used throughout the package:
   ``gamma_exponent`` returns it as an exponent mod 2, so (-1)**exponent is
   the sign.  ``_reorder`` is the one reordering of a word: it reads the
   word in sigma's order and takes the sign from ``gamma_exponent``.  Its
-  two callers are ``tensors.permute_word`` (the place permutation, with
-  sigma^-1) and ``tensoralg.eta`` (the stable sort into S(g)); the gl/q
-  place permutation of ``schurweyl.invariant_tensor`` needs no other sign.
+  two callers are ``tensoralg.eta`` (the stable sort into S(g), once per
+  word) and ``tensors.permute_word`` (the place permutation, with
+  sigma^-1), which asks only for the sign, once per parity word of a
+  call, and reads each key in sigma^-1's order itself; the place
+  permutations of ``schurweyl.invariant_tensor`` need no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py
   (``p_exponent``), beside the references that use it.

@@ -166,15 +166,25 @@ def full_supertrace(a: Tensor):
 
 
 def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
-    """The signed place-permutation action of sigma on a VectorTensor."""
+    """The signed place-permutation action of sigma on a VectorTensor.
+
+    The Koszul sign depends only on a key's parity word, so ``_reorder``
+    runs once per parity word of the call.  The action is a bijection on
+    keys, so no two terms meet.
+    """
     if sigma.size != w.k:
         raise ValueError("degree mismatch")
     inv = sigma.inverse()
+    order = [i - 1 for i in inv.images]
     parities = w.space._parity
+    signs = {}
     out = {}
     for key, coeff in w.terms.items():
-        new_key, exp = _reorder(key, [parities[i] for i in key], inv)
-        add_into(out, new_key, -coeff if exp else coeff)
+        pword = tuple(map(parities.__getitem__, key))
+        exp = signs.get(pword)
+        if exp is None:
+            exp = signs[pword] = _reorder(pword, pword, inv)[1]
+        out[tuple(map(key.__getitem__, order))] = -coeff if exp else coeff
     return w._like(out)
 
 

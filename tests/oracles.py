@@ -2,16 +2,17 @@
 
 None of these is on a path the CLI runs: each is an independent statement
 of a convention or a count (the sign p(x, y), basis vectors, the module
-action, the operator-to-tensor map on basis words, the place-permutation
-operator, the supertranspose, the partial supertrace, the flips of V x V,
-the Lie bracket, the rank of a dense matrix, the group H, the
-Harish-Chandra predicates, the rho shift, the U(g) product, the
-supercommutator, the full-basis centrality and invariance checks, the S(g)
-monomial sorted by adjacent swaps, the diagram count by closure type, the
-dualization of theta's even slots, the supercommutation test of an
-operator, Sergeev's recursion for the q(n) trace family and the
-Harish-Chandra images of the gl(m|n) trace family from a product formula)
-that tests compare the package's own kernels against.
+action, the operator-to-tensor map on basis words, the place permutation
+of words by adjacent swaps and its operator, the supertranspose, the
+partial supertrace, the flips of V x V, the Lie bracket, the rank of a
+dense matrix, the group H, the Harish-Chandra predicates, the rho shift,
+the U(g) product, the supercommutator, the full-basis centrality and
+invariance checks, the S(g) monomial sorted by adjacent swaps, the diagram
+count by closure type, the dualization of theta's even slots, the
+supercommutation test of an operator, Sergeev's recursion for the q(n)
+trace family and the Harish-Chandra images of the gl(m|n) trace family
+from a product formula) that tests compare the package's own kernels
+against.
 
 The paper's T(g)^g and S(g)^g levels live here too, since no command
 checks them: the symmetrizing section S(g) -> T(g) under its degree cap
@@ -42,7 +43,7 @@ from superinv.scalars import ONE, Scalar, promote, sign_scalar
 from superinv.signs import Permutation, gamma_exponent, symmetric_group
 from superinv.sparse import add_into, add_terms
 from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
-from superinv.tensors import Tensor, VectorTensor, compose, permute_word
+from superinv.tensors import Tensor, VectorTensor, compose
 
 
 def p_exponent(x, y):
@@ -112,10 +113,31 @@ def omega_iso_reference(space, k, fn):
     return Tensor(space, k, entries)
 
 
+def permute_word_reference(sigma, w):
+    """sigma . w by adjacent transpositions: letter s of each key moves to
+    place sigma(s) by a bubble sort, and each swap of two odd letters
+    negates the term."""
+    par = w.space._parity
+    out = {}
+    for key, coeff in w.terms.items():
+        letters = [(sigma(s), a) for s, a in enumerate(key, 1)]
+        for end in range(len(letters) - 1, 0, -1):
+            for i in range(end):
+                (p, a), (q, b) = letters[i], letters[i + 1]
+                if p > q:
+                    letters[i], letters[i + 1] = letters[i + 1], letters[i]
+                    if par[a] and par[b]:
+                        coeff = -coeff
+        add_into(out, tuple(a for _, a in letters), coeff)
+    return w._like(out)
+
+
 def perm_operator_reference(space, sigma):
     """The place-permutation operator for sigma, one basis word at a time."""
     return omega_iso_reference(
-        space, sigma.size, lambda word: permute_word(sigma, basis_vector(space, word))
+        space,
+        sigma.size,
+        lambda word: permute_word_reference(sigma, basis_vector(space, word)),
     )
 
 

@@ -20,6 +20,7 @@ from oracles import (
 )
 
 from superinv.algebras import build_algebra
+from superinv.brauer import coset_reps
 from superinv.enveloping import (
     CartanPolynomial,
     PBWElement,
@@ -38,6 +39,7 @@ from superinv.enveloping import (
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor, sergeev_Z, str_gelfand, z_sigma
 from superinv.signs import Permutation, symmetric_group
+from superinv.sparse import add_terms
 from superinv.tensoralg import TensorAlgebraElement, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
@@ -200,6 +202,68 @@ def test_eta_prime_examples():
     # the supersymmetric relation element maps to the bracket, not zero
     rel = TensorAlgebraElement(GL11, {(E12, E21): ONE, (E21, E12): ONE})
     assert eta_prime(rel) == PBWElement(GL11, {(E11,): ONE, (E22,): ONE})
+
+
+def _eta_prime_reference(t):
+    """Sum of pbw_normalize(alg, w, c) over the terms (w, c) of t, in t's order."""
+    out = {}
+    for word, coeff in t.terms.items():
+        add_terms(out, pbw_normalize(t.algebra, word, coeff).terms)
+    return PBWElement(t.algebra, out)
+
+
+def _theta_words(family, m, n):
+    """A fresh algebra and pi(theta) of its permutations up to degree 3: every
+    coset representative for p, every sigma in S_k (the z_sigma words) else."""
+    alg = build_algebra(family, m, n)
+    sigmas = [s for k in (1, 2, 3) for s in
+              (coset_reps(k) if family == "p" else symmetric_group(k))]
+    return alg, [project_tensor(alg, invariant_tensor(alg, s)) for s in sigmas]
+
+
+@pytest.mark.parametrize("family, m, n", [("p", 0, 2), ("gl", 1, 1), ("q", 0, 1)])
+def test_eta_prime_reads_its_normal_form_table(family, m, n):
+    alg, ts = _theta_words(family, m, n)
+    assert "normal_forms" not in vars(alg)
+    ts = [t for t in ts if t.terms]
+    assert ts
+    # on a freshly built algebra, whose table fills as the elements go by;
+    # their words repeat from one element to the next
+    for t in ts:
+        assert list(eta_prime(t).terms.items()) == list(_eta_prime_reference(t).terms.items())
+    alg, ts = _theta_words(family, m, n)
+    ts = [t for t in ts if t.terms]
+    # fill the table first from overlapping elements with other coefficients:
+    # every other word of each element, rescaled, and the relation
+    # u x y v - (-1)^{|x||y|} u y x v - u [x, y] v on a word u x y v of
+    # theta, whose image cancels to zero
+    par = alg.parity
+    w, i = next((w, i) for t in ts for w in t.terms for i in range(len(w) - 1)
+                if w[i] != w[i + 1] or par[w[i]])
+    head, (x, y), tail = w[:i], w[i : i + 2], w[i + 2 :]
+    sign = MINUS_ONE if par[x] and par[y] else ONE
+    relation = TensorAlgebraElement(alg, [(w, ONE), (head + (y, x) + tail, -sign)] + [
+        (head + (g,) + tail, -c) for g, c in alg.bracket_table[(x, y)].items()
+    ])
+    assert relation.terms
+    fillers = [relation] + [
+        TensorAlgebraElement(alg, {v: c * Scalar(j - 2) for j, (v, c) in
+                                   enumerate(t.terms.items()) if j % 2 == 0 and j != 2})
+        for t in ts
+    ]
+    # twice: a word's form is stored at its second use
+    for u in fillers + fillers:
+        assert list(eta_prime(u).terms.items()) == list(_eta_prime_reference(u).terms.items())
+    assert eta_prime(relation).is_zero()
+    stored = {w: dict(form.terms) for w, form in alg.normal_forms.items() if form is not None}
+    assert stored
+    for t in ts + ts:
+        assert list(eta_prime(t).terms.items()) == list(_eta_prime_reference(t).terms.items())
+    # the forms stored before stay as they were, each the normal form of its word
+    assert all(alg.normal_forms[w].terms == terms for w, terms in stored.items())
+    assert None not in alg.normal_forms.values()
+    for w, form in alg.normal_forms.items():
+        assert list(form.terms.items()) == list(pbw_normalize(alg, w).terms.items())
 
 
 def test_is_central():

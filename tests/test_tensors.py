@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import apply, basis_vector, partial_supertrace, supertranspose
+from oracles import (
+    apply,
+    basis_vector,
+    partial_supertrace,
+    permute_word_reference,
+    supertranspose,
+)
 
 from superinv.algebras import build_algebra
 from superinv.enveloping import PBWElement
@@ -15,6 +21,7 @@ from superinv.spaces import SuperSpace
 from superinv.sparse import add_into
 from superinv.tensors import (
     Tensor,
+    VectorTensor,
     compose,
     full_supertrace,
     identity_tensor,
@@ -225,6 +232,41 @@ def test_permute_word_group_action_exhaustive():
         for s in symmetric_group(3):
             for t in symmetric_group(3):
                 assert permute_word(s * t, v) == permute_word(s, permute_word(t, v))
+
+
+PERMUTE_SPACES = tuple(
+    SuperSpace(*spec)
+    for spec in (("gl", 1, 1), ("q", 0, 1), ("osp", 1, 1), ("p", 0, 1), ("p", 0, 2))
+)
+
+
+@st.composite
+def permuted_vectors(draw):
+    """(sigma, w): w a VectorTensor of degree k <= 4, built from terms in
+    which a drawn key may come back with the opposite coefficient and cancel."""
+    space = draw(st.sampled_from(PERMUTE_SPACES))
+    k = draw(st.integers(0, 4))
+    key = st.tuples(*[st.sampled_from(space.indices)] * k)
+    terms = draw(st.lists(st.tuples(key, st.integers(-3, 3).map(Scalar)), max_size=16))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    terms += [(key, -c) for key, c in cancel]
+    terms += draw(st.lists(st.sampled_from(terms), max_size=2)) if terms else []
+    sigma = Permutation(draw(st.permutations(range(1, k + 1))))
+    return sigma, VectorTensor(space, k, terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(permuted_vectors())
+# the parity words (1,1,0) and (1,0,1) have equal sums but opposite signs
+# under (1 2); the key (2,1,1) cancels, then comes back last
+@example((Permutation((2, 1, 3)), VectorTensor(GL11, 3, [
+    ((2, 2, 1), ONE), ((2, 1, 1), ONE), ((2, 1, 2), ONE), ((2, 1, 1), MINUS_ONE),
+    ((1, 1, 1), Scalar(2)), ((2, 1, 1), Scalar(3)),
+])))
+def test_permute_word_matches_adjacent_swap_reference_in_order(case):
+    sigma, w = case
+    got, want = permute_word(sigma, w), permute_word_reference(sigma, w)
+    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_degree_zero_tensor_is_scalar():
