@@ -7,13 +7,13 @@ Conventions used throughout the package:
   inversions i < j, s(i) > s(j); it is the Koszul sign of reordering a
   supercommutative word x1...xk into x_{s(1)}...x_{s(k)}.
   ``gamma_exponent`` returns it as an exponent mod 2, so (-1)**exponent is
-  the sign.  ``_reorder`` is the one reordering of a word: it reads the
-  word in sigma's order and takes the sign from ``gamma_exponent``.  Its
-  two callers are ``tensoralg.eta`` (the stable sort into S(g), once per
-  word) and ``tensors.permute_word`` (the place permutation, with
-  sigma^-1), which asks only for the sign, once per parity word of a
-  call, and reads each key in sigma^-1's order itself; the place
-  permutations of ``schurweyl.invariant_tensor`` need no other sign.
+  the sign.  Every reordering sign is one inversion count,
+  ``_inversion_parity``: gamma reads it on sigma's images at the odd
+  places of x, ``Permutation.sign`` on all of sigma's images, and
+  ``tensoralg.eta`` on a word's odd letters, the sign of sorting them.
+  ``tensors.permute_word`` asks ``gamma_exponent`` for its sign (with
+  sigma^-1) once per parity word of a call; the place permutations of
+  ``schurweyl.invariant_tensor`` need no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py
   (``p_exponent``), beside the references that use it.
@@ -28,28 +28,16 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 
+def _inversion_parity(seq: Sequence) -> int:
+    """Parity of the pairs i < j with seq[i] > seq[j]."""
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :]) & 1
+
+
 def gamma_exponent(x: Sequence[int], sigma: "Permutation") -> int:
     """Exponent (mod 2) of gamma(x, sigma) over the inversions of sigma."""
-    k = len(x)
-    if sigma.size != k:
+    if sigma.size != len(x):
         raise ValueError("parity word length does not match permutation size")
-    img = sigma.images
-    total = 0
-    for i in range(k):
-        si = img[i]
-        if not x[si - 1]:
-            continue
-        for j in range(i + 1, k):
-            sj = img[j]
-            if si > sj and x[sj - 1]:
-                total ^= 1
-    return total
-
-
-def _reorder(word: Sequence, parities: Sequence[int], sigma: "Permutation"):
-    """word read in sigma's order, x_{s(1)}...x_{s(k)}, and the exponent of
-    gamma(parities, sigma), its Koszul sign."""
-    return tuple(word[i - 1] for i in sigma.images), gamma_exponent(parities, sigma)
+    return _inversion_parity([s for s in sigma.images if x[s - 1]])
 
 
 class Permutation:
@@ -100,11 +88,7 @@ class Permutation:
         return Permutation(inv)
 
     def sign(self) -> int:
-        sgn = 1
-        for cyc in self.cycles():
-            if len(cyc) % 2 == 0:
-                sgn = -sgn
-        return sgn
+        return -1 if _inversion_parity(self.images) else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least element."""

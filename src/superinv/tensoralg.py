@@ -3,9 +3,10 @@
 Elements are sparse maps from generator words to Scalars.  A word is a
 tuple of generator indices into the algebra's canonical ordered basis;
 mixed degrees are allowed in T(g).  In S(g) every stored monomial is
-sorted stably into the global generator order, signed by the Koszul sign
-gamma of that reordering (``signs._reorder``), and any monomial containing
-an odd generator twice is zero.
+sorted into the global generator order.  Only odd letters sign a swap, so
+the Koszul sign of that sort is the inversion parity of the word's odd
+letters (``signs._inversion_parity``), and any monomial containing an odd
+generator twice is zero.
 
 The commands need only the projection pi of an End(V)^(x k) tensor to
 T(g) and the quotient eta to S(g).  Symmetrization back to T(g), the
@@ -16,7 +17,7 @@ references in ``tests/oracles.py``.
 from __future__ import annotations
 
 from .algebras import Algebra
-from .signs import Permutation, _reorder
+from .signs import _inversion_parity
 from .sparse import Sparse, add_into
 from .tensors import Tensor
 
@@ -81,12 +82,11 @@ def eta(t: TensorAlgebraElement) -> SymElement:
     par = alg.parity
     out = {}
     for word, coeff in t.terms.items():
-        order = sorted(range(len(word)), key=word.__getitem__)
-        w, exp = _reorder(word, [par[g] for g in word], Permutation(i + 1 for i in order))
+        odd = [g for g in word if par[g]]
         # an odd letter squares to zero
-        if any(a == b and par[a] for a, b in zip(w, w[1:])):
+        if len(set(odd)) < len(odd):
             continue
-        add_into(out, w, coeff if not exp else -coeff)
+        add_into(out, tuple(sorted(word)), -coeff if _inversion_parity(odd) else coeff)
     return SymElement(alg, out)
 
 

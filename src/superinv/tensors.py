@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .scalars import ONE, ZERO, Scalar
-from .signs import Permutation, _reorder
+from .signs import Permutation, gamma_exponent
 from .sparse import Sparse, add_into
 from .spaces import SuperSpace
 
@@ -168,9 +168,9 @@ def full_supertrace(a: Tensor):
 def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
     """The signed place-permutation action of sigma on a VectorTensor.
 
-    The Koszul sign depends only on a key's parity word, so ``_reorder``
-    runs once per parity word of the call.  The action is a bijection on
-    keys, so no two terms meet.
+    The Koszul sign depends only on a key's parity word, so
+    ``gamma_exponent`` runs once per parity word of the call.  The action
+    is a bijection on keys, so no two terms meet.
     """
     if sigma.size != w.k:
         raise ValueError("degree mismatch")
@@ -183,7 +183,7 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
         pword = tuple(map(parities.__getitem__, key))
         exp = signs.get(pword)
         if exp is None:
-            exp = signs[pword] = _reorder(pword, pword, inv)[1]
+            exp = signs[pword] = gamma_exponent(pword, inv)
         out[tuple(map(key.__getitem__, order))] = -coeff if exp else coeff
     return w._like(out)
 

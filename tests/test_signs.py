@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -69,10 +70,18 @@ def test_gamma_examples():
 
 
 def test_gamma_against_brute_force():
-    for k in range(1, 5):
+    # exhaustive to k = 6, then a seeded sample at the 2k = 8 slots that
+    # permute_word signs for pn-trivial at k = 4
+    for k in range(1, 7):
         for sigma in symmetric_group(k):
             for x in all_parity_words(k):
                 assert gamma_exponent(x, sigma) == brute_gamma_exponent(x, sigma)
+    rng = random.Random(7)
+    for k in (7, 8):
+        for _ in range(2000):
+            sigma = Permutation(rng.sample(range(1, k + 1), k))
+            x = tuple(rng.randrange(2) for _ in range(k))
+            assert gamma_exponent(x, sigma) == brute_gamma_exponent(x, sigma)
 
 
 def permuted_word(x, sigma):
@@ -141,3 +150,29 @@ def test_composition_convention():
     ab = a * b
     for x in (1, 2, 3):
         assert ab(x) == a(b(x))
+
+
+def cycle_count(sigma):
+    # every cycle, fixed points included, walked from its least element
+    count, seen = 0, set()
+    for start in range(1, sigma.size + 1):
+        if start not in seen:
+            count += 1
+            cur = start
+            while cur not in seen:
+                seen.add(cur)
+                cur = sigma(cur)
+    return count
+
+
+def test_sign_is_the_cycle_parity_and_a_character():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        group = list(symmetric_group(n))
+        for a in group:
+            assert a.sign() == (-1) ** (n - cycle_count(a))
+        # every pair up to S_5; in S_6 every a against a seeded sample of b
+        others = group if n <= 5 else rng.sample(group, 40)
+        for a in group:
+            for b in others:
+                assert (a * b).sign() == a.sign() * b.sign()

@@ -58,11 +58,13 @@ SORT_ALGEBRAS = [
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_eta_matches_adjacent_swap_oracle(data):
-    # sym_monomial sorts by adjacent swaps, one sign per odd-odd swap; eta
-    # reads the stable argsort's gamma, so the two share no sorting code
+    # sym_monomial sorts by adjacent swaps, one sign per odd-odd swap, and
+    # zeroes a word with equal odd letters adjacent after the sort; eta
+    # counts the inversions of the odd letters and zeroes a word whose odd
+    # letters repeat, so the two share no sorting code
     alg = data.draw(st.sampled_from(SORT_ALGEBRAS), label="algebra")
     words = data.draw(
-        st.lists(st.lists(st.integers(0, alg.dim - 1), max_size=5), min_size=1, max_size=3)
+        st.lists(st.lists(st.integers(0, alg.dim - 1), max_size=8), min_size=1, max_size=3)
     )
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(words), max_size=len(words)))
     t, expected = TensorAlgebraElement(alg), SymElement(alg)
@@ -70,6 +72,21 @@ def test_eta_matches_adjacent_swap_oracle(data):
         t = t + t_elem(alg, {tuple(word): Scalar(c)})
         expected = expected + sym_monomial(alg, word, Scalar(c))
     assert eta(t) == expected
+
+
+def test_eta_zeroes_an_odd_letter_repeated_apart():
+    p2 = SORT_ALGEBRAS[3]
+    ix = p2.gen_index
+    x, y, z, e = ix["G[1,3]"], ix["G[1,4]"], ix["G[3,2]"], ix["G[1,1]"]
+    assert p2.parity[x] and p2.parity[y] and p2.parity[z] and not p2.parity[e]
+    # (x, y, x): the two copies of x are not adjacent in the word
+    for word in ((x, e, x), (x, y, x), (y, x, e, y), (z, x, e, y, z)):
+        assert eta(t_elem(p2, {word: ONE})).is_zero()
+        assert sym_monomial(p2, word).is_zero()
+    # distinct odd letters: the sign is the parity of their inversions
+    assert eta(t_elem(p2, {(y, e, x): ONE})) == SymElement(p2, {(e, x, y): MINUS_ONE})
+    assert eta(t_elem(p2, {(y, z, e, x): ONE})) == SymElement(p2, {(z, e, x, y): ONE})
+    assert eta(t_elem(p2, {(y, x, e, z): ONE})) == SymElement(p2, {(z, e, x, y): MINUS_ONE})
 
 
 def test_omega_examples():
