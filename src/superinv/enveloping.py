@@ -117,35 +117,25 @@ def eta_prime(t: TensorAlgebraElement) -> PBWElement:
     return out
 
 
-def supercommutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    """[a, b] = ab - (-1)^{|a||b|} ba, extended bilinearly over the terms of a and b.
+def supercommutator(u: PBWElement, y: int) -> PBWElement:
+    """[u, y] = uy - (-1)^{|u||y|} yu for u in U(g) and y a generator index.
 
-    Bracketing is a superderivation in each argument: [wa, wb] brackets wa
-    with one letter y of wb at a time, past the letters before y with the
-    Koszul sign, and [wa, y] = -(-1)^{|wa||y|} ad_y(wa) brackets one letter
-    of wa at a time (``algebras._ad_word``).  The words wa wb and wb wa,
-    whose leading terms cancel, are never normalized: each word is one
-    letter shorter, and equal words are summed before their one normal form.
+    Per word w of u, [w, y] = -(-1)^{|w||y|} ad_y(w), and ad_y brackets one
+    letter of w at a time (``algebras._ad_word``).  The words wy and yw,
+    whose leading terms cancel, are never normalized: each word is as long
+    as w, and equal words are summed before their one normal form.
     """
-    a._check(b)
-    alg = a.algebra
-    par = alg.parity
+    alg = u.algebra
+    odd_y = alg.parity[y]
     words = {}
-    for wa, ca in a.terms.items():
-        odd_a = a.word_parity(wa)
-        for wb, cb in b.terms.items():
-            c = ca * cb
-            for j, y in enumerate(wb):
-                head, tail = wb[:j], wb[j + 1 :]
-                cy = c if odd_a and par[y] else -c
-                for w, cv in _ad_word(alg, y, wa):
-                    add_into(words, head + w + tail, cy * cv)
-                if odd_a and par[y]:
-                    c = -c
+    for w, c in u.terms.items():
+        c = c if odd_y and u.word_parity(w) else -c
+        for v, cv in _ad_word(alg, y, w):
+            add_into(words, v, c * cv)
     out = {}
     for w, c in words.items():
         add_terms(out, pbw_normalize(alg, w, c).terms)
-    return a._like(out)
+    return u._like(out)
 
 
 def is_central(u: PBWElement) -> bool:
@@ -157,10 +147,9 @@ def is_central(u: PBWElement) -> bool:
     with span a Lie subalgebra (super-Jacobi), so the rest of g needs only
     the supercommutators with the set S that, with h0, Lie-generates g.
     """
-    alg = u.algebra
-    gens = alg.generating_set
+    gens = u.algebra.generating_set
     return all(map(gens.weight_zero, u.terms)) and all(
-        supercommutator(u, PBWElement.generator(alg, x)).is_zero() for x in gens.probes
+        supercommutator(u, y).is_zero() for y in gens.probes
     )
 
 

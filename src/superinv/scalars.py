@@ -3,7 +3,8 @@
 Every coefficient in this package is a Scalar.  It stores Python ints
 ``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``,
 so k! denominators never overflow and there is no floating point anywhere.
-``+``, ``-`` and ``*`` are int arithmetic with one gcd when d is not 1.
+``+`` and ``*`` are int arithmetic with one gcd when d is not 1; ``-`` negates
+and adds.
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ class Scalar:
     def __sub__(self, other):
         if type(other) is not Scalar and (other := _operand(other)) is None:
             return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            return _make(self.a - other.a, self.b - other.b, d)
-        return _make(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
+        return self + -other
 
     def __rsub__(self, other):
         return promote(other) - self

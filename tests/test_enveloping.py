@@ -162,7 +162,11 @@ def test_product_and_supercommutator_match_references(data):
     alg = data.draw(st.sampled_from(PRODUCT_ALGEBRAS))
     a, b = data.draw(pbw_elements(alg)), data.draw(pbw_elements(alg))
     assert u_multiply(a, b) == u_multiply_reference(a, b)
-    assert supercommutator(a, b) == supercommutator_reference(a, b)
+    # [u, y] against uy - (-1)^{|u||y|} yu for every generator y, odd and even
+    for y in range(alg.dim):
+        assert supercommutator(a, y) == supercommutator_reference(
+            a, PBWElement.generator(alg, y)
+        ), alg.gens[y]
 
 
 def test_psi_examples():
@@ -183,16 +187,17 @@ def test_psi_examples():
 
 def test_psi_intertwines_adjoint():
     rng = random.Random(77)
+    par = GL11.parity
     for _ in range(15):
-        a = GL11.unit(rng.randrange(4))
+        x = rng.randrange(4)
         word = tuple(rng.randrange(4) for _ in range(rng.choice((1, 2, 3))))
         s = sym_monomial(GL11, word)
         if s.is_zero():
             continue
-        lhs = psi_map(adjoint_act(a, s))
-        u = psi_map(s)
-        x = PBWElement(GL11, {(g,): c for g, c in a.terms.items()})
-        rhs = supercommutator(x, u)
+        lhs = psi_map(adjoint_act(GL11.unit(x), s))
+        # [x, u] = -(-1)^{|x||u|} [u, x], u = psi(s) homogeneous of the word's parity
+        odd = par[x] and sum(par[g] for g in word) % 2
+        rhs = supercommutator(psi_map(s), x).scale(ONE if odd else MINUS_ONE)
         assert lhs == rhs
 
 
