@@ -8,7 +8,7 @@ centralizer algebras, and the diagram combinatorics that forces the center
 of U(p(n)) to be trivial.
 """
 
-from .algebras import Algebra, LieElement, build_algebra, phi_k
+from .algebras import Algebra, build_algebra, phi_k
 from .enveloping import (
     CartanPolynomial,
     PBWElement,

@@ -30,39 +30,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import ONE, ZERO, Scalar, sign_scalar
-from .sparse import Sparse, add_into, add_terms, echelon_extend, echelon_reduce
+from .sparse import add_into, add_terms, echelon_extend, echelon_reduce
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
 
 _CLASS_ORDER = {"L": 0, "C": 1, "U": 2}
 
 _LETTER = {"gl": "E", "osp": "F", "p": "G", "q": "H"}
-
-
-class LieElement(Sparse):
-    """Sparse linear combination of canonical generators."""
-
-    __slots__ = ("algebra",)
-    _context = ("algebra",)
-
-    def __init__(self, algebra, coeffs=None):
-        self.algebra = algebra
-        Sparse.__init__(self, coeffs)
-
-    def matrix(self) -> Tensor:
-        """The realization iota(x) in End(V)."""
-        out = Tensor(self.algebra.space, 1)
-        for idx, c in self.terms.items():
-            add_terms(out.terms, self.algebra.embed[idx].scale(c).terms)
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = self.algebra.gens
-        return " + ".join(
-            "%r*%s" % (c, names[i]) for i, c in sorted(self.terms.items())
-        )
 
 
 class GeneratingSet:
@@ -124,17 +98,20 @@ class Algebra:
 
     def _verify_split(self):
         for g in range(self.dim):
-            if self._project_matrix(self.embed[g]).terms != {g: ONE}:
+            if self._project_matrix(self.embed[g]) != {g: ONE}:
                 raise AssertionError(
                     "split projection failed on generator %s" % self.gens[g]
                 )
 
     # -- bracket table -------------------------------------------------------
 
-    def _project_matrix(self, mat: Tensor) -> LieElement:
+    def _project_matrix(self, mat: Tensor) -> dict:
         # a generator index has at most two preimages in pi_table, so a key
         # that cancels never comes back and the order is first appearance
-        return LieElement(self, ((g, c) for (g,), c in self._pi_tilde(mat.terms)))
+        out = {}
+        for (g,), c in self._pi_tilde(mat.terms):
+            add_into(out, g, c)
+        return out
 
     def _pi_tilde(self, terms: dict):
         """pi_tilde slot by slot on a tensor of End(V)^(x k): (generator word,
@@ -162,8 +139,8 @@ class Algebra:
             for y in range(x, self.dim):
                 sign = Scalar(-1) if px and self.parity[y] else ONE
                 xy, yx = compose(mx, mats[y]), compose(mats[y], mx)
-                table[(x, y)] = self._project_matrix(xy - yx.scale(sign)).terms
-                table[(y, x)] = self._project_matrix(yx - xy.scale(sign)).terms
+                table[(x, y)] = self._project_matrix(xy - yx.scale(sign))
+                table[(y, x)] = self._project_matrix(yx - xy.scale(sign))
         self.bracket_table = table
 
     # -- Cartan variables / Weyl vector, read off h0 on first use -------------
@@ -264,11 +241,6 @@ class Algebra:
                 stack.append(w)
         return rows
 
-    # -- small helpers ---------------------------------------------------------
-
-    def unit(self, idx: int) -> LieElement:
-        return LieElement(self, {idx: ONE})
-
     def __repr__(self):
         return "Algebra(%r, m=%d, n=%d, dim=%d)" % (
             self.family,
@@ -341,12 +313,12 @@ def _ad_word(alg: Algebra, y: int, word):
         sign ^= par[y] & par[x]
 
 
-def phi_k(alg: Algebra, x: LieElement, k: int) -> Tensor:
-    """The action of x on V^(x k): sum over slots of 1 x..x iota(x) x..x 1."""
+def phi_k(alg: Algebra, g: int, k: int) -> Tensor:
+    """The action of generator g on V^(x k): sum over slots of 1 x..x iota(g) x..x 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    mat = x.matrix()
-    out = Tensor(mat.space, k)
+    mat = alg.embed[g]
+    out = Tensor(alg.space, k)
     for slot in range(1, k + 1):
         add_terms(out.terms, slot_embed(mat, slot, k).terms)
     return out

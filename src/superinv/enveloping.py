@@ -36,10 +36,6 @@ class PBWElement(_WordMap):
         coeff = promote(coeff)
         return cls(algebra, {(): coeff} if coeff else {})
 
-    @classmethod
-    def generator(cls, algebra, idx: int):
-        return cls(algebra, {(idx,): ONE})
-
     # defined here, not inherited, so that it stays an attribute of this class
     # that perfbench/tracer.py can wrap to count U(g) accumulation
     def __add__(self, other):

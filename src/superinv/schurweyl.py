@@ -162,7 +162,7 @@ def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:
 def _actions(alg: Algebra, k: int) -> list:
     """(g, phi_k of g) for each g of h0 and the set S, in generator order."""
     gens = alg.generating_set
-    return [(g, phi_k(alg, alg.unit(g), k)) for g in sorted(gens.cartan + gens.probes)]
+    return [(g, phi_k(alg, g, k)) for g in sorted(gens.cartan + gens.probes)]
 
 
 def _noncommuting_generators(alg: Algebra, t: Tensor, actions) -> list:

@@ -1,6 +1,6 @@
 """The sparse linear-combination core shared by every element type.
 
-Each element of the package (tensors, Lie, T(g), S(g) and U(g) elements,
+Each element of the package (tensors, T(g), S(g) and U(g) elements,
 Cartan polynomials, U(g)-valued tensors) is a dict ``terms`` from keys to
 nonzero coefficients, plus a few context attributes naming the space it
 lives in.  ``Sparse`` owns the linear structure over that dict; subclasses
@@ -106,13 +106,7 @@ class Sparse:
         return self._like(data)
 
     def __sub__(self, other):
-        # one pass, not self + (-other): building an algebra subtracts
-        # about dim^2 times
-        self._check(other)
-        data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_into(data, key, -coeff)
-        return self._like(data)
+        return self + -other
 
     def __neg__(self):
         return self.scale(MINUS_ONE)

@@ -25,7 +25,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from superinv.algebras import LieElement
 from superinv.brauer import (
     MAX_COUNT_K,
     closure_type,
@@ -194,16 +193,16 @@ def form_flip_tensor(space):
 
 
 def bracket(x, y):
-    """The super-bracket of two Lie elements, through the bracket table."""
-    if x.algebra is not y.algebra:
-        raise ValueError("algebra mismatch")
+    """The super-bracket of two elements of g, through the bracket table; an
+    element of g is a degree-1 T(g) element, keyed by one-letter words."""
+    x._check(y)
     alg = x.algebra
     out = {}
-    for i, ci in x.terms.items():
-        for j, cj in y.terms.items():
+    for (i,), ci in x.terms.items():
+        for (j,), cj in y.terms.items():
             for g, c in alg.bracket_table[(i, j)].items():
-                add_into(out, g, ci * cj * c)
-    return LieElement(alg, out)
+                add_into(out, (g,), ci * cj * c)
+    return TensorAlgebraElement(alg, out)
 
 
 def row_reduce_rank(rows):
@@ -440,7 +439,7 @@ def is_central_reference(u):
     from its two products."""
     alg = u.algebra
     return all(
-        supercommutator_reference(u, PBWElement.generator(alg, g)).is_zero()
+        supercommutator_reference(u, PBWElement(alg, {(g,): ONE})).is_zero()
         for g in range(alg.dim)
     )
 
@@ -448,7 +447,10 @@ def is_central_reference(u):
 def is_invariant_reference(t):
     """Every canonical generator acts on the T(g) or S(g) element t by zero."""
     alg = t.algebra
-    return all(adjoint_act(alg.unit(g), t).is_zero() for g in range(alg.dim))
+    return all(
+        adjoint_act(TensorAlgebraElement(alg, {(g,): ONE}), t).is_zero()
+        for g in range(alg.dim)
+    )
 
 
 # -- T(g)^g, S(g)^g and the supersymmetrization psi: S(g) -> U(g) ------------
@@ -498,7 +500,8 @@ def psi_eta_pi(alg, t):
 
 
 def adjoint_act(x, t):
-    """The adjoint action of the Lie element x on a T(g) or S(g) element t.
+    """The adjoint action of x in g, a degree-1 T(g) element, on a T(g) or
+    S(g) element t.
 
     A super-derivation: each letter of a word is bracketed with a generator
     of x in turn, with the Koszul sign of moving that generator past the
@@ -509,7 +512,7 @@ def adjoint_act(x, t):
         raise ValueError("algebra mismatch")
     par = alg.parity
     terms = {}
-    for g, cg in x.terms.items():
+    for (g,), cg in x.terms.items():
         for word, coeff in t.terms.items():
             c = coeff * cg
             for i, letter in enumerate(word):
@@ -528,7 +531,8 @@ def is_invariant(t):
     alg = t.algebra
     gens = alg.generating_set
     return all(map(gens.weight_zero, t.terms)) and all(
-        adjoint_act(alg.unit(g), t).is_zero() for g in gens.probes
+        adjoint_act(TensorAlgebraElement(alg, {(g,): ONE}), t).is_zero()
+        for g in gens.probes
     )
 
 
@@ -596,8 +600,8 @@ def sergeev_elements_reference(alg, m):
     f1 = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            e1[(i, j)] = PBWElement.generator(alg, alg.gen_index["H[%d,%d]" % (i, j)])
-            f1[(i, j)] = PBWElement.generator(alg, alg.gen_index["H[%d,%d]" % (i, -j)])
+            e1[(i, j)] = PBWElement(alg, {(alg.gen_index["H[%d,%d]" % (i, j)],): ONE})
+            f1[(i, j)] = PBWElement(alg, {(alg.gen_index["H[%d,%d]" % (i, -j)],): ONE})
     e, f = e1, f1
     for level in range(2, m + 1):
         sign = sign_scalar(level - 1)

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from oracles import apply, basis_vector, bracket, row_reduce_rank, supertranspose
 
-from superinv.algebras import LieElement, build_algebra, phi_k
+from superinv.algebras import build_algebra, phi_k
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.spaces import SuperSpace, dimension
-from superinv.tensors import Tensor, compose
+from superinv.sparse import add_into
+from superinv.tensoralg import TensorAlgebraElement
+from superinv.tensors import Tensor, VectorTensor, compose
 
 SIZES = [
     ("gl", 1, 1),
@@ -20,6 +23,19 @@ SIZES = [
     ("q", 0, 2),
     ("q", 0, 3),
 ]
+
+
+def units(alg):
+    """The generators of g as degree-1 T(g) elements, the form tests give g's elements."""
+    return [TensorAlgebraElement(alg, {(g,): ONE}) for g in range(alg.dim)]
+
+
+def phi(alg, x, k):
+    """phi_k of x in g, a degree-1 T(g) element: the sum of c phi_k(alg, g, k)."""
+    out = Tensor(alg.space, k)
+    for (g,), c in x.terms.items():
+        out = out + phi_k(alg, g, k).scale(c)
+    return out
 
 
 def expected_dim(family, m, n):
@@ -63,11 +79,11 @@ def test_space_rejects_sizes_it_would_ignore():
 def test_split_projection_is_section(family, m, n):
     alg = build_algebra(family, m, n)
     for g in range(alg.dim):
-        acc = LieElement(alg)
+        acc = TensorAlgebraElement(alg)
         for ((a, b),), coeff in alg.embed[g].entries.items():
             idx, c = alg.pi_table[(a, b)]
-            acc = acc + LieElement(alg, {idx: c * coeff})
-        assert acc == alg.unit(g)
+            acc = acc + TensorAlgebraElement(alg, {(idx,): c * coeff})
+        assert acc == units(alg)[g]
 
 
 @pytest.mark.parametrize("family,m,n", SIZES)
@@ -77,14 +93,15 @@ def test_bracket_matches_matrix_realization(family, m, n):
     pairs = [
         (rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(25)
     ]
+    gens = units(alg)
     for x, y in pairs:
-        xe, ye = alg.unit(x), alg.unit(y)
+        xe, ye = gens[x], gens[y]
         br = bracket(xe, ye)
         sign = MINUS_ONE if alg.parity[x] and alg.parity[y] else ONE
         mat = compose(alg.embed[x], alg.embed[y]) - compose(
             alg.embed[y], alg.embed[x]
         ).scale(sign)
-        assert br.matrix() == mat
+        assert phi(alg, br, 1) == mat
         # super-antisymmetry
         assert bracket(ye, xe) == br.scale(sign).scale(MINUS_ONE)
 
@@ -93,23 +110,23 @@ def test_bracket_matches_matrix_realization(family, m, n):
 def test_graded_jacobi_exhaustive(family, m, n):
     alg = build_algebra(family, m, n)
     par = alg.parity
-    units = [alg.unit(i) for i in range(alg.dim)]
+    gens = units(alg)
     for x in range(alg.dim):
         for y in range(alg.dim):
-            xy = bracket(units[x], units[y])
+            xy = bracket(gens[x], gens[y])
             for z in range(alg.dim):
-                lhs = bracket(units[x], bracket(units[y], units[z]))
-                rhs = bracket(xy, units[z]) + bracket(
-                    units[y], bracket(units[x], units[z])
+                lhs = bracket(gens[x], bracket(gens[y], gens[z]))
+                rhs = bracket(xy, gens[z]) + bracket(
+                    gens[y], bracket(gens[x], gens[z])
                 ).scale(MINUS_ONE if par[x] and par[y] else ONE)
                 assert lhs == rhs, (family, alg.gens[x], alg.gens[y], alg.gens[z])
 
 
 def test_gl_bracket_examples():
     g = build_algebra("gl", 1, 1)
-    idx = g.gen_index
-    e12, e21 = g.unit(idx["E[1,2]"]), g.unit(idx["E[2,1]"])
-    e11, e22 = g.unit(idx["E[1,1]"]), g.unit(idx["E[2,2]"])
+    gens, idx = units(g), g.gen_index
+    e12, e21 = gens[idx["E[1,2]"]], gens[idx["E[2,1]"]]
+    e11, e22 = gens[idx["E[1,1]"]], gens[idx["E[2,2]"]]
     assert bracket(e12, e21) == e11 + e22
     assert bracket(e11, e12) == e12
     assert bracket(e11, e11).is_zero()
@@ -177,20 +194,20 @@ def test_triangular_classification():
 def test_cartan_is_abelian_for_gl_osp():
     for family, m, n in [("gl", 2, 1), ("osp", 3, 1), ("osp", 2, 1)]:
         alg = build_algebra(family, m, n)
-        cartan = [i for i, c in enumerate(alg.tri_class) if c == "C"]
+        cartan = [x for x, c in zip(units(alg), alg.tri_class) if c == "C"]
         for a in cartan:
             for b in cartan:
-                assert bracket(alg.unit(a), alg.unit(b)).is_zero()
+                assert bracket(a, b).is_zero()
 
 
 def test_phi_k():
     g = build_algebra("gl", 1, 1)
-    x = g.unit(g.gen_index["E[1,1]"])
-    assert phi_k(g, x, 1) == x.matrix()
+    x = g.gen_index["E[1,1]"]
+    assert phi_k(g, x, 1) == g.embed[x]
     act = phi_k(g, x, 2)
     v = basis_vector(g.space, (1, 2))
     assert apply(act, v) == v  # E11 counts the e1 slots: one of them
-    assert phi_k(g, LieElement(g), 2).is_zero()
+    assert phi(g, TensorAlgebraElement(g), 2).is_zero()
 
 
 def test_phi_k_is_lie_homomorphism():
@@ -199,14 +216,45 @@ def test_phi_k_is_lie_homomorphism():
         alg = build_algebra(family, m, n)
         for _ in range(6):
             gx, gy = rng.randrange(alg.dim), rng.randrange(alg.dim)
-            x, y = alg.unit(gx), alg.unit(gy)
+            x, y = units(alg)[gx], units(alg)[gy]
             k = rng.choice((1, 2))
-            lhs = phi_k(alg, bracket(x, y), k)
+            lhs = phi(alg, bracket(x, y), k)
             sign = MINUS_ONE if alg.parity[gx] and alg.parity[gy] else ONE
-            rhs = compose(phi_k(alg, x, k), phi_k(alg, y, k)) - compose(
-                phi_k(alg, y, k), phi_k(alg, x, k)
+            rhs = compose(phi_k(alg, gx, k), phi_k(alg, gy, k)) - compose(
+                phi_k(alg, gy, k), phi_k(alg, gx, k)
             ).scale(sign)
             assert lhs == rhs
+
+
+def leibniz(alg, g, word):
+    """iota(g) on the basis word v_1..v_k as a superderivation, read off the
+    entries of iota(g): the sum over slots s of
+
+        (-1)^{|g|(|v_1|+...+|v_{s-1}|)} v_1 x..x iota(g) v_s x..x v_k.
+    """
+    par = alg.space._parity
+    out, before = {}, 0
+    for s, v in enumerate(word):
+        odd = alg.parity[g] and before
+        for ((a, b),), c in alg.embed[g].terms.items():
+            if b == v:
+                add_into(out, word[:s] + (a,) + word[s + 1 :], -c if odd else c)
+        before ^= par[v]
+    return VectorTensor(alg.space, len(word), out)
+
+
+@pytest.mark.parametrize(
+    "family, m, n", [("gl", 1, 1), ("osp", 1, 1), ("q", 0, 1), ("p", 0, 1)]
+)
+def test_phi_k_is_the_leibniz_rule(family, m, n):
+    # every generator, on every basis word of V^(x k), k = 1, 2, 3
+    alg = build_algebra(family, m, n)
+    for k in (1, 2, 3):
+        for g in range(alg.dim):
+            act = phi_k(alg, g, k)
+            for word in itertools.product(alg.space.indices, repeat=k):
+                got = apply(act, basis_vector(alg.space, word))
+                assert got == leibniz(alg, g, word), (alg.gens[g], word)
 
 
 def _matrix_weight(alg, h, u):
@@ -270,7 +318,7 @@ def test_bracket_table_is_projected_supercommutator(family, m, n):
         for y in range(alg.dim):
             sign = MINUS_ONE if alg.parity[x] and alg.parity[y] else ONE
             br = compose(e[x], e[y]) - compose(e[y], e[x]).scale(sign)
-            want = alg._project_matrix(br).terms
+            want = alg._project_matrix(br)
             assert list(alg.bracket_table[(x, y)].items()) == list(want.items())
 
 

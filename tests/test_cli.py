@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superinv import brauer
+from superinv import brauer, schurweyl
 from superinv.cli import (
     COMMANDS,
     FLAGS,
@@ -185,6 +185,25 @@ def test_relations_command(capsys):
     doc = json.loads(out)
     assert doc["all_relations_hold"] is True
     assert doc["delta_measured"] == "-1"
+
+
+@pytest.mark.parametrize(
+    "size",
+    ["--family gl --m 1 --n 1", "--family osp --m 3 --n 1",
+     "--family q --n 2", "--family p --n 2"],
+)
+def test_a_false_relation_is_reported_and_exits_1(monkeypatch, capsys, size):
+    # s1 = 1 is false on V^(x 2): the swap is not the identity
+    names = schurweyl._relation_names
+    monkeypatch.setattr(
+        schurweyl, "_relation_names", lambda family, k: names(family, k) + ["s1 = 1"]
+    )
+    code, out, _ = run_cli(capsys, "relations", *size.split(), "--k", "2")
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["relations"] if not r["holds"]] == ["s1 = 1"]
+    assert doc["relations"][-1] == {"name": "s1 = 1", "holds": False}
+    assert doc["all_relations_hold"] is False
+    assert code == 1
 
 
 def test_sergeev_command(capsys):

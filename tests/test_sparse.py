@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import row_reduce_rank
 
-from superinv.algebras import LieElement, build_algebra
+from superinv.algebras import build_algebra
 from superinv.enveloping import CartanPolynomial, PBWElement
 from superinv.scalars import ONE, ZERO, Scalar
 from superinv.schurweyl import UValuedTensor
@@ -22,12 +22,11 @@ NAMES = ("h1", "h'1")
 CASES = {
     Tensor: ((GL11.space, 1), (GL11.space, 2), ((1, 2),), Scalar(3)),
     VectorTensor: ((GL11.space, 1), (GL21.space, 1), (2,), Scalar(3)),
-    LieElement: ((GL11,), (OTHER,), 0, Scalar(3)),
     TensorAlgebraElement: ((GL11,), (OTHER,), (0, 1), Scalar(3)),
     SymElement: ((GL11,), (OTHER,), (0, 1), Scalar(3)),
     PBWElement: ((GL11,), (OTHER,), (0, 1), Scalar(3)),
     CartanPolynomial: ((NAMES,), (("h1",),), (1, 0), Scalar(3)),
-    UValuedTensor: ((GL11, 1), (GL11, 2), ((1, 2),), PBWElement.generator(GL11, 1)),
+    UValuedTensor: ((GL11, 1), (GL11, 2), ((1, 2),), PBWElement(GL11, {(1,): ONE})),
 }
 
 
