@@ -74,10 +74,10 @@ class Algebra:
             "%s[%d,%d]" % (_LETTER[family], ij[0], ij[1]) for ij, _, _ in gens
         )
         self.gen_pairs = tuple(ij for ij, _, _ in gens)
-        self.gen_index = {name: i for i, name in enumerate(self.gens)}
         self.embed = tuple(mat for _, mat, _ in gens)
         self.tri_class = tuple(cls for _, _, cls in gens)
-        self.parity = tuple(mat.parity() for mat in self.embed)
+        # each generator matrix is homogeneous: any one key gives its parity
+        self.parity = tuple(mat.key_parity(next(iter(mat.terms))) for mat in self.embed)
         self.dim = len(self.gens)
         self._build_pi_table()
         self._verify_split()
@@ -148,12 +148,12 @@ class Algebra:
     @cached_property
     def cartan_vars(self) -> tuple:
         """h0 as Cartan variables: even indices first, each in increasing i."""
-        par, pairs = self.space._parity, self.gen_pairs
+        par, pairs = self.space.parity, self.gen_pairs
         return tuple(sorted(self.generating_set.cartan, key=lambda h: par[pairs[h][0]]))
 
     @cached_property
     def var_names(self) -> tuple:
-        par = self.space._parity
+        par = self.space.parity
         odd = sum(par[self.gen_pairs[h][0]] for h in self.cartan_vars)
         even = len(self.cartan_vars) - odd
         return tuple(
@@ -258,7 +258,7 @@ def _tri(i: int, j: int) -> str:
 def _enumerate_generators(space: SuperSpace):
     """List (name pair, embedding matrix, triangular class) per family."""
     family = space.family
-    par = space._parity
+    par = space.parity
     out = []
     if family == "gl":
         for i in space.indices:

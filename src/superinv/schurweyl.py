@@ -70,7 +70,7 @@ def omega_iso(vec: VectorTensor) -> Tensor:
         for word, coeff in vec.terms.items():
             out.terms[tuple(zip(word[::2], word[1::2]))] = coeff
         return out
-    par, prime = space._parity, space.prime
+    par, prime = space.parity, space.prime
     if space.family == "osp":
         def flip(s, a, b):
             return space.epsilon(b) < 0
@@ -104,7 +104,7 @@ def invariant_vector(space: SuperSpace) -> VectorTensor:
     if space.family == "osp":
         coeff = lambda i: Scalar(space.epsilon(space.prime(i)))
     else:
-        coeff = lambda i: sign_scalar(space.parity(i))
+        coeff = lambda i: sign_scalar(space.parity[i])
     return VectorTensor(space, 2, {(i, space.prime(i)): coeff(i) for i in space.indices})
 
 
@@ -230,7 +230,7 @@ def scalar_tensor(alg: Algebra, t: Tensor) -> UValuedTensor:
     for key, coeff in t.terms.items():
         if out.key_parity(key):
             raise ValueError("scalar-valued embedding requires even key words")
-        out.terms[key] = PBWElement.unit(alg, coeff)
+        out.terms[key] = PBWElement(alg, {(): coeff})
     return out
 
 
@@ -241,7 +241,7 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
     X_ij is pi_tilde of the unit e_ij, doubled outside gl (X = E, F, G, H).
     """
     space = alg.space
-    par = space._parity
+    par = space.parity
     factor = ONE if alg.family == "gl" else Scalar(2)
     entries = {}
     for i in space.indices:
@@ -404,7 +404,7 @@ def check_duality_relations(alg: Algebra, k: int) -> dict:
             holds = delta is not None
         else:
             lhs, rhs = name.split(" = ")
-            holds = (_read_side(lhs, ops, ident) - _read_side(rhs, ops, ident)).is_zero()
+            holds = _read_side(lhs, ops, ident) == _read_side(rhs, ops, ident)
         results.append({"name": name, "holds": holds})
 
     actions = _actions(alg, k)

@@ -41,7 +41,7 @@ def dimension(family: str, m: int, n: int) -> int:
 class SuperSpace:
     """The indexed super vector space a family acts on."""
 
-    __slots__ = ("family", "m", "n", "indices", "dim", "_parity")
+    __slots__ = ("family", "m", "n", "indices", "dim", "parity")
 
     def __init__(self, family: str, m: int, n: int):
         self.dim = dimension(family, m, n)
@@ -52,10 +52,7 @@ class SuperSpace:
             self.indices = tuple(range(1, self.dim + 1))
         # the even indices are lo < i <= hi
         lo, hi = {"gl": (0, m), "osp": (n, m + n)}.get(family, (0, n))
-        self._parity = {i: 0 if lo < i <= hi else 1 for i in self.indices}
-
-    def parity(self, i: int) -> int:
-        return self._parity[i]
+        self.parity = {i: 0 if lo < i <= hi else 1 for i in self.indices}
 
     def prime(self, i: int) -> int:
         """The pairing involution i -> i' (undefined for gl)."""

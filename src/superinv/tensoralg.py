@@ -32,10 +32,6 @@ class _WordMap(Sparse):
         self.algebra = algebra
         Sparse.__init__(self, terms)
 
-    def word_parity(self, word) -> int:
-        par = self.algebra.parity
-        return sum(par[g] for g in word) & 1
-
     def __repr__(self):
         if not self.terms:
             return "0"

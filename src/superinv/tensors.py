@@ -71,17 +71,8 @@ class Tensor(_Tensor):
     """Sparse element of End(V)^(x k)."""
 
     def key_parity(self, key) -> int:
-        par = self.space._parity
+        par = self.space.parity
         return sum(par[r] + par[c] for r, c in key) & 1
-
-    def parity(self):
-        """Total parity if homogeneous, else None."""
-        parities = {self.key_parity(key) for key in self.terms}
-        if not parities:
-            return 0
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     def to_json(self):
         entries = []
@@ -118,7 +109,7 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     rows match its columns, in b's order.
     """
     a._check(b)
-    par = a.space._parity
+    par = a.space.parity
     odd_values = a._odd_values
     # sign: each b_t crosses a_s for t < s, so an entry of b holds the mask
     # of positions s whose preceding slots of b are odd in total
@@ -157,7 +148,7 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
 
 def full_supertrace(a: Tensor):
     """Str_{1..k} in one pass over the diagonal keys, each negated if its row word is odd."""
-    par = a.space._parity
+    par = a.space.parity
     out = {}
     for key, coeff in a.terms.items():
         if all(r == c for r, c in key):
@@ -176,7 +167,7 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
         raise ValueError("degree mismatch")
     inv = sigma.inverse()
     order = [i - 1 for i in inv.images]
-    parities = w.space._parity
+    parities = w.space.parity
     signs = {}
     out = {}
     for key, coeff in w.terms.items():

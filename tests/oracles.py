@@ -75,7 +75,7 @@ def apply(a, v):
     """
     if a.space != v.space or a.k != v.k:
         raise ValueError("degree/space mismatch")
-    par = a.space._parity
+    par = a.space.parity
     out = {}
     for ka, va in a.terms.items():
         apar = tuple((par[r] + par[c]) & 1 for r, c in ka)
@@ -99,7 +99,7 @@ def omega_iso_reference(space, k, fn):
     vector.  The resulting Tensor T acts on V^(x k), by ``apply``, as fn
     extended linearly.
     """
-    par = space._parity
+    par = space.parity
     entries = {}
     for word in itertools.product(space.indices, repeat=k):
         image = fn(word)
@@ -116,7 +116,7 @@ def permute_word_reference(sigma, w):
     """sigma . w by adjacent transpositions: letter s of each key moves to
     place sigma(s) by a bubble sort, and each swap of two odd letters
     negates the term."""
-    par = w.space._parity
+    par = w.space.parity
     out = {}
     for key, coeff in w.terms.items():
         letters = [(sigma(s), a) for s, a in enumerate(key, 1)]
@@ -142,7 +142,7 @@ def perm_operator_reference(space, sigma):
 
 def supertranspose(a):
     """Slotwise e_ij -> (-1)^{(|i|+|j|)|i|} e_ji; a super anti-automorphism."""
-    par = a.space._parity
+    par = a.space.parity
     out = {}
     for key, coeff in a.terms.items():
         exp = 0
@@ -158,7 +158,7 @@ def partial_supertrace(a: Tensor, pos: int) -> Tensor:
     """Supertrace on the pos-th factor (1-based), identity on the rest."""
     if not 1 <= pos <= a.k:
         raise ValueError("position out of range")
-    par = a.space._parity
+    par = a.space.parity
     out = {}
     for key, coeff in a.terms.items():
         r, c = key[pos - 1]
@@ -169,7 +169,7 @@ def partial_supertrace(a: Tensor, pos: int) -> Tensor:
 
 def super_transposition_tensor(space):
     """P = sum (-1)^{|j|} e_ij x e_ji, the flip of V x V in End(V)^(x 2)."""
-    par = space._parity
+    par = space.parity
     return Tensor(space, 2, {
         ((i, j), (j, i)): ONE if par[j] == 0 else Scalar(-1)
         for i in space.indices
@@ -181,7 +181,7 @@ def form_flip_tensor(space):
     """Q = sum (-1)^{|i||j|+|i|+|j|} eps_i eps_j e_ij x e_i'j' (osp only)."""
     if space.family != "osp":
         raise ValueError("the form flip exists for osp only")
-    par = space._parity
+    par = space.parity
     entries = {}
     for i in space.indices:
         for j in space.indices:
@@ -412,9 +412,9 @@ def u_multiply_reference(a, b):
 
 
 def _parity_components(u):
-    even, odd = {}, {}
+    par, even, odd = u.algebra.parity, {}, {}
     for word, coeff in u.terms.items():
-        (odd if u.word_parity(word) else even)[word] = coeff
+        (odd if sum(par[g] for g in word) & 1 else even)[word] = coeff
     return PBWElement(u.algebra, even), PBWElement(u.algebra, odd)
 
 
@@ -546,7 +546,7 @@ def dualize_even_slots_reference(alg, vec):
     if vec.k % 2:
         raise ValueError("even total degree required")
     k = vec.k // 2
-    par = space._parity
+    par = space.parity
     entries = {}
     for word, coeff in vec.terms.items():
         key = tuple(
@@ -600,8 +600,8 @@ def sergeev_elements_reference(alg, m):
     f1 = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            e1[(i, j)] = PBWElement(alg, {(alg.gen_index["H[%d,%d]" % (i, j)],): ONE})
-            f1[(i, j)] = PBWElement(alg, {(alg.gen_index["H[%d,%d]" % (i, -j)],): ONE})
+            e1[(i, j)] = PBWElement(alg, {(alg.gens.index("H[%d,%d]" % (i, j)),): ONE})
+            f1[(i, j)] = PBWElement(alg, {(alg.gens.index("H[%d,%d]" % (i, -j)),): ONE})
     e, f = e1, f1
     for level in range(2, m + 1):
         sign = sign_scalar(level - 1)

@@ -51,7 +51,7 @@ def test_dimension_and_independence(family, m, n):
     alg = build_algebra(family, m, n)
     assert alg.dim == expected_dim(family, m, n)
     space = alg.space
-    assert dimension(family, m, n) == space.dim == len(space.indices) == len(space._parity)
+    assert dimension(family, m, n) == space.dim == len(space.indices) == len(space.parity)
     idx = {v: i for i, v in enumerate(alg.space.indices)}
     rows = []
     for mat in alg.embed:
@@ -61,6 +61,18 @@ def test_dimension_and_independence(family, m, n):
             row[idx[r] * alg.space.dim + idx[c]] = coeff.re
         rows.append(row)
     assert row_reduce_rank(rows) == alg.dim
+
+
+@pytest.mark.parametrize("family,m,n", SIZES)
+def test_every_generator_matrix_is_homogeneous(family, m, n):
+    # alg.parity reads one key of each matrix: every key agrees with it, and
+    # so does the pair (i, j) the generator is named for
+    alg = build_algebra(family, m, n)
+    par = alg.space.parity
+    for g, mat in enumerate(alg.embed):
+        i, j = alg.gen_pairs[g]
+        parities = {mat.key_parity(key) for key in mat.terms}
+        assert parities == {alg.parity[g]} == {(par[i] + par[j]) & 1}, alg.gens[g]
 
 
 def test_space_rejects_sizes_it_would_ignore():
@@ -124,9 +136,8 @@ def test_graded_jacobi_exhaustive(family, m, n):
 
 def test_gl_bracket_examples():
     g = build_algebra("gl", 1, 1)
-    gens, idx = units(g), g.gen_index
-    e12, e21 = gens[idx["E[1,2]"]], gens[idx["E[2,1]"]]
-    e11, e22 = gens[idx["E[1,1]"]], gens[idx["E[2,2]"]]
+    gens = dict(zip(g.gens, units(g)))
+    e12, e21, e11, e22 = (gens[name] for name in ("E[1,2]", "E[2,1]", "E[1,1]", "E[2,2]"))
     assert bracket(e12, e21) == e11 + e22
     assert bracket(e11, e12) == e12
     assert bracket(e11, e11).is_zero()
@@ -134,16 +145,16 @@ def test_gl_bracket_examples():
 
 def test_pi_table_examples():
     g = build_algebra("gl", 1, 1)
-    assert g.pi_table[(1, 2)] == (g.gen_index["E[1,2]"], ONE)
+    assert g.pi_table[(1, 2)] == (g.gens.index("E[1,2]"), ONE)
     p2 = build_algebra("p", 0, 2)
-    assert p2.pi_table[(1, 3)] == (p2.gen_index["G[1,3]"], HALF)
+    assert p2.pi_table[(1, 3)] == (p2.gens.index("G[1,3]"), HALF)
     # osp(1|2): the middle diagonal has vanishing defining combination
     o = build_algebra("osp", 1, 1)
     assert o.pi_table[(2, 2)] is None
     # osp(2|2): the even-block diagonal survives as a Cartan generator
     o22 = build_algebra("osp", 2, 1)
-    assert o22.pi_table[(2, 2)] == (o22.gen_index["F[2,2]"], HALF)
-    assert o22.tri_class[o22.gen_index["F[2,2]"]] == "C"
+    assert o22.pi_table[(2, 2)] == (o22.gens.index("F[2,2]"), HALF)
+    assert o22.tri_class[o22.gens.index("F[2,2]")] == "C"
     # one entry per matrix unit of End(V), and no other
     assert set(g.pi_table) == {(a, b) for a in (1, 2) for b in (1, 2)}
 
@@ -168,7 +179,7 @@ def test_osp_membership_relation():
                 sign = Scalar(
                     -space.epsilon(i)
                     * space.epsilon(j)
-                    * (-1) ** (par(j) * ((par(i) + par(j)) % 2))
+                    * (-1) ** (par[j] * ((par[i] + par[j]) % 2))
                 )
                 assert a_ij == sign * mirror
             lhs = compose(t, mat)
@@ -202,7 +213,7 @@ def test_cartan_is_abelian_for_gl_osp():
 
 def test_phi_k():
     g = build_algebra("gl", 1, 1)
-    x = g.gen_index["E[1,1]"]
+    x = g.gens.index("E[1,1]")
     assert phi_k(g, x, 1) == g.embed[x]
     act = phi_k(g, x, 2)
     v = basis_vector(g.space, (1, 2))
@@ -232,7 +243,7 @@ def leibniz(alg, g, word):
 
         (-1)^{|g|(|v_1|+...+|v_{s-1}|)} v_1 x..x iota(g) v_s x..x v_k.
     """
-    par = alg.space._parity
+    par = alg.space.parity
     out, before = {}, 0
     for s, v in enumerate(word):
         odd = alg.parity[g] and before
@@ -285,8 +296,8 @@ def test_rho_values():
         assert alg.rho_coords == tuple(rho), (family, m, n)
         # the variables: even indices first, each in increasing i, named h1.. then h'1..
         rows = [alg.gen_pairs[h][0] for h in alg.cartan_vars]
-        assert rows == sorted(rows, key=lambda i: (alg.space.parity(i), i))
-        odd = sum(alg.space.parity(i) for i in rows)
+        assert rows == sorted(rows, key=lambda i: (alg.space.parity[i], i))
+        odd = sum(alg.space.parity[i] for i in rows)
         names = ["h%d" % c for c in range(1, len(rows) - odd + 1)]
         assert alg.var_names == tuple(names + ["h'%d" % c for c in range(1, odd + 1)])
 

@@ -6,6 +6,10 @@ reference counts when its name appears, as a name or an attribute,
 anywhere in ``src/superinv`` outside the function's own ``def``.
 ``__init__.py`` is not scanned: a re-export is not a use.
 
+Attributes follow the same rule: every ``self.<name>`` that an
+``__init__`` of the package assigns is read, as an attribute, somewhere in
+``src/superinv`` outside that ``__init__``.
+
 The same holds one level out: every function of ``tests/oracles.py`` is
 named by some ``tests/test_*.py`` or by another oracle, so a reference
 that leaves the package does not become dead test code.
@@ -78,6 +82,37 @@ def test_allowlist_names_only_existing_functions():
         if isinstance(stmt, ast.FunctionDef)
     }
     assert set(ALLOWED) <= defined
+
+
+def test_every_attribute_an_init_assigns_is_read():
+    trees = _modules()
+    reads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for init in cls.body:
+                if not isinstance(init, ast.FunctionDef) or init.name != "__init__":
+                    continue
+                inside = set(map(id, ast.walk(init)))
+                assigned = {
+                    node.attr
+                    for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                }
+                unread += [
+                    "%s:%d %s.%s" % (module, init.lineno, cls.name, name)
+                    for name in sorted(assigned)
+                    if not any(r.attr == name and id(r) not in inside for r in reads)
+                ]
+    assert not unread, "attributes no package code reads: %s" % ", ".join(unread)
 
 
 def test_every_oracle_is_named_by_a_test_or_another_oracle():

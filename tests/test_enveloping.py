@@ -43,8 +43,7 @@ from superinv.sparse import add_terms
 from superinv.tensoralg import TensorAlgebraElement, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
-IX = GL11.gen_index
-E21, E11, E22, E12 = (IX[k] for k in ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
+E21, E11, E22, E12 = map(GL11.gens.index, ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
 
 
 def cartan_vars(names):
@@ -109,7 +108,7 @@ def test_pbw_confluence():
 
 
 def test_u_multiply():
-    one = PBWElement.unit(GL11)
+    one = PBWElement(GL11, {(): ONE})
     a = PBWElement(GL11, {(E11,): ONE})
     assert u_multiply(one, a) == a
     b = PBWElement(GL11, {(E12,): ONE})
@@ -272,7 +271,7 @@ def test_eta_prime_reads_its_normal_form_table(family, m, n):
 
 
 def test_is_central():
-    assert is_central(PBWElement.unit(GL11))
+    assert is_central(PBWElement(GL11, {(): ONE}))
     z = PBWElement(GL11, {(E11,): ONE}) + PBWElement(GL11, {(E22,): ONE})
     assert is_central(z)
     assert not is_central(PBWElement(GL11, {(E12,): ONE}))
@@ -284,7 +283,7 @@ def _central_element(alg):
     if alg.family == "p":
         # the centre of U(p(n)) is the scalars: every z_sigma and str_gelfand
         # of p(2) is 0, so a nonzero scalar stands in
-        return PBWElement.unit(alg, 3)
+        return PBWElement(alg, {(): 3})
     return str_gelfand(alg, 2)
 
 
@@ -308,7 +307,7 @@ def _verdict_inputs(alg):
     rng = random.Random(19)
     gens = [PBWElement(alg, {(g,): ONE}) for g in range(alg.dim)]
     odd = [x for g, x in enumerate(gens) if alg.parity[g]]
-    out = [PBWElement.unit(alg)] + gens
+    out = [PBWElement(alg, {(): ONE})] + gens
     out += [rng.choice(gens) * rng.choice(gens) for _ in range(4 if gens else 0)]
     if alg.family in ("gl", "q"):
         sigmas = [Permutation((2, 1)), Permutation((2, 3, 1)), Permutation((1, 3, 2))]
@@ -364,7 +363,7 @@ def test_zeta_examples():
     )
     assert zeta_project(PBWElement(GL11, {(E21,): ONE})).is_zero()
     with pytest.raises(ValueError):
-        zeta_project(PBWElement.unit(build_algebra("q", 0, 2)))
+        zeta_project(PBWElement(build_algebra("q", 0, 2), {(): ONE}))
 
 
 def test_rho_shift_examples():
@@ -378,6 +377,16 @@ def test_rho_shift_examples():
     assert rho_shift(const, GL11) == const
     # shifts cancel on h1 + h'1
     assert rho_shift(h1 + hp1, GL11) == h1 + hp1
+
+
+def test_rho_shift_leaves_a_q_polynomial_unchanged():
+    # rho = 0 on q(n); a polynomial in another algebra's variables is still refused
+    q2 = build_algebra("q", 0, 2)
+    h1, h2 = cartan_vars(q2.var_names)
+    poly = h1 * h1 * h2 + h2 + cartan_const(q2.var_names, Scalar(3))
+    assert rho_shift(poly, q2) == poly
+    with pytest.raises(ValueError, match="variable mismatch"):
+        rho_shift(cartan_vars(GL11.var_names)[0], q2)
 
 
 def test_hc_is_algebra_map_on_center():
@@ -548,7 +557,7 @@ def test_hc_image_of_traces_matches_closed_form(m, n):
 
 
 def test_pbw_json_graded_lex():
-    u = pbw_normalize(GL11, (E12, E21)) + PBWElement.unit(GL11, Scalar(2))
+    u = pbw_normalize(GL11, (E12, E21)) + PBWElement(GL11, {(): Scalar(2)})
     words = [tuple(t["gens"]) for t in u.to_json()["terms"]]
     assert words == sorted(words, key=lambda w: (len(w), w))
 

@@ -23,8 +23,7 @@ from superinv.signs import Permutation, symmetric_group
 from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
 
 GL11 = build_algebra("gl", 1, 1)
-IX = GL11.gen_index
-E21, E11, E22, E12 = (IX[k] for k in ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
+E21, E11, E22, E12 = map(GL11.gens.index, ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
 
 
 def t_elem(algebra, terms):
@@ -76,8 +75,7 @@ def test_eta_matches_adjacent_swap_oracle(data):
 
 def test_eta_zeroes_an_odd_letter_repeated_apart():
     p2 = SORT_ALGEBRAS[3]
-    ix = p2.gen_index
-    x, y, z, e = ix["G[1,3]"], ix["G[1,4]"], ix["G[3,2]"], ix["G[1,1]"]
+    x, y, z, e = map(p2.gens.index, ("G[1,3]", "G[1,4]", "G[3,2]", "G[1,1]"))
     assert p2.parity[x] and p2.parity[y] and p2.parity[z] and not p2.parity[e]
     # (x, y, x): the two copies of x are not adjacent in the word
     for word in ((x, e, x), (x, y, x), (y, x, e, y), (z, x, e, y, z)):
@@ -289,5 +287,5 @@ def test_project_tensor_splits_through_pi_tilde():
     q = build_algebra("q", 0, 2)
     tq = Tensor(q.space, 1, {((-1, -2),): ONE})
     assert project_tensor(q, tq) == TensorAlgebraElement(
-        q, {(q.gen_index["H[1,2]"],): HALF}
+        q, {(q.gens.index("H[1,2]"),): HALF}
     )

@@ -208,7 +208,8 @@ def test_supertranspose_anti_automorphism():
     while pairs < 100:
         a = rng.choice(pool)
         b = rng.choice(pool)
-        pa, pb = a.parity(), b.parity()
+        (ka,), (kb,) = a.terms, b.terms
+        pa, pb = a.key_parity(ka), b.key_parity(kb)
         ab_st = supertranspose(compose(a, b))
         rhs = compose(supertranspose(b), supertranspose(a))
         if pa and pb:
@@ -294,7 +295,7 @@ def _compose_reference(a: Tensor, b: Tensor) -> Tensor:
     With odd values (U(g)-valued tensors), a's value also crosses b's word.
     """
     a._check(b)
-    par = a.space._parity
+    par = a.space.parity
     odd_values = a._odd_values
     out = {}
     for ka, va in a.terms.items():
