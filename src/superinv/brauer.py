@@ -94,22 +94,19 @@ def closure_type(sigma: Permutation) -> ClosureAnalysis:
     match = {}
     for a, b in _pairs(sigma):
         match[a], match[b] = b, a
-    red = lambda x: x + 1 if x % 2 else x - 1
-    seen = set()
     circles = []
     for start in range(1, sigma.size + 1):
-        if start in seen:
-            continue
-        circle = [start]
-        seen.add(start)
-        cur = match[start]
-        use_red = True
-        while cur != start:
-            circle.append(cur)
-            seen.add(cur)
-            cur = red(cur) if use_red else match[cur]
-            use_red = not use_red
-        circles.append(tuple(circle))
+        circle = []
+        dot = start
+        # a step takes dot's matching edge {dot, end} out of match, then the
+        # fixed edge {2s-1, 2s} at end; the circle closes at a used dot
+        while dot in match:
+            end = match.pop(dot)
+            del match[end]
+            circle += (dot, end)
+            dot = end + 1 if end % 2 else end - 1
+        if circle:
+            circles.append(tuple(circle))
     lengths = tuple(sorted(len(c) // 2 for c in circles))
     return ClosureAnalysis(tuple(circles), lengths)
 
@@ -225,7 +222,5 @@ def double_coset_sizes(k: int) -> dict:
 
 
 def double_coset_size_formula(k: int, type_vector) -> int:
-    num = (2**k * math.factorial(k)) ** 2
-    denom = intersection_order_formula(type_vector)
-    assert num % denom == 0
-    return num // denom
+    """|H sigma H| = |H| times the number of diagrams of the type, |H| = 2^k k!."""
+    return 2**k * math.factorial(k) * type_count_formula(k, type_vector)

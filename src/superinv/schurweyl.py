@@ -9,14 +9,15 @@ action.
 Every invariant tensor theta comes from ``invariant_tensor``, one
 recipe for all four families: a permutation acts, with its Koszul sign,
 on the k-th power of the invariant vector of V x V (``invariant_vector``),
-and ``omega_iso`` reads each slot pair back as a matrix unit.  For gl and
-q the vector is the identity sum_i e_i x e_i, sigma in S_k moves only the
-first slot of each pair, the pair (a, b) is read as e_ab, and theta is the
+and ``omega_iso`` reads each slot pair (a, b) back as the matrix unit
+e_{a b*} with the family's sign, b* being b's partner in that vector.  For
+gl and q the vector is the identity sum_i e_i x e_i, so b* = b with no
+sign, sigma in S_k moves only the first slot of each pair, and theta is the
 signed place permutation of sigma.  For osp and p the vector is the
-invariant pairing, sigma ranges over S_2k, and the pair is read as e_ab'
-with the family's sign.  Permutation inputs for osp/p are reduced to the
-lexicographically least member of their coset modulo the pair-block
-subgroup H first, so equal cosets give identical output.
+invariant pairing, so b* = b', and sigma ranges over S_2k.  Permutation
+inputs for osp/p are reduced to the lexicographically least member of
+their coset modulo the pair-block subgroup H first, so equal cosets give
+identical output.
 
 The centralizer generators act on one or two adjacent slots, so each is
 one local tensor that ``slot_embed`` places on slots i.. of V^(x k), as
@@ -55,36 +56,32 @@ from .tensors import (
 def omega_iso(vec: VectorTensor) -> Tensor:
     """V^(x 2k) -> End(V)^(x k), the fixed linear map of the construction.
 
-    For gl and q the pair (a, b) on slots 2s+1, 2s+2 becomes e_ab on slot
-    s+1, with no sign.  For osp and p it becomes e_{a b'}, and the family
-    picks a sign flip at each slot s (counted from 0): for osp where
-    epsilon(b) = -1, for p by |a| + (k-1-s)(|a|+|b|) mod 2, the closed form
-    of sum_s |a_s| plus p((1,...,1), pair parities).
+    The pair (a, b) on slots 2s+1, 2s+2 becomes e_{a b*} on slot s+1,
+    b* being b's partner in ``invariant_vector``: b itself for gl and q,
+    b' for osp and p.  The family picks a sign flip at each slot s
+    (counted from 0): none for gl and q, for osp where epsilon(b) = -1,
+    for p by |a| + (k-1-s)(|a|+|b|) mod 2, the closed form of
+    sum_s |a_s| plus p((1,...,1), pair parities).
     """
     space = vec.space
     if vec.k % 2:
         raise ValueError("even total degree required")
     k = vec.k // 2
-    out = Tensor(space, k)
-    if space.family in ("gl", "q"):
-        for word, coeff in vec.terms.items():
-            out.terms[tuple(zip(word[::2], word[1::2]))] = coeff
-        return out
-    par, prime = space.parity, space.prime
-    if space.family == "osp":
-        def flip(s, a, b):
-            return space.epsilon(b) < 0
-    else:
-        def flip(s, a, b):
-            return (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1
-    # per slot, (a, b) -> ((a, b'), flip): each word is then k lookups and
+    par = space.parity
+    flip = {
+        "osp": lambda s, a, b: space.epsilon(b) < 0,
+        "p": lambda s, a, b: (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1,
+    }.get(space.family, lambda s, a, b: 0)
+    partner = dict(invariant_vector(space).terms.keys())
+    # per slot, (a, b) -> ((a, b*), flip): each word is then k lookups and
     # at most one negation
     indices = space.indices
     tables = [
-        {(a, b): ((a, prime(b)), flip(s, a, b)) for a in indices for b in indices}
+        {(a, b): ((a, partner[b]), flip(s, a, b)) for a in indices for b in indices}
         for s in range(k)
     ]
-    # prime is a bijection, so distinct words give distinct keys
+    # b -> b* is a bijection, so distinct words give distinct keys
+    out = Tensor(space, k)
     for word, coeff in vec.terms.items():
         key = []
         odd = 0

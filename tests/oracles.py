@@ -2,13 +2,16 @@
 
 None of these is on a path the CLI runs: each is an independent statement
 of a convention or a count (the sign p(x, y), basis vectors, the module
-action, the operator-to-tensor map on basis words, the place permutation
+action, the action of a PBW element on V^(x j) letter by letter and the
+test that it commutes with an operator, the operator-to-tensor map on
+basis words, the place permutation
 of words by adjacent swaps and its operator, the supertranspose, the
 partial supertrace, the flips of V x V, the Lie bracket, the rank of a
 dense matrix, the group H, the Harish-Chandra predicates, the rho shift,
 the U(g) product, the supercommutator, the full-basis centrality and
-invariance checks, the S(g) monomial sorted by adjacent swaps, the diagram
-count by closure type, the dualization of theta's even slots, the
+invariance checks, the S(g) monomial sorted by adjacent swaps, the closure
+circles by the alternating walk, the diagram count by closure type, the
+dualization of theta's even slots, the
 supercommutation test of an operator, Sergeev's recursion for the q(n)
 trace family and the Harish-Chandra images of the gl(m|n) trace family
 from a product formula) that tests compare the package's own kernels
@@ -25,6 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from superinv.algebras import phi_k
 from superinv.brauer import (
     MAX_COUNT_K,
     closure_type,
@@ -90,6 +94,43 @@ def apply(a, v):
                     exp ^= 1
             add_into(out, tuple(r for r, _ in ka), va * vv if not exp else -(va * vv))
     return v._like(out)
+
+
+def represent(u, j):
+    """rho_j(u) on V^(x j) for a PBW element u: each basis word to the image
+    of its basis vector.
+
+    A word g1 ... gr acts as phi_j(g1) ... phi_j(gr), its letters applied
+    right to left through ``apply``; no normal form or product in U(g) is
+    taken.
+    """
+    alg = u.algebra
+    space = alg.space
+    actions = {}
+    images = {}
+    for word in itertools.product(space.indices, repeat=j):
+        image = {}
+        for letters, coeff in u.terms.items():
+            v = basis_vector(space, word)
+            for g in reversed(letters):
+                if g not in actions:
+                    actions[g] = phi_k(alg, g, j)
+                v = apply(actions[g], v)
+            add_terms(image, v.scale(coeff).terms)
+        images[word] = VectorTensor(space, j, image)
+    return images
+
+
+def represented_commutes(rho, op):
+    """True iff the operator rho, as ``represent`` gives it, commutes with the
+    Tensor op on V^(x j): op rho and rho op agree on every basis word."""
+    for word, image in rho.items():
+        after = {}
+        for w, c in apply(op, basis_vector(op.space, word)).terms.items():
+            add_terms(after, rho[w].scale(c).terms)
+        if apply(op, image).terms != after:
+            return False
+    return True
 
 
 def omega_iso_reference(space, k, fn):
@@ -259,6 +300,33 @@ def all_types(k):
 
     rec(k, k, [])
     return sorted(out)
+
+
+def closure_circles_reference(sigma):
+    """The circles of sigma's closure, one dot per step: a matching edge and
+    a fixed edge {2s-1, 2s} taken in turn, matching edge first from the
+    least dot not yet on a circle."""
+    img = sigma.images
+    match = {}
+    for s in range(0, len(img), 2):
+        match[img[s]], match[img[s + 1]] = img[s + 1], img[s]
+    red = lambda x: x + 1 if x % 2 else x - 1
+    seen = set()
+    circles = []
+    for start in range(1, sigma.size + 1):
+        if start in seen:
+            continue
+        circle = [start]
+        seen.add(start)
+        cur = match[start]
+        use_red = True
+        while cur != start:
+            circle.append(cur)
+            seen.add(cur)
+            cur = red(cur) if use_red else match[cur]
+            use_red = not use_red
+        circles.append(tuple(circle))
+    return tuple(circles)
 
 
 def count_by_type_reference(k: int) -> dict:

@@ -2,7 +2,13 @@ import math
 import random
 
 import pytest
-from oracles import all_types, count_by_type_reference, h_elements, pair_swaps
+from oracles import (
+    all_types,
+    closure_circles_reference,
+    count_by_type_reference,
+    h_elements,
+    pair_swaps,
+)
 
 from superinv import brauer
 from superinv.brauer import (
@@ -140,6 +146,14 @@ def test_closure_type_examples():
         assert sum(closure_type(sigma).type_vector) == 2
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_closure_circles_match_the_alternating_walk(k):
+    # all of S_2k for k <= 4, one representative per diagram beyond
+    sigmas = symmetric_group(2 * k) if k <= 4 else coset_reps(k)
+    for sigma in sigmas:
+        assert closure_type(sigma).circles == closure_circles_reference(sigma), sigma
+
+
 def test_count_by_type():
     res = count_by_type(2)
     assert res["counts"] == {(1, 1): 1, (2,): 2}
@@ -226,6 +240,14 @@ def test_double_coset_sizes():
         for t, size in sizes.items():
             assert size == double_coset_size_formula(k, t)
         assert sum(sizes.values()) == math.factorial(2 * k)
+
+
+def test_double_coset_size_is_h_squared_over_the_intersection():
+    # |H sigma H| = |H|^2 / |H cap sigma H sigma^-1|, with |H| = 2^k k!
+    for k in range(1, 13):
+        h = 2**k * math.factorial(k)
+        for t in all_types(k):
+            assert double_coset_size_formula(k, t) * intersection_order_formula(t) == h**2
 
 
 def test_witness_for_crossing_pair_diagram():

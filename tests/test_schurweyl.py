@@ -786,7 +786,8 @@ def test_generator_positions_out_of_range_raise():
 @pytest.mark.parametrize(
     "family, m, n",
     [("osp", 1, 1), ("osp", 2, 1), ("osp", 3, 1), ("osp", 2, 0),
-     ("p", 0, 1), ("p", 0, 2), ("p", 0, 3)],
+     ("p", 0, 1), ("p", 0, 2), ("p", 0, 3),
+     ("gl", 1, 1), ("gl", 2, 1), ("q", 0, 1), ("q", 0, 2)],
 )
 def test_omega_iso_matches_dualize_reference_in_key_order(family, m, n):
     alg = build_algebra(family, m, n)
@@ -795,8 +796,12 @@ def test_omega_iso_matches_dualize_reference_in_key_order(family, m, n):
         for sigma in symmetric_group(2 * k):
             vec = permute_word(sigma, power)
             got = omega_iso(vec).terms.items()
-            want = dualize_even_slots_reference(alg, vec).terms.items()
-            assert list(got) == list(want), sigma
+            if family in ("gl", "q"):
+                # gl and q read the pair (a, b) as e_ab with no sign
+                want = {tuple(zip(w[::2], w[1::2])): c for w, c in vec.terms.items()}
+            else:
+                want = dualize_even_slots_reference(alg, vec).terms
+            assert list(got) == list(want.items()), sigma
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import oracles
 from oracles import (
     DegreeCapExceeded,
     adjoint_act,
+    all_types,
     bracket,
     is_invariant,
     is_invariant_reference,
@@ -16,7 +17,7 @@ from oracles import (
 )
 
 from superinv.algebras import build_algebra
-from superinv.brauer import coset_reps
+from superinv.brauer import closure_type, coset_reps
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor
 from superinv.signs import Permutation, symmetric_group
@@ -261,6 +262,55 @@ def test_cycle_factorization_of_invariants():
                 for f in factors[1:]:
                     rhs = rhs * f
                 assert lhs == rhs, (alg.family, sigma)
+
+
+def symbol_signs_by_type(alg, d):
+    """Per type, how many sigma of degree d give eta pi theta equal to, and
+    opposite to, the first sigma of that type.
+
+    The type is the cycle type of sigma in S_d for gl and q, and the
+    closure type of each coset representative of degree d for osp and p.
+    """
+    if alg.family in ("gl", "q"):
+        sigmas = symmetric_group(d)
+        type_of = lambda sigma: tuple(sorted(map(len, sigma.cycles())))
+    else:
+        sigmas = coset_reps(d)
+        type_of = lambda sigma: closure_type(sigma).type_vector
+    first, counts = {}, {}
+    for sigma in sigmas:
+        t = type_of(sigma)
+        s = eta(project_tensor(alg, invariant_tensor(alg, sigma)))
+        r = first.setdefault(t, s)
+        same, opposite = counts.get(t, (0, 0))
+        if s == r:
+            counts[t] = (same + 1, opposite)
+        else:
+            assert s == -r, (alg, sigma)
+            counts[t] = (same, opposite + 1)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "family, m, n, d",
+    [("gl", 2, 1, 4), ("q", 0, 2, 4), ("gl", 1, 2, 3), ("osp", 3, 1, 3),
+     ("osp", 2, 1, 3), ("p", 0, 2, 3), ("osp", 1, 1, 4)],
+)
+def test_symbol_of_theta_is_constant_up_to_sign_on_each_type(family, m, n, d):
+    # one sigma per type spans what all of them span (ROADMAP item 16)
+    counts = symbol_signs_by_type(build_algebra(family, m, n), d)
+    assert len(counts) == len(all_types(d))
+
+
+def test_symbol_signs_split_evenly_on_two_osp12_types():
+    counts = symbol_signs_by_type(build_algebra("osp", 1, 1), 4)
+    assert counts == {
+        (1, 1, 1, 1): (1, 0),
+        (1, 1, 2): (12, 0),
+        (1, 3): (32, 0),
+        (2, 2): (6, 6),
+        (4,): (24, 24),
+    }
 
 
 def test_tensor_algebra_product_concatenates():
