@@ -14,14 +14,18 @@ each block; this global order is what the PBW layer sorts against, and it
 makes the Cartan projection a plain monomial filter.  Brackets between
 generators are tabulated once at build time from the matrix realization,
 re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
-H/2), tabulated as ``pi_table`` and verified to satisfy
-pi_tilde(iota(x)) = x on every generator.  A small Lie-generating set for
-the centrality and invariance checks is read off the bracket table on
-first use (``Algebra.generating_set``), with the even Cartan h0 and the
-weight of every generator; the Cartan variables, their names and the Weyl
-vector rho are read off that one weight table, also on first use and for
-every family (rho = 0 for q(n)).  The realization is the only per-family
-statement: pi_tilde, the parities and h0 are all read off its matrices.
+H/2) and verified to satisfy pi_tilde(iota(x)) = x on every generator.
+Each matrix unit's image is +-1 (gl) or +-1/2 (osp, p, q) times one
+generator, so ``pi_table`` holds (generator, sign bit) per unit and
+``pi_scale`` the family's 1 or 1/2: pi_tilde of a degree-k key is its
+generator word, signed by the XOR of its sign bits, times pi_scale^k.  A
+small Lie-generating set for the centrality and invariance checks is read
+off the bracket table on first use (``Algebra.generating_set``), with the
+even Cartan h0 and the weight of every generator; the Cartan variables,
+their names and the Weyl vector rho are read off that one weight table,
+also on first use and for every family (rho = 0 for q(n)).  The
+realization is the only per-family statement: pi_tilde, the parities and
+h0 are all read off its matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import ONE, ZERO, Scalar, sign_scalar
+from .scalars import HALF, ONE, ZERO, Scalar, sign_scalar
 from .sparse import add_into, add_terms, echelon_extend, echelon_reduce
 from .spaces import SuperSpace
 from .tensors import Tensor, compose, matrix_unit, slot_embed
@@ -87,12 +91,24 @@ class Algebra:
 
     def _build_pi_table(self):
         # e_ab lies in at most one generator g = sum of its units; sending it
-        # to g / (number of units of g * coefficient of e_ab) inverts iota on g
+        # to g / (number of units of g * coefficient of e_ab) inverts iota on
+        # g.  That factor is +-1 for gl and +-1/2 for the other families, so
+        # the table keeps g and the sign bit, and pi_scale the magnitude
+        self.pi_scale = c = ONE if self.family == "gl" else HALF
+        minus_c = -c
+        self._pi_signs_of = {}  # degree k -> +-c^k, each made on first use
         where = {}
         for g, mat in enumerate(self.embed):
             scale = Scalar(len(mat.terms))
             for (pair,), coeff in mat.terms.items():
-                where[pair] = (g, (scale * coeff).inv())
+                x = (scale * coeff).inv()
+                neg = x != c
+                if neg and x != minus_c:
+                    raise AssertionError(
+                        "pi_tilde coefficient %r of %s at %r is not +-%r"
+                        % (x, self.gens[g], pair, c)
+                    )
+                where[pair] = (g, neg)
         indices = self.space.indices
         self.pi_table = {(a, b): where.get((a, b)) for a in indices for b in indices}
 
@@ -109,24 +125,40 @@ class Algebra:
         # a generator index has at most two preimages in pi_table, so a key
         # that cancels never comes back and the order is first appearance
         out = {}
-        for (g,), c in self._pi_tilde(mat.terms):
+        for (g,), c in self._pi_tilde(mat.terms, 1):
             add_into(out, g, c)
         return out
 
-    def _pi_tilde(self, terms: dict):
-        """pi_tilde slot by slot on a tensor of End(V)^(x k): (generator word,
-        coefficient) per key, dropping a key at its first slot outside iota(g)."""
+    def _pi_tilde(self, terms: dict, k: int):
+        """pi_tilde slot by slot on the terms of a tensor of End(V)^(x k):
+        (generator word, coefficient) per key, dropping a key at its first
+        slot outside iota(g).  The slots' sign bits are XORed, and a key is
+        multiplied once, by +-pi_scale^k, or only negated for gl."""
         table = self.pi_table
+        signs = self._pi_signs(k)
         for key, coeff in terms.items():
             word = []
+            odd = 0
             for pair in key:
                 hit = table[pair]
                 if hit is None:
                     break
                 word.append(hit[0])
-                coeff = coeff * hit[1]
+                odd ^= hit[1]
             else:
+                if signs:
+                    coeff = coeff * signs[odd]
+                elif odd:
+                    coeff = -coeff
                 yield tuple(word), coeff
+
+    def _pi_signs(self, k: int):
+        """(pi_scale^k, -pi_scale^k), or None for gl, whose pi_scale is one."""
+        signs = self._pi_signs_of
+        if k not in signs:
+            c = Scalar(self.pi_scale.re**k)
+            signs[k] = (c, -c) if c != ONE else None
+        return signs[k]
 
     def _build_bracket_table(self):
         table = {}

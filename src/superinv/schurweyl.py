@@ -73,11 +73,11 @@ def omega_iso(vec: VectorTensor) -> Tensor:
         "p": lambda s, a, b: (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1,
     }.get(space.family, lambda s, a, b: 0)
     partner = dict(invariant_vector(space).terms.keys())
-    # per slot, (a, b) -> ((a, b*), flip): each word is then k lookups and
+    # per slot, a -> b -> ((a, b*), flip): each word is then 2k lookups and
     # at most one negation
     indices = space.indices
     tables = [
-        {(a, b): ((a, partner[b]), flip(s, a, b)) for a in indices for b in indices}
+        {a: {b: ((a, partner[b]), flip(s, a, b)) for b in indices} for a in indices}
         for s in range(k)
     ]
     # b -> b* is a bijection, so distinct words give distinct keys
@@ -85,8 +85,9 @@ def omega_iso(vec: VectorTensor) -> Tensor:
     for word, coeff in vec.terms.items():
         key = []
         odd = 0
-        for table, pair in zip(tables, zip(word[::2], word[1::2])):
-            unit, f = table[pair]
+        it = iter(word)
+        for table, a, b in zip(tables, it, it):
+            unit, f = table[a][b]
             key.append(unit)
             odd ^= f
         out.terms[tuple(key)] = -coeff if odd else coeff
@@ -244,7 +245,7 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
     for i in space.indices:
         for j in space.indices:
             sign = (par[i] * par[j] + par[i] + par[j]) & 1
-            for word, c in alg._pi_tilde({((i, j),): -factor if sign else factor}):
+            for word, c in alg._pi_tilde({((i, j),): -factor if sign else factor}, 1):
                 entries[((i, j),)] = PBWElement(alg, {word: c})
     return UValuedTensor(alg, 1, entries)
 

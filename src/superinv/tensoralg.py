@@ -91,6 +91,6 @@ def project_tensor(alg: Algebra, tensor: Tensor) -> TensorAlgebraElement:
     if tensor.space != alg.space:
         raise ValueError("space mismatch")
     out = {}
-    for word, c in alg._pi_tilde(tensor.terms):
+    for word, c in alg._pi_tilde(tensor.terms, tensor.k):
         add_into(out, word, c)
     return TensorAlgebraElement(alg, out)

@@ -26,7 +26,7 @@ The symmetric group acts by signed place permutation:
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .scalars import ONE, ZERO, Scalar
 from .signs import Permutation, gamma_exponent
@@ -166,7 +166,9 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
     if sigma.size != w.k:
         raise ValueError("degree mismatch")
     inv = sigma.inverse()
-    order = [i - 1 for i in inv.images]
+    # itemgetter of one index returns the bare letter, and of none raises;
+    # below two slots the place permutation is the identity
+    place = itemgetter(*(i - 1 for i in inv.images)) if w.k > 1 else tuple
     parities = w.space.parity
     signs = {}
     out = {}
@@ -175,7 +177,7 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
         exp = signs.get(pword)
         if exp is None:
             exp = signs[pword] = gamma_exponent(pword, inv)
-        out[tuple(map(key.__getitem__, order))] = -coeff if exp else coeff
+        out[place(key)] = -coeff if exp else coeff
     return w._like(out)
 
 

@@ -6,10 +6,11 @@ action, the action of a PBW element on V^(x j) letter by letter and the
 test that it commutes with an operator, the operator-to-tensor map on
 basis words, the place permutation
 of words by adjacent swaps and its operator, the supertranspose, the
-partial supertrace, the flips of V x V, the Lie bracket, the rank of a
-dense matrix, the group H, the Harish-Chandra predicates, the rho shift,
-the U(g) product, the supercommutator, the full-basis centrality and
-invariance checks, the S(g) monomial sorted by adjacent swaps, the closure
+partial supertrace, the flips of V x V, the split projection pi_tilde with
+one Scalar product per slot, the Lie bracket, the rank of a dense matrix,
+the group H, the Harish-Chandra predicates, the rho shift, the U(g)
+product, the supercommutator, the full-basis centrality and invariance
+checks, the S(g) monomial sorted by adjacent swaps, the closure
 circles by the alternating walk, the diagram count by closure type, the
 dualization of theta's even slots, the
 supercommutation test of an operator, Sergeev's recursion for the q(n)
@@ -602,6 +603,39 @@ def is_invariant(t):
         adjoint_act(TensorAlgebraElement(alg, {(g,): ONE}), t).is_zero()
         for g in gens.probes
     )
+
+
+# -- the split projection pi_tilde, one Scalar product per slot --------------
+
+
+def pi_tilde_reference(alg, terms):
+    """pi_tilde slot by slot as (generator word, coefficient) per key: e_ab is
+    sent to g / (number of units of g * coefficient of e_ab), the coefficient
+    multiplied in at every slot, and a key is dropped at its first slot
+    outside iota(g)."""
+    where = {}
+    for g, mat in enumerate(alg.embed):
+        for ((pair,), coeff) in mat.terms.items():
+            where[pair] = (g, (Scalar(len(mat.terms)) * coeff).inv())
+    for key, coeff in terms.items():
+        word = []
+        for pair in key:
+            if pair not in where:
+                break
+            g, c = where[pair]
+            word.append(g)
+            coeff = coeff * c
+        else:
+            yield tuple(word), coeff
+
+
+def project_tensor_reference(alg, tensor):
+    """pi of an End(V)^(x k) tensor through ``pi_tilde_reference``, as a dict
+    in first-appearance order."""
+    out = {}
+    for word, c in pi_tilde_reference(alg, tensor.terms):
+        add_into(out, word, c)
+    return out
 
 
 # -- the Schur-Weyl signs, family test per word and one check per parity ---

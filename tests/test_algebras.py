@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -93,9 +94,31 @@ def test_split_projection_is_section(family, m, n):
     for g in range(alg.dim):
         acc = TensorAlgebraElement(alg)
         for ((a, b),), coeff in alg.embed[g].entries.items():
-            idx, c = alg.pi_table[(a, b)]
+            idx, neg = alg.pi_table[(a, b)]
+            c = -alg.pi_scale if neg else alg.pi_scale
             acc = acc + TensorAlgebraElement(alg, {(idx,): c * coeff})
         assert acc == units(alg)[g]
+
+
+@pytest.mark.parametrize("family,m,n", SIZES)
+def test_pi_coefficients_are_signs_times_the_family_scale(family, m, n):
+    alg = build_algebra(family, m, n)
+    scale = ONE if family == "gl" else HALF
+    assert alg.pi_scale == scale
+    for g, mat in enumerate(alg.embed):
+        for ((a, b),), coeff in mat.terms.items():
+            c = (Scalar(len(mat.terms)) * coeff).inv()
+            assert c in (scale, -scale), (alg.gens[g], c)
+            assert alg.pi_table[(a, b)] == (g, c == -scale)
+    # a generator matrix with a coefficient 2 gives a pi_tilde coefficient
+    # of magnitude 1/2 (gl) or 1/4 (the others): the build-time check raises
+    broken = copy.copy(alg)
+    mat = alg.embed[0]
+    unit = next(iter(mat.terms))
+    doubled = Tensor(alg.space, 1, {**mat.terms, unit: mat.terms[unit] * Scalar(2)})
+    broken.embed = (doubled,) + alg.embed[1:]
+    with pytest.raises(AssertionError, match="pi_tilde coefficient"):
+        broken._build_pi_table()
 
 
 @pytest.mark.parametrize("family,m,n", SIZES)
@@ -145,15 +168,18 @@ def test_gl_bracket_examples():
 
 def test_pi_table_examples():
     g = build_algebra("gl", 1, 1)
-    assert g.pi_table[(1, 2)] == (g.gens.index("E[1,2]"), ONE)
+    assert g.pi_table[(1, 2)] == (g.gens.index("E[1,2]"), False)
+    assert g.pi_scale == ONE
     p2 = build_algebra("p", 0, 2)
-    assert p2.pi_table[(1, 3)] == (p2.gens.index("G[1,3]"), HALF)
+    assert p2.pi_table[(1, 3)] == (p2.gens.index("G[1,3]"), False)
+    assert p2.pi_scale == HALF
     # osp(1|2): the middle diagonal has vanishing defining combination
     o = build_algebra("osp", 1, 1)
     assert o.pi_table[(2, 2)] is None
     # osp(2|2): the even-block diagonal survives as a Cartan generator
     o22 = build_algebra("osp", 2, 1)
-    assert o22.pi_table[(2, 2)] == (o22.gens.index("F[2,2]"), HALF)
+    assert o22.pi_table[(2, 2)] == (o22.gens.index("F[2,2]"), False)
+    assert o22.pi_scale == HALF
     assert o22.tri_class[o22.gens.index("F[2,2]")] == "C"
     # one entry per matrix unit of End(V), and no other
     assert set(g.pi_table) == {(a, b) for a in (1, 2) for b in (1, 2)}

@@ -440,7 +440,8 @@ def test_p2_crossing_invariant_frozen_formula():
             if hit is None:  # the G combination vanishes, the word drops
                 word = None
                 break
-            idx, factor = hit
+            idx, neg = hit
+            factor = -p2.pi_scale if neg else p2.pi_scale
             word.append(idx)
             coeff = coeff * factor * Scalar(2)  # G_ab = 2 pi(e_ab)
         if word is None:

@@ -21,7 +21,9 @@ from superinv.brauer import closure_type, coset_reps
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.schurweyl import invariant_tensor
 from superinv.signs import Permutation, symmetric_group
+from superinv.sparse import add_into
 from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
+from superinv.tensors import compose
 
 GL11 = build_algebra("gl", 1, 1)
 E21, E11, E22, E12 = map(GL11.gens.index, ("E[2,1]", "E[1,1]", "E[2,2]", "E[1,2]"))
@@ -339,3 +341,58 @@ def test_project_tensor_splits_through_pi_tilde():
     assert project_tensor(q, tq) == TensorAlgebraElement(
         q, {(q.gens.index("H[1,2]"),): HALF}
     )
+
+
+# -- pi_tilde as a sign per matrix unit times one family scale ---------------
+
+PI_CASES = (
+    # (family, m, n, the permutations whose theta is projected)
+    ("p", 0, 2, [s for k in (1, 2, 3) for s in coset_reps(k)]),
+    ("osp", 3, 1, [s for k in (1, 2) for s in coset_reps(k)]),
+    ("gl", 2, 1, list(symmetric_group(3))),
+    ("q", 0, 2, list(symmetric_group(3))),
+)
+
+
+@pytest.mark.parametrize("family,m,n,sigmas", PI_CASES, ids=[c[0] for c in PI_CASES])
+def test_project_tensor_matches_per_slot_product_reference(family, m, n, sigmas):
+    alg = build_algebra(family, m, n)
+    for sigma in sigmas:
+        theta = invariant_tensor(alg, sigma)
+        got = project_tensor(alg, theta).terms
+        want = oracles.project_tensor_reference(alg, theta)
+        assert list(got.items()) == list(want.items()), (family, sigma.images)
+    # the bracket table's entries are projected through the same loop
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            sign = MINUS_ONE if alg.parity[x] and alg.parity[y] else ONE
+            mx, my = alg.embed[x], alg.embed[y]
+            mat = compose(mx, my) - compose(my, mx).scale(sign)
+            want = {}
+            for (g,), c in oracles.pi_tilde_reference(alg, mat.terms):
+                add_into(want, g, c)
+            got = alg._project_matrix(mat)
+            assert list(got.items()) == list(want.items())
+            assert got == alg.bracket_table[(x, y)]
+
+
+def test_project_tensor_makes_at_most_one_product_per_key(monkeypatch):
+    # work counter: pi_tilde multiplies a key once by +-(1/2)^k, not once per
+    # slot; theta is built before counting starts
+    p2 = build_algebra("p", 0, 2)
+    thetas = [invariant_tensor(p2, sigma) for sigma in coset_reps(3)]
+    calls = 0
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    keys = 0
+    for theta in thetas:
+        keys += len(theta.terms)
+        project_tensor(p2, theta)
+    assert 0 < calls <= keys

@@ -270,6 +270,19 @@ def test_permute_word_matches_adjacent_swap_reference_in_order(case):
     assert list(got.terms.items()) == list(want.terms.items())
 
 
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_permute_word_at_low_degree_matches_adjacent_swap_reference(k):
+    # itemgetter of one index returns a bare letter and of none raises, so
+    # every key of degree 0, 1 and 2 goes through, each coming out a k-tuple
+    space = SuperSpace("p", 0, 2)
+    words = list(itertools.product(space.indices, repeat=k))
+    w = VectorTensor(space, k, {word: Scalar(c) for c, word in enumerate(words, 1)})
+    for sigma in symmetric_group(k):
+        got, want = permute_word(sigma, w), permute_word_reference(sigma, w)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(key) is tuple and len(key) == k for key in got.terms)
+
+
 def test_degree_zero_tensor_is_scalar():
     t = Tensor(GL11, 0, {(): Scalar(5)})
     assert t.coefficient(()) == Scalar(5)
