@@ -22,7 +22,7 @@ import math
 
 from .algebras import Algebra, _ad_word
 from .scalars import HALF, ONE, Scalar, promote
-from .sparse import Sparse, add_into, add_terms
+from .sparse import Sparse, add_into
 from .tensoralg import TensorAlgebraElement, _WordMap
 
 
@@ -43,13 +43,14 @@ class PBWElement(_WordMap):
         return all(not w for w in self.terms)
 
 
-def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
-    """Rewrite an arbitrary generator word into PBW normal form, leftmost pair first."""
-    coeff = promote(coeff)
+def pbw_normalize(alg: Algebra, terms) -> PBWElement:
+    """The normal form of the sum of a list (or dict view) of (word, coefficient)
+    pairs: one stack rewrites them in their order into one element, each word
+    leftmost pair first, and drops a zero coefficient."""
     par = alg.parity
     table = alg.bracket_table
     out = PBWElement(alg)
-    stack = [(tuple(word), coeff)] if coeff else []
+    stack = [(tuple(w), p) for w, c in reversed(terms) if (p := promote(c))]
     while stack:
         w, c = stack.pop()
         for i in range(len(w) - 1):
@@ -72,13 +73,11 @@ def pbw_normalize(alg: Algebra, word, coeff=ONE) -> PBWElement:
 
 
 def u_multiply(a: PBWElement, b: PBWElement) -> PBWElement:
+    """ab: every pair of words, concatenated, goes to one pbw_normalize call."""
     a._check(b)
-    alg = a.algebra
-    out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            add_terms(out, pbw_normalize(alg, wa + wb, ca * cb).terms)
-    return a._like(out)
+    right = b.terms.items()
+    pairs = [(wa + wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in right]
+    return pbw_normalize(a.algebra, pairs)
 
 
 def eta_prime(t: TensorAlgebraElement) -> PBWElement:
@@ -100,10 +99,10 @@ def eta_prime(t: TensorAlgebraElement) -> PBWElement:
         form = forms.get(word, False)
         if form is False:
             forms[word] = None
-            out = out + pbw_normalize(alg, word, coeff)
+            out = out + pbw_normalize(alg, [(word, coeff)])
             continue
         if form is None:
-            form = forms[word] = pbw_normalize(alg, word)
+            form = forms[word] = pbw_normalize(alg, [(word, ONE)])
         out = out + form.scale(coeff)
     return out
 
@@ -114,7 +113,7 @@ def supercommutator(u: PBWElement, y: int) -> PBWElement:
     Per word w of u, [w, y] = -(-1)^{|w||y|} ad_y(w), and ad_y brackets one
     letter of w at a time (``algebras._ad_word``).  The words wy and yw,
     whose leading terms cancel, are never normalized: each word is as long
-    as w, and equal words are summed before their one normal form.
+    as w, and equal words are summed before one ``pbw_normalize`` call.
     """
     alg = u.algebra
     par = alg.parity
@@ -124,10 +123,7 @@ def supercommutator(u: PBWElement, y: int) -> PBWElement:
         c = c if odd_y and sum(par[g] for g in w) & 1 else -c
         for v, cv in _ad_word(alg, y, w):
             add_into(words, v, c * cv)
-    out = {}
-    for w, c in words.items():
-        add_terms(out, pbw_normalize(alg, w, c).terms)
-    return u._like(out)
+    return pbw_normalize(alg, words.items())
 
 
 def is_central(u: PBWElement) -> bool:

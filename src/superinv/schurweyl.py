@@ -236,11 +236,11 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
     """The U(g)-valued matrix with (i,j) entry the spanning element X_ij.
 
     Stored in supermatrix form: sum (-1)^{|i||j|+|i|+|j|} e_ij x X_ij, where
-    X_ij is pi_tilde of the unit e_ij, doubled outside gl (X = E, F, G, H).
+    X_ij is pi_tilde of the unit e_ij over ``Algebra.pi_scale`` (X = E, F, G, H).
     """
     space = alg.space
     par = space.parity
-    factor = ONE if alg.family == "gl" else Scalar(2)
+    factor = alg.pi_scale.inv()
     entries = {}
     for i in space.indices:
         for j in space.indices:

@@ -476,7 +476,7 @@ def u_multiply_reference(a, b):
     out = PBWElement(alg)
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            out = out + pbw_normalize(alg, wa + wb, ca * cb)
+            out = out + pbw_normalize(alg, [(wa + wb, ca * cb)])
     return out
 
 

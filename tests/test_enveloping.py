@@ -19,6 +19,7 @@ from oracles import (
     u_multiply_reference,
 )
 
+from superinv import enveloping
 from superinv.algebras import build_algebra
 from superinv.brauer import coset_reps
 from superinv.enveloping import (
@@ -59,14 +60,14 @@ def cartan_const(names, coeff):
 
 
 def test_pbw_examples():
-    u = pbw_normalize(GL11, (E12, E21))
+    u = pbw_normalize(GL11, [((E12, E21), ONE)])
     expected = PBWElement(
         GL11, {(E21, E12): MINUS_ONE, (E11,): ONE, (E22,): ONE}
     )
     assert u == expected
-    assert pbw_normalize(GL11, (E12, E12)).is_zero()
+    assert pbw_normalize(GL11, [((E12, E12), ONE)]).is_zero()
     ordered = (E21, E11, E12)
-    assert pbw_normalize(GL11, ordered) == PBWElement(GL11, {ordered: ONE})
+    assert pbw_normalize(GL11, [(ordered, ONE)]) == PBWElement(GL11, {ordered: ONE})
 
 
 def one_rewrite(alg, word, i):
@@ -92,19 +93,70 @@ def test_pbw_confluence():
         rewrites = 0
         for _ in range(40):
             word = tuple(rng.randrange(alg.dim) for _ in range(rng.choice((2, 3, 4, 5))))
-            nf = pbw_normalize(alg, word)
+            nf = pbw_normalize(alg, [(word, ONE)])
             for i in range(len(word) - 1):
                 a, b = word[i], word[i + 1]
                 if a < b or (a == b and not par[a]):
                     continue
                 step = PBWElement(alg)
                 for w, c in one_rewrite(alg, word, i):
-                    step = step + pbw_normalize(alg, w, c)
+                    step = step + pbw_normalize(alg, [(w, c)])
                 assert nf == step, (family, word, i)
                 rewrites += 1
             if all(a < b or (a == b and not par[a]) for a, b in zip(word, word[1:])):
                 assert nf == PBWElement(alg, {word: ONE})
         assert rewrites > 40, family
+
+
+@pytest.mark.parametrize("spec", [("gl", 1, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)])
+def test_pbw_normalize_of_terms_is_the_sum_of_their_forms(spec):
+    # one call on a list of terms gives the sum, in the list's order, of the
+    # single-term normal forms.  The same keys and coefficients, but not
+    # always in the same order: a key that cancels part way through one
+    # term's rewrites and comes back moves to the end of the one dict, where
+    # that term's own form hid the cancellation.  Every render sorts its keys.
+    alg = build_algebra(*spec)
+    rng = random.Random(202)
+    assert pbw_normalize(alg, []).is_zero()
+    for _ in range(40):
+        terms = [
+            (tuple(rng.randrange(alg.dim) for _ in range(rng.randrange(5))),
+             rng.choice(PBW_COEFFS))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        # a repeated word that cancels an earlier term, and a zero coefficient
+        terms.append((terms[0][0], -terms[0][1]))
+        terms.insert(rng.randrange(len(terms) + 1), (terms[-1][0], 0))
+        rng.shuffle(terms)
+        total = {}
+        for w, c in terms:
+            add_terms(total, pbw_normalize(alg, [(w, c)]).terms)
+        assert pbw_normalize(alg, terms).terms == total, terms
+
+
+def test_product_and_supercommutator_build_one_element(monkeypatch):
+    # u_multiply and supercommutator hand all their words to one
+    # pbw_normalize call, which builds the one element they return
+    calls, built = [], []
+    normalize, init = enveloping.pbw_normalize, PBWElement.__init__
+
+    def counting_normalize(alg, terms):
+        calls.append(len(terms))
+        return normalize(alg, terms)
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    a = PBWElement(GL11, {(E12,): ONE, (E11,): Scalar(2)})
+    b = PBWElement(GL11, {(E21,): ONE, (E22,): MINUS_ONE, (): ONE})
+    monkeypatch.setattr(enveloping, "pbw_normalize", counting_normalize)
+    monkeypatch.setattr(PBWElement, "__init__", counting_init)
+    ab = u_multiply(a, b)
+    assert calls == [6] and built == [ab]
+    del calls[:], built[:]
+    comm = supercommutator(ab, E12)
+    assert len(calls) == 1 and calls[0] > 1 and built == [comm]
 
 
 def test_u_multiply():
@@ -209,10 +261,10 @@ def test_eta_prime_examples():
 
 
 def _eta_prime_reference(t):
-    """Sum of pbw_normalize(alg, w, c) over the terms (w, c) of t, in t's order."""
+    """Sum of pbw_normalize(alg, [(w, c)]) over the terms (w, c) of t, in t's order."""
     out = {}
     for word, coeff in t.terms.items():
-        add_terms(out, pbw_normalize(t.algebra, word, coeff).terms)
+        add_terms(out, pbw_normalize(t.algebra, [(word, coeff)]).terms)
     return PBWElement(t.algebra, out)
 
 
@@ -267,7 +319,7 @@ def test_eta_prime_reads_its_normal_form_table(family, m, n):
     assert all(alg.normal_forms[w].terms == terms for w, terms in stored.items())
     assert None not in alg.normal_forms.values()
     for w, form in alg.normal_forms.items():
-        assert list(form.terms.items()) == list(pbw_normalize(alg, w).terms.items())
+        assert list(form.terms.items()) == list(pbw_normalize(alg, [(w, ONE)]).terms.items())
 
 
 def test_is_central():
@@ -357,7 +409,7 @@ def test_conjugacy_average_identity_small():
 def test_zeta_examples():
     u = PBWElement(GL11, {(E11, E22): ONE})
     assert zeta_project(u) == CartanPolynomial(GL11.var_names, {(1, 1): ONE})
-    nf = pbw_normalize(GL11, (E12, E21))
+    nf = pbw_normalize(GL11, [((E12, E21), ONE)])
     assert zeta_project(nf) == CartanPolynomial(
         GL11.var_names, {(1, 0): ONE, (0, 1): ONE}
     )
@@ -557,7 +609,7 @@ def test_hc_image_of_traces_matches_closed_form(m, n):
 
 
 def test_pbw_json_graded_lex():
-    u = pbw_normalize(GL11, (E12, E21)) + PBWElement(GL11, {(): Scalar(2)})
+    u = pbw_normalize(GL11, [((E12, E21), ONE)]) + PBWElement(GL11, {(): Scalar(2)})
     words = [tuple(t["gens"]) for t in u.to_json()["terms"]]
     assert words == sorted(words, key=lambda w: (len(w), w))
 

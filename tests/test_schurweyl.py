@@ -284,7 +284,7 @@ def test_z_sigma_gl_k2_example():
             coeff = ONE if sp.parity[i1] == 0 else MINUS_ONE
             from superinv.enveloping import pbw_normalize
 
-            expected = expected + pbw_normalize(GL11, word, coeff)
+            expected = expected + pbw_normalize(GL11, [(word, coeff)])
     assert z_sigma(GL11, Permutation((2, 1))) == expected
 
 
