@@ -12,9 +12,12 @@ canonical independent generating set:
 Generators are ordered LOWER < CARTAN < UPPER and lexicographically inside
 each block; this global order is what the PBW layer sorts against, and it
 makes the Cartan projection a plain monomial filter.  Brackets between
-generators are tabulated once at build time from the matrix realization,
-re-expressed through the split projection pi_tilde (e_ij -> E, F/2, G/2,
-H/2) and verified to satisfy pi_tilde(iota(x)) = x on every generator.
+generators are tabulated once at build time from the matrix realization:
+each generator is one or two matrix units, so xy and yx are read off the
+unit products e_ab e_cd = delta_bc e_ad (y's units indexed by row), and
+xy - (-1)^{|x||y|} yx is re-expressed through the split projection
+pi_tilde (e_ij -> E, F/2, G/2, H/2), verified to satisfy
+pi_tilde(iota(x)) = x on every generator.
 Each matrix unit's image is +-1 (gl) or +-1/2 (osp, p, q) times one
 generator, so ``pi_table`` holds (generator, sign bit) per unit and
 ``pi_scale`` the family's 1 or 1/2: pi_tilde of a degree-k key is its
@@ -36,7 +39,7 @@ from functools import cached_property
 from .scalars import HALF, ONE, ZERO, Scalar, sign_scalar
 from .sparse import add_into, add_terms, echelon_extend, echelon_reduce
 from .spaces import SuperSpace
-from .tensors import Tensor, compose, matrix_unit, slot_embed
+from .tensors import Tensor, matrix_unit, slot_embed
 
 _CLASS_ORDER = {"L": 0, "C": 1, "U": 2}
 
@@ -122,10 +125,13 @@ class Algebra:
     # -- bracket table -------------------------------------------------------
 
     def _project_matrix(self, mat: Tensor) -> dict:
+        return self._project_units(mat.terms)
+
+    def _project_units(self, terms: dict) -> dict:
         # a generator index has at most two preimages in pi_table, so a key
         # that cancels never comes back and the order is first appearance
         out = {}
-        for (g,), c in self._pi_tilde(mat.terms, 1):
+        for (g,), c in self._pi_tilde(terms, 1):
             add_into(out, g, c)
         return out
 
@@ -161,18 +167,37 @@ class Algebra:
         return signs[k]
 
     def _build_bracket_table(self):
-        table = {}
-        mats = self.embed
-        # both orders of a pair share its two products; the table is only
-        # ever indexed, so its own insertion order does not matter
-        for x in range(self.dim):
-            mx = mats[x]
-            px = self.parity[x]
-            for y in range(x, self.dim):
-                sign = Scalar(-1) if px and self.parity[y] else ONE
-                xy, yx = compose(mx, mats[y]), compose(mats[y], mx)
-                table[(x, y)] = self._project_matrix(xy - yx.scale(sign))
-                table[(y, x)] = self._project_matrix(yx - xy.scale(sign))
+        # [x, y] = pi_tilde(xy - (-1)^{|x||y|} yx) on matrix units, with
+        # e_ab e_cd = delta_bc e_ad: a unit e_ab of x meets the units of y in
+        # row b.  xy's units and then yx's are added in compose's order, so
+        # each entry, key order included, is that of the projected compose
+        units = [[(a, b, c) for ((a, b),), c in mat.terms.items()] for mat in self.embed]
+        rows = [{} for _ in units]
+        in_row, in_col = {}, {}  # index -> the generators with a unit in that row / column
+        for g, us in enumerate(units):
+            for a, b, c in us:
+                rows[g].setdefault(a, []).append((b, c))
+                in_row.setdefault(a, set()).add(g)
+                in_col.setdefault(b, set()).add(g)
+        gens = range(self.dim)
+        # a pair whose units never meet has the bracket 0
+        table = {(x, y): {} for x in gens for y in gens}
+        for x, ux in enumerate(units):
+            rx, px = rows[x], self.parity[x]
+            partners = set()
+            for a, b, _ in ux:
+                partners |= in_row.get(b, set()) | in_col.get(a, set())
+            for y in partners:
+                terms = {}
+                ry = rows[y]
+                for a, b, c in ux:
+                    for d, cy in ry.get(b, ()):
+                        add_into(terms, ((a, d),), c * cy)
+                plus = px and self.parity[y]
+                for a, b, c in units[y]:
+                    for d, cx in rx.get(b, ()):
+                        add_into(terms, ((a, d),), c * cx if plus else -(c * cx))
+                table[(x, y)] = self._project_units(terms)
         self.bracket_table = table
 
     # -- Cartan variables / Weyl vector, read off h0 on first use -------------

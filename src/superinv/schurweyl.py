@@ -63,25 +63,12 @@ def omega_iso(vec: VectorTensor) -> Tensor:
     for p by |a| + (k-1-s)(|a|+|b|) mod 2, the closed form of
     sum_s |a_s| plus p((1,...,1), pair parities).
     """
-    space = vec.space
     if vec.k % 2:
         raise ValueError("even total degree required")
     k = vec.k // 2
-    par = space.parity
-    flip = {
-        "osp": lambda s, a, b: space.epsilon(b) < 0,
-        "p": lambda s, a, b: (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1,
-    }.get(space.family, lambda s, a, b: 0)
-    partner = dict(invariant_vector(space).terms.keys())
-    # per slot, a -> b -> ((a, b*), flip): each word is then 2k lookups and
-    # at most one negation
-    indices = space.indices
-    tables = [
-        {a: {b: ((a, partner[b]), flip(s, a, b)) for b in indices} for a in indices}
-        for s in range(k)
-    ]
+    tables = _slot_tables(vec.space, k)
     # b -> b* is a bijection, so distinct words give distinct keys
-    out = Tensor(space, k)
+    out = Tensor(vec.space, k)
     for word, coeff in vec.terms.items():
         key = []
         odd = 0
@@ -116,6 +103,24 @@ def _power(vec: VectorTensor, k: int) -> VectorTensor:
             for vkey, vc in vec.terms.items()
         }
     return vec._of_degree(vec.k * k, entries)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_tables(space: SuperSpace, k: int) -> tuple:
+    """omega_iso's table per slot s < k, a -> b -> ((a, b*), flip), built
+    once per (space, k) and never mutated: each word is then 2k lookups
+    and at most one negation."""
+    par = space.parity
+    flip = {
+        "osp": lambda s, a, b: space.epsilon(b) < 0,
+        "p": lambda s, a, b: (par[a] + (k - 1 - s) * (par[a] + par[b])) & 1,
+    }.get(space.family, lambda s, a, b: 0)
+    partner = dict(invariant_vector(space).terms.keys())
+    indices = space.indices
+    return tuple(
+        {a: {b: ((a, partner[b]), flip(s, a, b)) for b in indices} for a in indices}
+        for s in range(k)
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ import pytest
 from oracles import apply, basis_vector, bracket, row_reduce_rank, supertranspose
 
 from superinv.algebras import build_algebra, phi_k
+from superinv.cli import MAX_DIM
 from superinv.scalars import HALF, MINUS_ONE, ONE, Scalar
 from superinv.spaces import SuperSpace, dimension
 from superinv.sparse import add_into
@@ -344,8 +345,9 @@ def test_q_block_bijection():
         assert blocks == {(bi, bj), opp}
 
 
+# the golden and benchmark algebras, and osp with both even and odd m
 @pytest.mark.parametrize(
-    "family, m, n", [("gl", 2, 1), ("osp", 3, 1), ("q", 0, 2), ("p", 0, 2)]
+    "family, m, n", SIZES + [("gl", 2, 2), ("gl", 3, 3), ("osp", 2, 2), ("osp", 3, 2)]
 )
 def test_bracket_table_is_projected_supercommutator(family, m, n):
     # every entry, in its own order, as [x, y] = pi(xy - (-1)^{|x||y|} yx)
@@ -357,6 +359,28 @@ def test_bracket_table_is_projected_supercommutator(family, m, n):
             br = compose(e[x], e[y]) - compose(e[y], e[x]).scale(sign)
             want = alg._project_matrix(br)
             assert list(alg.bracket_table[(x, y)].items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "family, m, n", [("gl", 8, 8), ("q", 0, 8), ("p", 0, 8), ("osp", 8, 4)]
+)
+def test_bracket_table_at_the_largest_admitted_space(family, m, n):
+    # every pair is super-antisymmetric, [x, y] = -(-1)^{|x||y|} [y, x], and
+    # a seeded sample of pairs is the projected supercommutator of matrices
+    alg = build_algebra(family, m, n)
+    assert alg.space.dim == MAX_DIM
+    table, par, e = alg.bracket_table, alg.parity, alg.embed
+    assert len(table) == alg.dim**2
+    for x in range(alg.dim):
+        for y in range(x, alg.dim):
+            sign = ONE if par[x] and par[y] else MINUS_ONE
+            assert table[(y, x)] == {g: sign * c for g, c in table[(x, y)].items()}, (x, y)
+    rng = random.Random(8)
+    for _ in range(200):
+        x, y = rng.randrange(alg.dim), rng.randrange(alg.dim)
+        sign = MINUS_ONE if par[x] and par[y] else ONE
+        want = alg._project_matrix(compose(e[x], e[y]) - compose(e[y], e[x]).scale(sign))
+        assert list(table[(x, y)].items()) == list(want.items()), (x, y)
 
 
 # |S| besides the even Cartan, as measured when generating-set centrality

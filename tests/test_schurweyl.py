@@ -23,6 +23,7 @@ from oracles import (
 
 from superinv import schurweyl
 from superinv.algebras import build_algebra, phi_k
+from superinv.brauer import coset_canonical, coset_reps
 from superinv.cli import main
 from superinv.enveloping import PBWElement, eta_prime, is_central
 from superinv.scalars import I as IMAG
@@ -803,6 +804,22 @@ def test_omega_iso_matches_dualize_reference_in_key_order(family, m, n):
             else:
                 want = dualize_even_slots_reference(alg, vec).terms
             assert list(got) == list(want.items()), sigma
+
+
+def test_omega_iso_builds_its_slot_tables_once_per_space_and_degree():
+    # the 105 theta of pn-trivial p(2), k = 4 share one set of slot tables,
+    # and each still reads its pairs as the family-tested reference does
+    alg = build_algebra("p", 0, 2)
+    power = _power(invariant_vector(alg.space), 4)
+    schurweyl._slot_tables.cache_clear()
+    reps = coset_reps(4)
+    assert len(reps) == 105
+    for sigma in reps:
+        want = dualize_even_slots_reference(alg, permute_word(coset_canonical(sigma), power))
+        got = invariant_tensor(alg, sigma)
+        assert list(got.terms.items()) == list(want.terms.items()), sigma
+    info = schurweyl._slot_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 104)
 
 
 @pytest.mark.parametrize(
