@@ -237,6 +237,13 @@ class Algebra:
         first runs.  A stored form is never mutated."""
         return {}
 
+    @cached_property
+    def sym_forms(self) -> dict:
+        """Generator word -> (its sorted word, the sign bit of the sort), or
+        None for a word with a repeated odd letter; filled and read by
+        tensoralg.eta alone, empty until it first runs."""
+        return {}
+
     # -- a small Lie-generating set ------------------------------------------
 
     @cached_property

@@ -42,6 +42,7 @@ from .tensoralg import project_tensor
 from .tensors import (
     Tensor,
     VectorTensor,
+    _sign_view,
     compose,
     full_supertrace,
     identity_tensor,
@@ -124,9 +125,14 @@ def _slot_tables(space: SuperSpace, k: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_power(space: SuperSpace, k: int) -> VectorTensor:
-    """The k-th tensor power of the osp/p pairing, built once and never mutated."""
-    return _power(invariant_vector(space), k)
+def _pairing_power(space: SuperSpace, k: int) -> tuple:
+    """The k-th tensor power of the osp/p pairing and its ``permute_word``
+    sign view, built once per (space, k) and never mutated: each sigma then
+    costs one ``gamma_exponent`` per parity class and no Python loop over
+    the keys.  The gl/q identity power (279,936 keys at q(3), k = 7) is
+    not kept: each call permutes a fresh one in a single pass."""
+    power = _power(invariant_vector(space), k)
+    return power, _sign_view(power)
 
 
 # -- invariant tensors ------------------------------------------------------
@@ -148,8 +154,8 @@ def invariant_tensor(alg: Algebra, sigma: Permutation) -> Tensor:
         return omega_iso(permute_word(lifted, _power(invariant_vector(alg.space), k)))
     if sigma.size % 2:
         raise ValueError("sigma must live in S_2k")
-    power = _pairing_power(alg.space, sigma.size // 2)
-    return omega_iso(permute_word(coset_canonical(sigma), power))
+    power, view = _pairing_power(alg.space, sigma.size // 2)
+    return omega_iso(permute_word(coset_canonical(sigma), power, view))
 
 
 def tensor_is_invariant(alg: Algebra, t: Tensor) -> bool:

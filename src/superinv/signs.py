@@ -10,9 +10,11 @@ Conventions used throughout the package:
   the sign.  Every reordering sign is one inversion count,
   ``_inversion_parity``: gamma reads it on sigma's images at the odd
   places of x, ``Permutation.sign`` on all of sigma's images, and
-  ``tensoralg.eta`` on a word's odd letters, the sign of sorting them.
-  ``tensors.permute_word`` asks ``gamma_exponent`` for its sign (with
-  sigma^-1) once per parity word of a call; the place permutations of
+  ``tensoralg.eta`` on a word's odd letters, the sign of sorting them,
+  once per distinct word of an algebra.  ``tensors.permute_word`` asks
+  ``gamma_exponent`` for its sign (with sigma^-1) once per parity word of
+  its input, read from the sign view that ``schurweyl._pairing_power``
+  keeps beside each osp/p power; the place permutations of
   ``schurweyl.invariant_tensor`` need no other sign.
 * The sign p(x, y), the product of (-1)**(x[i]*y[j]) over all pairs i > j,
   in which these signs were first stated, lives in tests/oracles.py

@@ -26,7 +26,7 @@ The symmetric group acts by signed place permutation:
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter, neg
 
 from .scalars import ONE, ZERO, Scalar
 from .signs import Permutation, gamma_exponent
@@ -156,12 +156,16 @@ def full_supertrace(a: Tensor):
     return a._of_degree(0, out).coefficient(())
 
 
-def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
+def permute_word(sigma: Permutation, w: VectorTensor, view=None) -> VectorTensor:
     """The signed place-permutation action of sigma on a VectorTensor.
 
-    The Koszul sign depends only on a key's parity word, so
-    ``gamma_exponent`` runs once per parity word of the call.  The action
-    is a bijection on keys, so no two terms meet.
+    The Koszul sign depends only on a key's parity word, and
+    ``gamma_exponent`` (with sigma^-1) runs once per parity word.  A caller
+    that permutes one w many times passes w's ``_sign_view``, and the call
+    then builds its output with no Python loop over the keys; without a
+    view it takes each key's parity word in one pass, which costs less
+    than building a view for one call.  The action is a bijection on keys,
+    so no two terms meet, and the output keeps w's key order.
     """
     if sigma.size != w.k:
         raise ValueError("degree mismatch")
@@ -169,6 +173,11 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
     # itemgetter of one index returns the bare letter, and of none raises;
     # below two slots the place permutation is the identity
     place = itemgetter(*(i - 1 for i in inv.images)) if w.k > 1 else tuple
+    if view is not None:
+        keys, pairs, classes, pwords = view
+        flips = [gamma_exponent(pword, inv) for pword in pwords]
+        signed = map(getitem, pairs, map(flips.__getitem__, classes))
+        return w._like(dict(zip(map(place, keys), signed)))
     parities = w.space.parity
     signs = {}
     out = {}
@@ -179,6 +188,20 @@ def permute_word(sigma: Permutation, w: VectorTensor) -> VectorTensor:
             exp = signs[pword] = gamma_exponent(pword, inv)
         out[place(key)] = -coeff if exp else coeff
     return w._like(out)
+
+
+def _sign_view(w: VectorTensor) -> tuple:
+    """What ``permute_word`` reads of a w it permutes many times: its keys,
+    each coefficient paired with its negative, each key's parity class,
+    and the parity word of each class (classes numbered by first
+    appearance)."""
+    par = w.space.parity
+    index = {}
+    classes = tuple(
+        index.setdefault(tuple(map(par.__getitem__, key)), len(index)) for key in w.terms
+    )
+    values = w.terms.values()
+    return tuple(w.terms), tuple(zip(values, map(neg, values))), classes, tuple(index)
 
 
 def slot_embed(x: Tensor, slot: int, k: int) -> Tensor:

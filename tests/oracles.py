@@ -10,7 +10,8 @@ partial supertrace, the flips of V x V, the split projection pi_tilde with
 one Scalar product per slot, the Lie bracket, the rank of a dense matrix,
 the group H, the Harish-Chandra predicates, the rho shift, the U(g)
 product, the supercommutator, the full-basis centrality and invariance
-checks, the S(g) monomial sorted by adjacent swaps, the closure
+checks, the S(g) monomial sorted by adjacent swaps, the quotient eta
+word by word, the closure
 circles by the alternating walk, the diagram count by closure type, the
 dualization of theta's even slots, the
 supercommutation test of an operator, Sergeev's recursion for the q(n)
@@ -44,7 +45,7 @@ from superinv.enveloping import (
     u_multiply,
 )
 from superinv.scalars import ONE, Scalar, promote, sign_scalar
-from superinv.signs import Permutation, gamma_exponent, symmetric_group
+from superinv.signs import Permutation, _inversion_parity, gamma_exponent, symmetric_group
 from superinv.sparse import add_into, add_terms
 from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
 from superinv.tensors import Tensor, VectorTensor, compose
@@ -361,6 +362,20 @@ def sym_monomial(alg, word, coeff=ONE):
     if any(a == b and par[a] for a, b in zip(w, w[1:])):
         return SymElement(alg)
     return SymElement(alg, {tuple(w): coeff})
+
+
+def eta_reference(t):
+    """The quotient map T(g) -> S(g) word by word, with no table: each
+    word's odd letters are checked for a repeat and their inversion parity
+    is counted afresh."""
+    par = t.algebra.parity
+    out = {}
+    for word, coeff in t.terms.items():
+        odd = [g for g in word if par[g]]
+        if len(set(odd)) < len(odd):
+            continue
+        add_into(out, tuple(sorted(word)), -coeff if _inversion_parity(odd) else coeff)
+    return SymElement(t.algebra, out)
 
 
 # -- the Harish-Chandra predicates and the rho shift, one step at a time ----

@@ -16,6 +16,7 @@ from oracles import (
     p_exponent,
     partial_supertrace,
     perm_operator_reference,
+    permute_word_reference,
     sergeev_elements_reference,
     super_transposition_tensor,
     supertranspose,
@@ -820,6 +821,39 @@ def test_omega_iso_builds_its_slot_tables_once_per_space_and_degree():
         assert list(got.terms.items()) == list(want.terms.items()), sigma
     info = schurweyl._slot_tables.cache_info()
     assert (info.misses, info.hits) == (1, 104)
+
+
+@pytest.mark.parametrize("family, m, n, k", [("p", 0, 2, 4), ("osp", 3, 1, 3)])
+def test_pairing_power_keeps_one_sign_view_per_space_and_degree(family, m, n, k):
+    # every coset representative permutes the cached power through its sign
+    # view as the adjacent-swap reference permutes a fresh power, in key
+    # order; the power and its view are built once and left as built
+    alg = build_algebra(family, m, n)
+    fresh = _power(invariant_vector(alg.space), k)
+    schurweyl._pairing_power.cache_clear()
+    reps = coset_reps(k)
+    wants = [permute_word_reference(coset_canonical(sigma), fresh) for sigma in reps]
+    for sigma, want in zip(reps, wants):
+        got = invariant_tensor(alg, sigma)
+        assert list(got.terms.items()) == list(omega_iso(want).terms.items()), sigma
+    info = schurweyl._pairing_power.cache_info()
+    assert (info.misses, info.hits) == (1, len(reps) - 1)
+    power, view = schurweyl._pairing_power(alg.space, k)
+    for sigma, want in zip(reps, wants):
+        got = permute_word(coset_canonical(sigma), power, view)
+        assert list(got.terms.items()) == list(want.terms.items()), sigma
+    assert list(power.terms.items()) == list(fresh.terms.items())
+
+
+@pytest.mark.parametrize("family, m, n", [("gl", 2, 1), ("q", 0, 2)])
+def test_identity_power_stays_a_temporary(family, m, n):
+    # gl and q permute a fresh identity power per call (279,936 keys at
+    # q(3), k = 7), so theta over S_3 caches no power
+    alg = build_algebra(family, m, n)
+    before = schurweyl._pairing_power.cache_info().currsize
+    for sigma in symmetric_group(3):
+        assert invariant_tensor(alg, sigma) == perm_operator_reference(alg.space, sigma)
+    assert schurweyl._pairing_power.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,25 @@ def test_eta_zeroes_an_odd_letter_repeated_apart():
     assert eta(t_elem(p2, {(y, x, e, z): ONE})) == SymElement(p2, {(z, e, x, y): MINUS_ONE})
 
 
+@pytest.mark.parametrize("family, m, n", [("p", 0, 2), ("gl", 1, 1), ("q", 0, 1)])
+def test_eta_reads_its_sym_form_table(family, m, n):
+    # on a freshly built algebra: pi(theta) up to degree 3, each element seen
+    # twice, rescaled copies, and an element with a repeated odd letter
+    alg = build_algebra(family, m, n)
+    sigmas = [s for k in (1, 2, 3) for s in
+              (coset_reps(k) if family == "p" else symmetric_group(k))]
+    ts = [project_tensor(alg, invariant_tensor(alg, s)) for s in sigmas]
+    assert "sym_forms" not in vars(alg)
+    odd, even = alg.parity.index(1), alg.parity.index(0)
+    dead = (odd, even, odd)
+    squared = t_elem(alg, {dead: ONE, (even, odd): Scalar(3), (odd, even): HALF})
+    rescaled = [t.scale(Scalar(j - 7)) for j, t in enumerate(ts)]
+    for t in ts + [squared] + rescaled + ts:
+        assert list(eta(t).terms.items()) == list(oracles.eta_reference(t).terms.items())
+    assert set(alg.sym_forms) == {w for t in ts + [squared] for w in t.terms}
+    assert alg.sym_forms[dead] is None
+
+
 def test_omega_examples():
     s = sym_monomial(GL11, (E11,))
     assert omega_k(s, 1) == t_elem(GL11, {(E11,): ONE})

@@ -22,6 +22,7 @@ from superinv.sparse import add_into
 from superinv.tensors import (
     Tensor,
     VectorTensor,
+    _sign_view,
     compose,
     full_supertrace,
     identity_tensor,
@@ -268,6 +269,20 @@ def test_permute_word_matches_adjacent_swap_reference_in_order(case):
     sigma, w = case
     got, want = permute_word(sigma, w), permute_word_reference(sigma, w)
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(permuted_vectors())
+def test_permute_word_through_a_sign_view_matches_reference_in_order(case):
+    # a view read twice gives the same terms in the same order as the
+    # reference, and the view leaves w as it was
+    sigma, w = case
+    before = list(w.terms.items())
+    view = _sign_view(w)
+    want = list(permute_word_reference(sigma, w).terms.items())
+    for _ in range(2):
+        assert list(permute_word(sigma, w, view).terms.items()) == want
+    assert list(w.terms.items()) == before
 
 
 @pytest.mark.parametrize("k", (0, 1, 2))
