@@ -238,6 +238,13 @@ class Algebra:
         return {}
 
     @cached_property
+    def ad_rows(self) -> dict:
+        """Generator y -> {x: the (generator, coefficient) terms of [y, x]}
+        over the x whose bracket is nonzero; filled per y by ``_ad_word``
+        on its first use, empty until then."""
+        return {}
+
+    @cached_property
     def sym_forms(self) -> dict:
         """Generator word -> (its sorted word, the sign bit of the sort), or
         None for a word with a repeated odd letter; filled and read by
@@ -368,13 +375,22 @@ def _ad_word(alg: Algebra, y: int, word):
     ad_y is a superderivation, so with [y, w_i] read from the bracket table
 
         ad_y(w) = sum_i (-1)^{|y||w_1..w_{i-1}|} w_1..w_{i-1} [y, w_i] w_{i+1}..w_k.
+
+    Letters x with [y, x] = 0 are passed over through ``Algebra.ad_rows``.
     """
-    par, table = alg.parity, alg.bracket_table
+    rows = alg.ad_rows
+    row = rows.get(y)
+    if row is None:
+        table = alg.bracket_table
+        row = rows[y] = {
+            x: tuple(table[(y, x)].items()) for x in range(alg.dim) if table[(y, x)]
+        }
+    par, odd_y = alg.parity, alg.parity[y]
     sign = 0
     for i, x in enumerate(word):
-        for g, c in table[(y, x)].items():
+        for g, c in row.get(x, ()):
             yield word[:i] + (g,) + word[i + 1 :], -c if sign else c
-        sign ^= par[y] & par[x]
+        sign ^= odd_y & par[x]
 
 
 def phi_k(alg: Algebra, g: int, k: int) -> Tensor:

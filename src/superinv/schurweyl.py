@@ -48,6 +48,7 @@ from .tensors import (
     identity_tensor,
     permute_word,
     slot_embed,
+    supertrace_product,
 )
 
 
@@ -262,18 +263,29 @@ def generator_matrix(alg: Algebra) -> UValuedTensor:
 
 
 def str_gelfand(alg: Algebra, k: int) -> PBWElement:
-    """Str of the k-th matrix power of the generator matrix."""
+    """Str of the k-th matrix power of the generator matrix.
+
+    X^(k-1) is built by products; the last factor is traced against it
+    on the diagonal only (``supertrace_product``).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     x = generator_matrix(alg)
+    if k == 1:
+        return full_supertrace(x)
     acc = x
-    for _ in range(k - 1):
+    for _ in range(k - 2):
         acc = acc * x
-    return full_supertrace(acc)
+    return supertrace_product(acc, x)
 
 
 def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
-    """Str_{1..k} (u_1 + X_1)...(u_k + X_k) S for an invariant S."""
+    """Str_{1..k} (u_1 + X_1)...(u_k + X_k) S for an invariant S.
+
+    The factors k..2 are multiplied onto S; the last one is traced as
+    Str(X_1 P) + u_1 Str(P), with X_1 P read on its diagonal only
+    (``supertrace_product``).
+    """
     k = s.k
     shifts = [promote(u) for u in shifts]
     if len(shifts) != k:
@@ -282,9 +294,10 @@ def molev_element(alg: Algebra, s: Tensor, shifts) -> PBWElement:
         raise ValueError("input tensor is not invariant")
     x = generator_matrix(alg)
     prod = scalar_tensor(alg, s)
-    for a in range(k, 0, -1):
+    for a in range(k, 1, -1):
         prod = slot_embed(x, a, k) * prod + prod.scale(shifts[a - 1])
-    return full_supertrace(prod)
+    last = supertrace_product(slot_embed(x, 1, k), prod)
+    return last + full_supertrace(prod).scale(shifts[0])
 
 
 # -- the q(n) trace family -----------------------------------------------------
@@ -309,8 +322,14 @@ def sergeev_elements(alg: Algebra, m: int) -> UValuedTensor:
 
 
 def sergeev_Z(alg: Algebra, k: int) -> PBWElement:
-    """The trace of e^(k); its diagonal is even, so this is a supertrace.  Central for odd k."""
-    return full_supertrace(sergeev_elements(alg, k))
+    """The trace of e^(k); its diagonal is even, so this is a supertrace.  Central for odd k.
+
+    e^(k) is e^(k-1) times X, so for k >= 2 that last product is read on
+    its diagonal only (``supertrace_product``).
+    """
+    if k < 2:
+        return full_supertrace(sergeev_elements(alg, k))
+    return supertrace_product(sergeev_elements(alg, k - 1), generator_matrix(alg))
 
 
 # -- the duality relation report ------------------------------------------------

@@ -156,6 +156,35 @@ def full_supertrace(a: Tensor):
     return a._of_degree(0, out).coefficient(())
 
 
+def supertrace_product(a: Tensor, b: Tensor):
+    """full_supertrace(compose(a, b)), reading only the product's diagonal.
+
+    A key of a meets one key of b there, the one whose rows are a's
+    columns and whose columns are a's rows.  The two keys have the same
+    slot parities, so with j odd slots compose's sign is j(j-1)/2, and a
+    U(g) value crossing b's word adds j.  The diagonal entries are summed
+    per key as compose sums them, so the trace keeps the full route's
+    key order.
+    """
+    a._check(b)
+    par = a.space.parity
+    odd_values = a._odd_values
+    get = b.terms.get
+    diagonal = {}
+    for ka, va in a.terms.items():
+        vb = get(tuple((c, r) for r, c in ka))
+        if vb is None:
+            continue
+        val = va * vb
+        if odd_values and not val:
+            continue
+        j = sum(par[r] ^ par[c] for r, c in ka)
+        if (j * (j - 1) // 2 + (j if odd_values else 0)) & 1:
+            val = -val
+        add_into(diagonal, tuple((r, r) for r, _ in ka), val)
+    return full_supertrace(a._like(diagonal))
+
+
 def permute_word(sigma: Permutation, w: VectorTensor, view=None) -> VectorTensor:
     """The signed place-permutation action of sigma on a VectorTensor.
 

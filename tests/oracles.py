@@ -15,8 +15,9 @@ word by word, the closure
 circles by the alternating walk, the diagram count by closure type, the
 dualization of theta's even slots, the
 supercommutation test of an operator, Sergeev's recursion for the q(n)
-trace family and the Harish-Chandra images of the gl(m|n) trace family
-from a product formula) that tests compare the package's own kernels
+trace family, the Harish-Chandra images of the gl(m|n) trace family
+from a product formula, and the three trace families traced off their
+full last product) that tests compare the package's own kernels
 against.
 
 The paper's T(g)^g and S(g)^g levels live here too, since no command
@@ -48,7 +49,13 @@ from superinv.scalars import ONE, Scalar, promote, sign_scalar
 from superinv.signs import Permutation, _inversion_parity, gamma_exponent, symmetric_group
 from superinv.sparse import add_into, add_terms
 from superinv.tensoralg import SymElement, TensorAlgebraElement, eta, project_tensor
-from superinv.tensors import Tensor, VectorTensor, compose
+from superinv.schurweyl import (
+    generator_matrix,
+    scalar_tensor,
+    sergeev_elements,
+    tensor_is_invariant,
+)
+from superinv.tensors import Tensor, VectorTensor, compose, full_supertrace, slot_embed
 
 
 def p_exponent(x, y):
@@ -737,3 +744,31 @@ def sergeev_elements_reference(alg, m):
                 fnew[(i, j)] = acc_f
         e, f = enew, fnew
     return e, f
+
+
+# -- the trace families, each traced off its full last product ---------------
+
+
+def str_gelfand_reference(alg, k):
+    """Str X^k, every power built in full by ``compose``."""
+    x = generator_matrix(alg)
+    acc = x
+    for _ in range(k - 1):
+        acc = compose(acc, x)
+    return full_supertrace(acc)
+
+
+def sergeev_Z_reference(alg, k):
+    """The supertrace of the full matrix e^(k)."""
+    return full_supertrace(sergeev_elements(alg, k))
+
+
+def molev_element_reference(alg, s, shifts):
+    """Str_{1..k} (u_1 + X_1)...(u_k + X_k) S, every factor multiplied in full."""
+    if not tensor_is_invariant(alg, s):
+        raise ValueError("input tensor is not invariant")
+    x = generator_matrix(alg)
+    prod = scalar_tensor(alg, s)
+    for a in range(s.k, 0, -1):
+        prod = compose(slot_embed(x, a, s.k), prod) + prod.scale(promote(shifts[a - 1]))
+    return full_supertrace(prod)

@@ -12,8 +12,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import molev_element_reference
 
 from superinv import brauer, schurweyl
+from superinv.algebras import build_algebra
 from superinv.cli import (
     COMMANDS,
     FLAGS,
@@ -250,6 +252,10 @@ STDOUT_PINS = {
         "980879bccfb57addef03eb03b67a815a01988c20190f1ef60a0b96a167d91826",
     'molev --family osp --m 3 --n 0 --k 2 --perm "[1,4,2,3]" --u "1,1/2"':
         "415b48eeb0dff17ed67342e461376c6fcc25723c412f2bc490fa4cd44cc4353e",
+    'molev --family gl --m 2 --n 1 --k 4 --perm "[2,3,4,1]" --u "1,-1/2,2,3"':
+        "275b2e8bfeb0c74d4ce861daee092dbff6b8e527f15335a948354e84766fce90",
+    'molev --family osp --m 1 --n 1 --k 3 --perm "[2,3,4,5,6,1]" --u "1,-1/2,2"':
+        "cfedd6833afb3c721f53b782d9b178e1f4ac014a0bd5f19aff53e1cde562ed77",
     "relations --family p --n 1 --k 4":
         "21bdfed1eb2d270679ff697c915bbc258b433d11ee005516ccd2d39050524e2f",
     "relations --family osp --m 1 --n 1 --k 4":
@@ -284,6 +290,16 @@ def test_stdout_is_pinned(capsys, job):
     code, out, _ = run_cli(capsys, *shlex.split(job))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[job]
+
+
+@pytest.mark.parametrize("job", sorted(j for j in STDOUT_PINS if j.startswith("molev ")))
+def test_pinned_molev_elements_match_the_full_product_reference(job):
+    args = build_parser().parse_args(shlex.split(job))
+    space = admit(args)
+    alg = build_algebra(space.family, space.m, space.n)
+    s = schurweyl.invariant_tensor(alg, parse_permutation(args.perm, _perm_degree(alg, args.k)))
+    shifts = parse_shifts(args.u, s.k)
+    assert schurweyl.molev_element(alg, s, shifts) == molev_element_reference(alg, s, shifts)
 
 
 def test_sweep_command(capsys):
@@ -677,6 +693,8 @@ LADDER = {
         "36370a65327d83d372391997daf8d95be18d2e1b62e084b885dfc3fc5655069f",
     "brauer --k 8":
         "4ccc2c8ab99818e444ab84213c8fcc8502c3ff77a4616af104aec48bac3ba997",
+    "molev --family gl --m 2 --n 0 --k 8 --perm [2,3,4,5,6,7,8,1]":
+        "07d7d1f9d7893ed2619f4c39979615c31328c6f1c43c302201eca24203da3b1d",
 }
 
 

@@ -18,6 +18,8 @@ from oracles import (
     perm_operator_reference,
     permute_word_reference,
     sergeev_elements_reference,
+    sergeev_Z_reference,
+    str_gelfand_reference,
     super_transposition_tensor,
     supertranspose,
 )
@@ -612,6 +614,21 @@ def test_molev_centrality_and_errors():
     bad = Tensor(GL11.space, 1, {((1, 2),): ONE})
     with pytest.raises(ValueError):
         molev_element(GL11, bad, [ZERO])
+
+
+@pytest.mark.parametrize(
+    "family, m, n, top", [("gl", 2, 2, 5), ("osp", 3, 1, 5), ("q", 0, 2, 5), ("gl", 3, 3, 4)]
+)
+def test_trace_families_match_their_full_product_references(family, m, n, top):
+    # the last product is read on its diagonal only; the reference builds it
+    alg = build_algebra(family, m, n)
+    pairs = [(str_gelfand, str_gelfand_reference)]
+    if family == "q":
+        pairs.append((sergeev_Z, sergeev_Z_reference))
+    for k in range(1, top + 1):
+        for fn, reference in pairs:
+            got, want = fn(alg, k), reference(alg, k)
+            assert list(got.terms.items()) == list(want.terms.items()), (fn.__name__, k)
 
 
 def test_uvalued_tensor_traces():

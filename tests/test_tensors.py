@@ -29,6 +29,7 @@ from superinv.tensors import (
     matrix_unit,
     permute_word,
     slot_embed,
+    supertrace_product,
 )
 
 GL11 = SuperSpace("gl", 1, 1)
@@ -409,6 +410,56 @@ def test_uvalued_compose_matches_reference_in_order():
         assert [v.to_json() for v in got.terms.values()] == [
             v.to_json() for v in want.terms.values()
         ]
+
+
+def _transposed(t):
+    """t with every key's rows and columns exchanged, coefficients kept."""
+    return t._like({tuple((c, r) for r, c in key): v for key, v in t.terms.items()})
+
+
+def _assert_supertrace_product_matches_full_route(a, b):
+    got, want = supertrace_product(a, b), full_supertrace(compose(a, b))
+    assert got == want
+    if a._odd_values:
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tensor_pairs())
+def test_supertrace_product_is_the_supertrace_of_compose(pair):
+    a, b = pair
+    _assert_supertrace_product_matches_full_route(a, b)
+    # a's transpose added to b meets every key of a on the diagonal
+    _assert_supertrace_product_matches_full_route(a, b + _transposed(a))
+
+
+def test_uvalued_supertrace_product_matches_full_route_in_order():
+    for fam, m, n in (("gl", 1, 1), ("gl", 2, 1), ("q", 0, 2), ("osp", 1, 1), ("p", 0, 2)):
+        x = generator_matrix(build_algebra(fam, m, n))
+        powers = [x]
+        for _ in range(2):
+            powers.append(compose(powers[-1], x))
+        for a in powers:
+            for b in powers:
+                _assert_supertrace_product_matches_full_route(a, b)
+        # degree 2: X on slot 1 against X^2 on slots 1 and 2, as molev's last step
+        two = compose(slot_embed(x, 1, 2), slot_embed(x, 2, 2))
+        _assert_supertrace_product_matches_full_route(slot_embed(x, 1, 2), two)
+        _assert_supertrace_product_matches_full_route(two, slot_embed(x, 2, 2))
+
+
+def test_uvalued_supertrace_product_with_a_vanishing_odd_product():
+    # in gl(1|1), E[1,2] E[1,2] = [E[1,2], E[1,2]] / 2 = 0: b's (2, 1) entry
+    # holds that odd element, so the diagonal pair ((1,2), (2,1)) vanishes
+    x = generator_matrix(build_algebra("gl", 1, 1))
+    odd = x.terms[((1, 2),)]
+    assert not odd * odd
+    b = x._like({((2, 1),): odd, ((1, 1),): x.terms[((1, 1),)]})
+    lone = x._like({((1, 2),): odd})
+    assert compose(lone, b).is_zero()
+    assert supertrace_product(lone, b).is_zero()
+    _assert_supertrace_product_matches_full_route(x, b)
+    assert not supertrace_product(x, b).is_zero()
 
 
 def test_slot_embed_places_degree_j_and_rejects_slots_that_do_not_fit():
