@@ -17,7 +17,9 @@ each generator is one or two matrix units, so xy and yx are read off the
 unit products e_ab e_cd = delta_bc e_ad (y's units indexed by row), and
 xy - (-1)^{|x||y|} yx is re-expressed through the split projection
 pi_tilde (e_ij -> E, F/2, G/2, H/2), verified to satisfy
-pi_tilde(iota(x)) = x on every generator.
+pi_tilde(iota(x)) = x on every generator.  ``bracket_table[x]`` is x's
+row, {y: [x, y] as (generator, coefficient) pairs}, holding only the y
+whose bracket with x is nonzero.
 Each matrix unit's image is +-1 (gl) or +-1/2 (osp, p, q) times one
 generator, so ``pi_table`` holds (generator, sign bit) per unit and
 ``pi_scale`` the family's 1 or 1/2: pi_tilde of a degree-k key is its
@@ -117,15 +119,12 @@ class Algebra:
 
     def _verify_split(self):
         for g in range(self.dim):
-            if self._project_matrix(self.embed[g]) != {g: ONE}:
+            if self._project_units(self.embed[g].terms) != {g: ONE}:
                 raise AssertionError(
                     "split projection failed on generator %s" % self.gens[g]
                 )
 
     # -- bracket table -------------------------------------------------------
-
-    def _project_matrix(self, mat: Tensor) -> dict:
-        return self._project_units(mat.terms)
 
     def _project_units(self, terms: dict) -> dict:
         # a generator index has at most two preimages in pi_table, so a key
@@ -170,7 +169,9 @@ class Algebra:
         # [x, y] = pi_tilde(xy - (-1)^{|x||y|} yx) on matrix units, with
         # e_ab e_cd = delta_bc e_ad: a unit e_ab of x meets the units of y in
         # row b.  xy's units and then yx's are added in compose's order, so
-        # each entry, key order included, is that of the projected compose
+        # each entry, key order included, is that of the projected compose;
+        # a pair whose units never meet, or whose bracket cancels, is 0 and
+        # has no entry
         units = [[(a, b, c) for ((a, b),), c in mat.terms.items()] for mat in self.embed]
         rows = [{} for _ in units]
         in_row, in_col = {}, {}  # index -> the generators with a unit in that row / column
@@ -179,9 +180,7 @@ class Algebra:
                 rows[g].setdefault(a, []).append((b, c))
                 in_row.setdefault(a, set()).add(g)
                 in_col.setdefault(b, set()).add(g)
-        gens = range(self.dim)
-        # a pair whose units never meet has the bracket 0
-        table = {(x, y): {} for x in gens for y in gens}
+        table = [{} for _ in units]
         for x, ux in enumerate(units):
             rx, px = rows[x], self.parity[x]
             partners = set()
@@ -197,7 +196,9 @@ class Algebra:
                 for a, b, c in units[y]:
                     for d, cx in rx.get(b, ()):
                         add_into(terms, ((a, d),), c * cx if plus else -(c * cx))
-                table[(x, y)] = self._project_units(terms)
+                br = self._project_units(terms)
+                if br:
+                    table[x][y] = tuple(br.items())
         self.bracket_table = table
 
     # -- Cartan variables / Weyl vector, read off h0 on first use -------------
@@ -238,13 +239,6 @@ class Algebra:
         return {}
 
     @cached_property
-    def ad_rows(self) -> dict:
-        """Generator y -> {x: the (generator, coefficient) terms of [y, x]}
-        over the x whose bracket is nonzero; filled per y by ``_ad_word``
-        on its first use, empty until then."""
-        return {}
-
-    @cached_property
     def sym_forms(self) -> dict:
         """Generator word -> (its sorted word, the sign bit of the sort), or
         None for a word with a repeated odd letter; filled and read by
@@ -273,7 +267,7 @@ class Algebra:
             derived = {}
             for x in block:
                 for y in block:
-                    echelon_extend(derived, table[(x, y)])
+                    echelon_extend(derived, dict(table[x].get(y, ())))
             probes += [g for g in block if echelon_reduce(derived, {g: ONE})]
         odd_cartan = [g for g in gens if self.tri_class[g] == "C" and self.parity[g]]
         span = self._closure(cartan + tuple(probes))
@@ -283,7 +277,7 @@ class Algebra:
                 span = self._closure(cartan + tuple(probes))
         weights = []
         for g in gens:
-            brackets = [table[(h, g)] for h in cartan]
+            brackets = [dict(table[h].get(g, ())) for h in cartan]
             if any(br and set(br) != {g} for br in brackets):
                 raise AssertionError("generator %s is not a weight vector" % self.gens[g])
             lams = [br.get(g, ZERO) for br in brackets]
@@ -376,15 +370,10 @@ def _ad_word(alg: Algebra, y: int, word):
 
         ad_y(w) = sum_i (-1)^{|y||w_1..w_{i-1}|} w_1..w_{i-1} [y, w_i] w_{i+1}..w_k.
 
-    Letters x with [y, x] = 0 are passed over through ``Algebra.ad_rows``.
+    Letters x with [y, x] = 0 have no entry in y's bracket table row and
+    are passed over.
     """
-    rows = alg.ad_rows
-    row = rows.get(y)
-    if row is None:
-        table = alg.bracket_table
-        row = rows[y] = {
-            x: tuple(table[(y, x)].items()) for x in range(alg.dim) if table[(y, x)]
-        }
+    row = alg.bracket_table[y]
     par, odd_y = alg.parity, alg.parity[y]
     sign = 0
     for i, x in enumerate(word):

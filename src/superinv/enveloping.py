@@ -63,11 +63,11 @@ def pbw_normalize(alg: Algebra, terms) -> PBWElement:
         head, tail = w[:i], w[i + 2 :]
         if a == b:
             # odd square: x x -> (1/2)[x, x]
-            for g, cv in table[(a, a)].items():
+            for g, cv in table[a].get(a, ()):
                 stack.append((head + (g,) + tail, c * cv * HALF))
         else:
             stack.append((head + (b, a) + tail, -c if (par[a] and par[b]) else c))
-            for g, cv in table[(a, b)].items():
+            for g, cv in table[a].get(b, ()):
                 stack.append((head + (g,) + tail, c * cv))
     return out
 

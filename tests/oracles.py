@@ -250,7 +250,7 @@ def bracket(x, y):
     out = {}
     for (i,), ci in x.terms.items():
         for (j,), cj in y.terms.items():
-            for g, c in alg.bracket_table[(i, j)].items():
+            for g, c in alg.bracket_table[i].get(j, ()):
                 add_into(out, (g,), ci * cj * c)
     return TensorAlgebraElement(alg, out)
 
@@ -607,7 +607,7 @@ def adjoint_act(x, t):
         for word, coeff in t.terms.items():
             c = coeff * cg
             for i, letter in enumerate(word):
-                for h, ch in alg.bracket_table[(g, letter)].items():
+                for h, ch in alg.bracket_table[g].get(letter, ()):
                     add_into(terms, word[:i] + (h,) + word[i + 1 :], c * ch)
                 if par[g] and par[letter]:
                     c = -c

@@ -691,6 +691,8 @@ LADDER = {
         "d4dcef85c1f7f3f146f86f6ed55660aac8f44dd5656708c3646250eb037167c2",
     "pn-trivial --n 3 --k 4":
         "36370a65327d83d372391997daf8d95be18d2e1b62e084b885dfc3fc5655069f",
+    "pn-trivial --n 4 --k 4":
+        "18a1c504beb337089e591037bf1bf25c03b3ec30d68c186024f364362d6bb460",
     "brauer --k 8":
         "4ccc2c8ab99818e444ab84213c8fcc8502c3ff77a4616af104aec48bac3ba997",
     "molev --family gl --m 2 --n 0 --k 8 --perm [2,3,4,5,6,7,8,1]":

@@ -34,11 +34,7 @@ def noncommuting_generators(u):
 def with_a_noncentral_factor(u):
     """u x + u, for the first even generator x with a nonzero bracket."""
     alg = u.algebra
-    x = next(
-        g
-        for g in range(alg.dim)
-        if not alg.parity[g] and any(alg.bracket_table[(g, y)] for y in range(alg.dim))
-    )
+    x = next(g for g in range(alg.dim) if not alg.parity[g] and alg.bracket_table[g])
     return u_multiply(u, PBWElement(alg, {(x,): ONE})) + u
 
 
